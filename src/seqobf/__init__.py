@@ -15,7 +15,6 @@ from .core import (
     RandomSource,
     Trace,
     anonymize,
-    bernoulli,
 )
 from .superstring import (
     Superstring,
@@ -24,7 +23,7 @@ from .superstring import (
     shortest_superstring,
     verify_superstring,
 )
-from .detect import PatternStats, first_occurrence, has_pattern, update_stats
+from .detect import PatternStats, first_occurrence, has_pattern
 from .engines import (
     EngineConfig,
     lov_bound,
@@ -58,10 +57,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet", "Pattern", "Permutation", "RandomSource", "Trace",
-    "anonymize", "bernoulli",
+    "anonymize",
     "Superstring", "concat_superstring", "de_bruijn",
     "shortest_superstring", "verify_superstring",
-    "PatternStats", "first_occurrence", "has_pattern", "update_stats",
+    "PatternStats", "first_occurrence", "has_pattern",
     "EngineConfig", "lov_bound", "lov_choose", "manp_choose", "obfuscate",
     "plov_distribution", "two_stage_obfuscate",
     "BoundParams", "Schedule", "ScheduleParams", "bound_sbu", "bound_slsbu",

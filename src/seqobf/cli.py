@@ -41,21 +41,6 @@ def _print_config(command: str, **kv) -> None:
     print(f"# {command} {pairs}")
 
 
-def _emit_csv(records) -> None:
-    import csv
-
-    records = list(records)
-    fields: list[str] = []
-    for rec in records:
-        for key in rec:
-            if key not in fields:
-                fields.append(key)
-    writer = csv.DictWriter(sys.stdout, fieldnames=fields)
-    writer.writeheader()
-    for rec in records:
-        writer.writerow(rec)
-
-
 def _cmd_gen_superstring(args) -> int:
     kind = _KIND_ALIASES[args.kind]
     _print_config("gen-superstring", r=args.r, l=args.l, kind=kind, seed=args.seed)
@@ -118,7 +103,7 @@ def _cmd_detect(args) -> int:
             {"trace": idx, "contains": found,
              "first_index": "" if first is None else first}
         )
-    _emit_csv(records)
+    sim_mod.write_csv(records, sys.stdout)
     return 0
 
 
@@ -134,14 +119,14 @@ def _cmd_bounds(args) -> int:
                 beta=args.beta, theta=args.theta, trace_length=args.m,
             )
         )
-        _emit_csv([{
+        sim_mod.write_csv([{
             "n": args.n, "l": args.l, "beta": args.beta, "theta": args.theta,
             "m": args.m, "scale": sched.scale, "noise_level": sched.noise_level,
             "alphabet_min": sched.alphabet_min, "alphabet_max": sched.alphabet_max,
             "noise_samples": sched.noise_samples,
             "noise_samples_ok": sched.noise_samples_ok,
             "crowd_threshold": sched.crowd_threshold,
-        }])
+        }], sys.stdout)
         return 0
     if args.which == "lov":
         value = lov_bound(args.m, args.r, args.p)
@@ -152,8 +137,8 @@ def _cmd_bounds(args) -> int:
         )
         fn = bounds_mod.bound_sbu if args.which == "sbu" else bounds_mod.bound_slsbu
         value = fn(params)
-    _emit_csv([{"which": args.which, "m": args.m, "r": args.r, "l": args.l,
-                "h": args.gap, "p": args.p, "value": value}])
+    sim_mod.write_csv([{"which": args.which, "m": args.m, "r": args.r, "l": args.l,
+                       "h": args.gap, "p": args.p, "value": value}], sys.stdout)
     return 0
 
 

@@ -129,13 +129,6 @@ class RandomSource:
         return f"RandomSource(master_seed={self.master_seed}, path={self.path})"
 
 
-def bernoulli(source: RandomSource, p: float) -> int:
-    """One Bernoulli(p) draw, consuming exactly one uniform from the stream."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must be in [0, 1], got {p}")
-    return int(source.generator.random() < p)
-
-
 @dataclass(frozen=True)
 class Permutation:
     """A bijection on user indices 0..n-1; mapping[u] is the pseudonym of u."""

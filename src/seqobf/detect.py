@@ -164,7 +164,3 @@ class PatternStats:
 
         walk(n, self.order - 1, (symbol,))
 
-
-def update_stats(stats: PatternStats, symbol: int) -> PatternStats:
-    """Append one symbol to the stats (mutating; returns the same object)."""
-    return stats.update(symbol)

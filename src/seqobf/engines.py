@@ -1,15 +1,18 @@
 """Obfuscation engines: per-trace symbol replacement mechanisms.
 
-Every engine follows the same frame: a Bernoulli(p_obf) mask decides which
-positions are replaced, and the method decides the replacement symbols.
-Positions outside the mask always carry the original symbol.
+Every engine runs in one frame, ``obfuscate``: copy the symbols, then for
+each pass draw a Bernoulli(p) mask from that pass's source and let the
+pass's replacement policy fill the masked positions.  Positions outside
+every mask always carry the original symbol.  ``_POLICIES`` maps each
+single-pass method to its policy; two_stage is two passes of the frame.
 
 Data-independent methods draw replacements ahead of the data:
 
 * iid      — fresh uniform symbols;
 * sbu      — a concatenation-form covering superstring consumed in order;
 * sl_sbu   — a shortest covering superstring consumed in order;
-* two_stage — iid then sl_sbu composed, with independent sub-streams.
+* two_stage — an iid pass on source.derive(0), then an sl_sbu pass on
+  source.derive(1), over the first pass's output.
 
 Data-dependent methods pick each replacement from the realized obfuscated
 prefix:
@@ -19,7 +22,7 @@ prefix:
 * manp — the symbol completing the most previously-unseen length-2
   patterns with a predecessor in the trailing window.
 
-For reproducibility each engine consumes its stream in a fixed order: the
+For reproducibility each pass consumes its stream in a fixed order: the
 whole replacement mask first (one uniform per position), then replacement
 draws in stream order.
 """
@@ -47,9 +50,10 @@ class EngineConfig:
     """Method tag plus its parameters.
 
     p_obf applies to every method except two_stage, whose per-stage noise
-    levels come from stage_noise.  order is the covering-superstring order
-    for sbu/sl_sbu/two_stage; gamma is the plov tilt exponent; gap is the
-    manp predecessor-window width.
+    levels come from stage_noise; a two_stage config with p_obf > 0 and no
+    stage noise is rejected, since none of that noise would be applied.
+    order is the covering-superstring order for sbu/sl_sbu/two_stage; gamma
+    is the plov tilt exponent; gap is the manp predecessor-window width.
     """
 
     method: str
@@ -74,6 +78,11 @@ class EngineConfig:
             a, b = self.stage_noise
             if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
                 raise ValueError(f"stage noise levels must be in [0, 1], got {self.stage_noise}")
+            if self.p_obf > 0.0 and a == 0.0 and b == 0.0:
+                raise ValueError(
+                    f"two_stage ignores p_obf={self.p_obf} and both of its "
+                    "stage noise levels are 0"
+                )
 
 
 def _replacement_stream(
@@ -153,63 +162,55 @@ def manp_choose(
     return int(best[source.generator.integers(best.size)])
 
 
-def _obfuscate_independent(
-    x: np.ndarray, alphabet_size: int, config: EngineConfig, gen: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    mask = gen.random(x.size) < config.p_obf
-    k = int(mask.sum())
-    if config.method == "iid":
-        replacements = gen.integers(0, alphabet_size, size=k)
-    else:
-        kind = "concatenation" if config.method == "sbu" else "shortest"
-        _check_params(alphabet_size, config.order, DEFAULT_SIZE_CAP)
-        replacements = _replacement_stream(gen, alphabet_size, config.order, kind, k)
-    z = x.copy()
-    z[mask] = replacements
-    return z, mask
+def _fill_iid(z, mask, alphabet_size, config, source) -> None:
+    z[mask] = source.generator.integers(0, alphabet_size, size=int(mask.sum()))
 
 
-def _obfuscate_lov(
-    x: np.ndarray, alphabet_size: int, config: EngineConfig, source: RandomSource
-) -> tuple[np.ndarray, np.ndarray]:
-    gen = source.generator
-    mask = gen.random(x.size) < config.p_obf
-    z = x.copy()
+def _fill_superstring(z, mask, alphabet_size, config, source) -> None:
+    kind = "concatenation" if config.method == "sbu" else "shortest"
+    _check_params(alphabet_size, config.order, DEFAULT_SIZE_CAP)
+    z[mask] = _replacement_stream(
+        source.generator, alphabet_size, config.order, kind, int(mask.sum())
+    )
+
+
+def _fill_lov(z, mask, alphabet_size, config, source) -> None:
     observed = np.zeros(alphabet_size, dtype=bool)
-    for t in range(x.size):
+    for t in range(z.size):
         if mask[t]:
             z[t] = lov_choose(observed, source)
         observed[z[t]] = True
-    return z, mask
 
 
-def _obfuscate_plov(
-    x: np.ndarray, alphabet_size: int, config: EngineConfig, source: RandomSource
-) -> tuple[np.ndarray, np.ndarray]:
+def _fill_plov(z, mask, alphabet_size, config, source) -> None:
     gen = source.generator
-    mask = gen.random(x.size) < config.p_obf
-    z = x.copy()
     counts = np.zeros(alphabet_size, dtype=np.int64)
-    for t in range(x.size):
+    for t in range(z.size):
         if mask[t]:
             p = plov_distribution(counts, config.gamma)
             z[t] = gen.choice(alphabet_size, p=p)
         counts[z[t]] += 1
-    return z, mask
 
 
-def _obfuscate_manp(
-    x: np.ndarray, alphabet_size: int, config: EngineConfig, source: RandomSource
-) -> tuple[np.ndarray, np.ndarray]:
-    gen = source.generator
-    mask = gen.random(x.size) < config.p_obf
-    z = x.copy()
+def _fill_manp(z, mask, alphabet_size, config, source) -> None:
     stats = PatternStats(order=2, gap=config.gap)
-    for t in range(x.size):
+    for t in range(z.size):
         if mask[t]:
             z[t] = manp_choose(stats, alphabet_size, source)
         stats.update(int(z[t]))
-    return z, mask
+
+
+# Replacement policy of each single-pass method.  A policy
+# (z, mask, alphabet_size, config, source) fills z in place at the masked
+# positions, drawing from the pass's source after the mask block.
+_POLICIES = {
+    "iid": _fill_iid,
+    "sbu": _fill_superstring,
+    "sl_sbu": _fill_superstring,
+    "lov": _fill_lov,
+    "plov": _fill_plov,
+    "manp": _fill_manp,
+}
 
 
 def obfuscate(
@@ -225,23 +226,22 @@ def obfuscate(
     where mask marks the replaced positions (for two_stage, positions
     touched by either stage).
     """
-    r = trace.alphabet.size
-    x = trace.symbols
     if config.method == "two_stage":
         a, b = config.stage_noise
-        return two_stage_obfuscate(
-            trace, a, b, config.order, source, return_mask=return_mask
-        )
-    if config.method in ("iid", "sbu", "sl_sbu"):
-        z, mask = _obfuscate_independent(x, r, config, source.generator)
-    elif config.method == "lov":
-        z, mask = _obfuscate_lov(x, r, config, source)
-    elif config.method == "plov":
-        z, mask = _obfuscate_plov(x, r, config, source)
+        passes = [
+            (EngineConfig(method="iid", p_obf=a), source.derive(0)),
+            (EngineConfig(method="sl_sbu", p_obf=b, order=config.order), source.derive(1)),
+        ]
     else:
-        z, mask = _obfuscate_manp(x, r, config, source)
+        passes = [(config, source)]
+    z = trace.symbols.copy()
+    touched = np.zeros(z.size, dtype=bool)
+    for stage, stream in passes:
+        mask = stream.generator.random(z.size) < stage.p_obf
+        _POLICIES[stage.method](z, mask, trace.alphabet.size, stage, stream)
+        touched |= mask
     out = Trace(z, trace.alphabet)
-    return (out, mask) if return_mask else out
+    return (out, touched) if return_mask else out
 
 
 def two_stage_obfuscate(
@@ -261,13 +261,10 @@ def two_stage_obfuscate(
     stage's mask selects it, which happens with probability
     first_noise + second_noise - first_noise*second_noise.
     """
-    first = EngineConfig(method="iid", p_obf=first_noise)
-    second = EngineConfig(method="sl_sbu", p_obf=second_noise, order=order)
-    mid, mask_a = obfuscate(trace, first, source.derive(0), return_mask=True)
-    out, mask_b = obfuscate(mid, second, source.derive(1), return_mask=True)
-    if return_mask:
-        return out, mask_a | mask_b
-    return out
+    config = EngineConfig(
+        method="two_stage", order=order, stage_noise=(first_noise, second_noise)
+    )
+    return obfuscate(trace, config, source, return_mask=return_mask)
 
 
 def lov_bound(trace_length: int, alphabet_size: int, p_obf: float) -> float:

@@ -21,8 +21,10 @@ never perturbs existing draws.
 """
 from __future__ import annotations
 
+import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -68,6 +70,11 @@ class ExperimentSpec:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
+        if "two_stage" in self.methods:
+            raise ValueError(
+                "two_stage takes per-stage noise levels, which a spec cannot set; "
+                "use EngineConfig.stage_noise or obfuscate --stage-a/--stage-b"
+            )
         if self.trace_source not in ("synthetic_iid", "ingested"):
             raise ValueError(f"unknown trace source {self.trace_source!r}")
         if self.trace_source == "ingested" and not self.trace_file:
@@ -161,15 +168,8 @@ def _fraction_iterations(
     hits = np.zeros(len(configs), dtype=np.int64)
     samples = 0
     for it in range(start, stop):
-        # User 0 is the target; its trace pins down the pattern placement
-        # but does not enter the estimate.
-        target_gen = root.derive(it, 0, 0)
-        base = Trace(
-            _base_symbols(spec, target_gen.generator, pool), Alphabet(spec.alphabet_size)
-        )
-        insert_unique_pattern(
-            base, spec.alphabet_size, spec.order, target_gen, gap=spec.gap
-        )
+        # User 0 is the target.  The estimate counts only the other users,
+        # so the target's trace is never drawn; their streams start at 1.
         for u in range(1, spec.n_users):
             x = _base_symbols(spec, root.derive(it, u, 0).generator, pool)
             trace = Trace(x, alphabet)
@@ -375,17 +375,18 @@ def run(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     return run_bounds_table(spec)
 
 
-def write_csv(records: Iterable[dict], path) -> None:
-    """Write records as CSV with a header row (union of keys, first-seen order)."""
-    import csv
+def write_csv(records: Iterable[dict], out) -> None:
+    """Write records as CSV with a header row (union of keys, first-seen order).
 
+    out is a path, or an open text stream that is left open.
+    """
     records = list(records)
     fields: list[str] = []
     for rec in records:
         for key in rec:
             if key not in fields:
                 fields.append(key)
-    with open(path, "w", newline="") as fh:
+    with nullcontext(out) if hasattr(out, "write") else open(out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         for rec in records:

@@ -144,6 +144,18 @@ class TestObfuscateAndDetect:
         assert len(symbols) == 50
         assert any(s != 0 for s in symbols)
 
+    def test_two_stage_without_stage_flags_is_a_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "in.txt"
+        dst = tmp_path / "out.txt"
+        src.write_text(" ".join("0" for _ in range(50)) + "\n")
+        code, _, err = run_cli(
+            capsys, "obfuscate", "--method", "two_stage", "--r", "4",
+            "--in", str(src), "--out", str(dst),
+        )
+        assert code == 2
+        assert "two_stage" in err
+        assert not dst.exists()
+
     def test_detect_reports_first_occurrence(self, tmp_path, capsys):
         path = tmp_path / "t.txt"
         path.write_text("2 0 1 0 1\n")
@@ -198,6 +210,21 @@ class TestSimulateAndIngest:
         assert code == 0
         lines = out_csv.read_text().strip().splitlines()
         assert len(lines) == 4  # header + three grid points
+
+    def test_two_stage_in_a_spec_is_a_usage_error(self, tmp_path, capsys):
+        spec = tmp_path / "exp.ini"
+        spec.write_text(
+            "[experiment]\n"
+            "scenario = fraction\nmethods = iid, two_stage\niterations = 3\n"
+            "[parameters]\n"
+            "m = 60\nr = 6\nl = 2\nh = 3\np_obf = 0.3\nn_users = 6\n"
+        )
+        out_csv = tmp_path / "res.csv"
+        code, _, err = run_cli(capsys, "simulate", "--spec", str(spec),
+                               "--out", str(out_csv))
+        assert code == 2
+        assert "two_stage" in err
+        assert not out_csv.exists()
 
     def test_ingest_end_to_end(self, tmp_path, capsys):
         raw = tmp_path / "raw.csv"

@@ -9,7 +9,6 @@ from seqobf.core import (
     RandomSource,
     Trace,
     anonymize,
-    bernoulli,
 )
 
 
@@ -77,31 +76,6 @@ class TestRandomSource:
         root.derive(1).generator.random(1000)
         again = root.derive(0).generator.random(16)
         assert np.array_equal(first, again)
-
-
-class TestBernoulli:
-    def test_degenerate_probabilities(self):
-        src = RandomSource(0)
-        assert all(bernoulli(src, 0.0) == 0 for _ in range(1000))
-        assert all(bernoulli(src, 1.0) == 1 for _ in range(1000))
-
-    def test_rejects_out_of_range(self):
-        src = RandomSource(0)
-        with pytest.raises(ValueError):
-            bernoulli(src, -0.1)
-        with pytest.raises(ValueError):
-            bernoulli(src, 1.1)
-
-    def test_law_of_large_numbers(self):
-        src = RandomSource(2024)
-        n = 10**6
-        mean = sum(bernoulli(src, 0.5) for _ in range(n)) / n
-        assert abs(mean - 0.5) < 0.002
-
-    def test_replay_is_bit_identical(self):
-        draws_a = [bernoulli(RandomSource(9, (4,)), 0.3) for _ in range(1)]
-        draws_b = [bernoulli(RandomSource(9, (4,)), 0.3) for _ in range(1)]
-        assert draws_a == draws_b
 
 
 class TestPermutation:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqobf.core import Alphabet, Pattern, RandomSource, Trace
-from seqobf.detect import PatternStats, first_occurrence, has_pattern, update_stats
+from seqobf.detect import PatternStats, first_occurrence, has_pattern
 from seqobf.superstring import _shortest_array
 from oracles import (
     brute_force_has_pattern,
@@ -144,7 +144,7 @@ class TestFirstOccurrence:
 class TestPatternStats:
     def test_first_symbol_histogram(self):
         stats = PatternStats(order=1, gap=1)
-        update_stats(stats, 3)
+        stats.update(3)
         assert stats.count((3,)) == 1
         assert stats.prefix_length == 1
 

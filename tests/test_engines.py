@@ -60,6 +60,11 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EngineConfig(method="two_stage", stage_noise=(0.5, 1.5))
 
+    def test_two_stage_rejects_noise_it_would_not_apply(self):
+        with pytest.raises(ValueError, match="two_stage"):
+            EngineConfig(method="two_stage", p_obf=0.3)
+        EngineConfig(method="two_stage", p_obf=0.3, stage_noise=(0.0, 0.2))
+
 
 class TestCommonEngineContract:
     @pytest.mark.parametrize("method", METHODS)
@@ -93,6 +98,17 @@ class TestCommonEngineContract:
         b = obfuscate(t, cfg, RandomSource(11, (2,)))
         assert a == b
 
+    @pytest.mark.parametrize("method", [m for m in METHODS if m != "two_stage"])
+    def test_mask_is_the_first_block_of_the_stream(self, method):
+        gen = np.random.default_rng(5)
+        m, p = 70, 0.4
+        t = random_trace(gen, m, 5)
+        _, mask = obfuscate(
+            t, config_for(method, p), RandomSource(12, (3, 1)), return_mask=True
+        )
+        expected = RandomSource(12, (3, 1)).generator.random(m) < p
+        assert np.array_equal(mask, expected)
+
     def test_replaced_fraction_tracks_noise_level(self):
         gen = np.random.default_rng(4)
         m, p = 20000, 0.3
@@ -114,6 +130,14 @@ class TestIndependentEngines:
         stay = (z.symbols == 0).mean()
         expect = 1 - p + p / r
         assert abs(stay - expect) < 3 * np.sqrt(expect * (1 - expect) / m)
+
+    def test_full_noise_iid_draws_follow_the_mask_block(self):
+        r, m = 7, 90
+        t = make_trace(np.zeros(m, dtype=np.int64), r)
+        z = obfuscate(t, EngineConfig(method="iid", p_obf=1.0), RandomSource(14, (2,)))
+        replay = RandomSource(14, (2,)).generator
+        replay.random(m)  # the mask block
+        assert np.array_equal(z.symbols, replay.integers(0, r, size=m))
 
     def test_full_noise_superstring_output_is_a_stream_prefix(self):
         r, l = 3, 2
@@ -291,6 +315,19 @@ class TestTwoStage:
         psi = a + b - a * b
         se = np.sqrt(psi * (1 - psi) / m)
         assert abs(mask.mean() - psi) < 3 * se
+
+    def test_second_pass_runs_on_the_first_pass_output(self):
+        gen = np.random.default_rng(43)
+        t = random_trace(gen, 80, 5)
+        src = RandomSource(27, (1,))
+        combined, mask = two_stage_obfuscate(t, 0.3, 0.4, 2, src, return_mask=True)
+        mid, mask_a = obfuscate(
+            t, EngineConfig(method="iid", p_obf=0.3), src.derive(0), return_mask=True
+        )
+        second = EngineConfig(method="sl_sbu", p_obf=0.4, order=2)
+        out, mask_b = obfuscate(mid, second, src.derive(1), return_mask=True)
+        assert combined == out
+        assert np.array_equal(mask, mask_a | mask_b)
 
     def test_config_dispatch(self):
         gen = np.random.default_rng(42)

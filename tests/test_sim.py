@@ -1,4 +1,6 @@
 """Experiment harness: protocols, determinism, and statistical sanity."""
+import io
+
 import numpy as np
 import pytest
 from scipy import stats as sstats
@@ -44,6 +46,12 @@ class TestSpecValidation:
     def test_ingested_source_needs_a_file(self):
         with pytest.raises(ValueError):
             fraction_spec(trace_source="ingested")
+
+    def test_rejects_two_stage_without_stage_noise_keys(self):
+        # A spec cannot set the per-stage levels, so two_stage would run
+        # with no noise at all.
+        with pytest.raises(ValueError, match="two_stage"):
+            fraction_spec(methods=("iid", "two_stage"))
 
 
 class TestInsertUniquePattern:
@@ -229,3 +237,12 @@ class TestSweepAndDispatch:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("scenario,method,")
         assert len(lines) == 1 + len(res.records)
+
+    def test_csv_to_an_open_stream_matches_the_file(self, tmp_path):
+        records = run_fraction(fraction_spec(iterations=3)).records
+        out = tmp_path / "records.csv"
+        write_csv(records, out)
+        stream = io.StringIO(newline="")
+        write_csv(records, stream)
+        assert not stream.closed
+        assert stream.getvalue() == out.read_bytes().decode()
