@@ -8,14 +8,7 @@ closed-form privacy lower bounds, dataset ingestion, and a reproducible
 Monte Carlo experiment harness.
 """
 
-from .core import (
-    Alphabet,
-    Pattern,
-    Permutation,
-    RandomSource,
-    Trace,
-    anonymize,
-)
+from .core import Alphabet, Pattern, RandomSource, Trace
 from .superstring import (
     Superstring,
     concat_superstring,
@@ -45,7 +38,6 @@ from .bounds import (
 from .sim import (
     ExperimentResult,
     ExperimentSpec,
-    insert_unique_pattern,
     run_first_occurrence_race,
     run_fraction,
     run_crowd_count,
@@ -56,8 +48,7 @@ from .ingest import RawTrace, encode, parse_csv, resample
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet", "Pattern", "Permutation", "RandomSource", "Trace",
-    "anonymize",
+    "Alphabet", "Pattern", "RandomSource", "Trace",
     "Superstring", "concat_superstring", "de_bruijn",
     "shortest_superstring", "verify_superstring",
     "PatternStats", "first_occurrence", "has_pattern",
@@ -65,7 +56,7 @@ __all__ = [
     "plov_distribution", "two_stage_obfuscate",
     "BoundParams", "Schedule", "ScheduleParams", "bound_sbu", "bound_slsbu",
     "expected_first_occurrence", "schedule",
-    "ExperimentResult", "ExperimentSpec", "insert_unique_pattern",
+    "ExperimentResult", "ExperimentSpec",
     "run_first_occurrence_race", "run_fraction", "run_crowd_count", "sweep",
     "RawTrace", "encode", "parse_csv", "resample",
 ]

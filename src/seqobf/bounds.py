@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .superstring import DEFAULT_SIZE_CAP, _check_params
+from .superstring import _check_params
 
 
 @dataclass(frozen=True)
@@ -177,10 +177,10 @@ class FirstOccurrenceExpectation:
 
 
 def expected_first_occurrence(
-    alphabet_size: int, order: int, size_cap: int = DEFAULT_SIZE_CAP
+    alphabet_size: int, order: int
 ) -> FirstOccurrenceExpectation:
     """Closed-form expectations for the two pure noise streams."""
-    _check_params(alphabet_size, order, size_cap)
+    _check_params(alphabet_size, order)
     n = alphabet_size**order
     return FirstOccurrenceExpectation(
         superstring_stream=(n + 1) / 2.0,

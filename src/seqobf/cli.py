@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import os
 import sys
 
@@ -37,7 +38,11 @@ def _parse_gap(text: str) -> int | None:
 
 
 def _print_config(command: str, **kv) -> None:
-    pairs = " ".join(f"{k}={v}" for k, v in kv.items())
+    """Print one ``# command k=v ...`` line; tuple values join with commas."""
+    pairs = " ".join(
+        f"{k}={','.join(map(str, v)) if isinstance(v, tuple) else v}"
+        for k, v in kv.items()
+    )
     print(f"# {command} {pairs}")
 
 
@@ -70,8 +75,7 @@ def _cmd_obfuscate(args) -> int:
         stage_noise=(args.stage_a, args.stage_b),
     )
     _print_config(
-        "obfuscate", method=args.method, p_obf=args.p_obf, gamma=args.gamma,
-        h=args.gap, l=args.l, r=r, seed=args.seed,
+        "obfuscate", **dataclasses.asdict(config), r=r, seed=args.seed,
         infile=args.infile, outfile=args.outfile,
     )
     alphabet = Alphabet(r)
@@ -121,11 +125,7 @@ def _cmd_bounds(args) -> int:
         )
         sim_mod.write_csv([{
             "n": args.n, "l": args.l, "beta": args.beta, "theta": args.theta,
-            "m": args.m, "scale": sched.scale, "noise_level": sched.noise_level,
-            "alphabet_min": sched.alphabet_min, "alphabet_max": sched.alphabet_max,
-            "noise_samples": sched.noise_samples,
-            "noise_samples_ok": sched.noise_samples_ok,
-            "crowd_threshold": sched.crowd_threshold,
+            "m": args.m, **dataclasses.asdict(sched),
         }], sys.stdout)
         return 0
     if args.which == "lov":
@@ -155,7 +155,7 @@ def _parse_p_grid(text: str) -> list[float]:
 
 def load_spec(path) -> tuple[sim_mod.ExperimentSpec, list[float], int]:
     """Parse an INI experiment spec; returns (spec, p grid, workers)."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     if not parser.read(path):
         raise OSError(f"cannot read spec file {path}")
     if "experiment" not in parser or "parameters" not in parser:
@@ -195,13 +195,9 @@ def _cmd_simulate(args) -> int:
     spec, p_grid, workers = load_spec(args.spec)
     if args.workers is not None:
         workers = args.workers
-    _print_config(
-        "simulate", spec_file=args.spec, scenario=spec.scenario,
-        methods=",".join(spec.methods), m=spec.trace_length, r=spec.alphabet_size,
-        l=spec.order, h=spec.gap, p_obf=",".join(str(p) for p in p_grid),
-        iterations=spec.iterations, n_users=spec.n_users, seed=spec.master_seed,
-        workers=workers, out=args.out,
-    )
+    fields = {**dataclasses.asdict(spec), "p_obf": tuple(p_grid)}
+    _print_config("simulate", spec_file=args.spec, **fields,
+                  workers=workers, out=args.out)
     if spec.scenario == "fraction" and len(p_grid) > 1:
         result = sim_mod.sweep(spec, p_grid, workers=workers)
     else:

@@ -7,7 +7,6 @@ RandomSource, whose draw position advances as it is consumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -42,8 +41,8 @@ def _as_symbol_array(symbols) -> np.ndarray:
 class Trace:
     """A length-m sequence of symbols from one alphabet.
 
-    Used for raw, obfuscated, and anonymized user data alike; the role is
-    contextual, the representation identical.
+    Used for raw and obfuscated user data alike; the role is contextual,
+    the representation identical.
     """
 
     symbols: np.ndarray
@@ -127,46 +126,3 @@ class RandomSource:
 
     def __repr__(self) -> str:
         return f"RandomSource(master_seed={self.master_seed}, path={self.path})"
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection on user indices 0..n-1; mapping[u] is the pseudonym of u."""
-
-    mapping: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mapping", tuple(int(i) for i in self.mapping))
-        n = len(self.mapping)
-        if sorted(self.mapping) != list(range(n)):
-            raise ValueError("mapping is not a bijection on 0..n-1")
-
-    def __len__(self) -> int:
-        return len(self.mapping)
-
-    def apply(self, user: int) -> int:
-        return self.mapping[user]
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.mapping)
-        for u, image in enumerate(self.mapping):
-            inv[image] = u
-        return Permutation(tuple(inv))
-
-
-def anonymize(
-    traces: Sequence[Trace], source: RandomSource
-) -> tuple[list[Trace], Permutation]:
-    """Shuffle trace-to-user assignment under a uniformly random permutation.
-
-    Output slot u holds the trace of the user whose pseudonym is u, i.e.
-    out[perm.apply(u)] is traces[u].  The multiset of traces is preserved.
-    """
-    if len(traces) == 0:
-        raise ValueError("anonymize requires at least one trace")
-    pi = source.generator.permutation(len(traces))
-    perm = Permutation(tuple(int(i) for i in pi))
-    out: list[Trace] = [None] * len(traces)  # type: ignore[list-item]
-    for u, trace in enumerate(traces):
-        out[perm.apply(u)] = trace
-    return out, perm

@@ -125,16 +125,13 @@ class PatternStats:
         """Number of distinct patterns observed at least once."""
         return len(self._counts)
 
-    def recent_symbols(self, width: int | None = None) -> tuple[int, ...]:
-        """The trailing min(width, prefix) symbols, oldest first.
+    def recent_symbols(self) -> tuple[int, ...]:
+        """The trailing min(gap, prefix) symbols, oldest first.
 
-        width defaults to the gap; with an unbounded gap the whole retained
-        prefix is returned.
+        With an unbounded gap the whole retained prefix is returned.
         """
-        if width is None:
-            width = self.gap
         tail = tuple(self._tail)
-        return tail if width is None else tail[max(0, len(tail) - width):]
+        return tail if self.gap is None else tail[max(0, len(tail) - self.gap):]
 
     def update(self, symbol: int) -> "PatternStats":
         """Append one symbol; counts then reflect the extended prefix."""

@@ -35,12 +35,7 @@ from scipy import stats as sstats
 
 from .core import RandomSource, Trace
 from .detect import PatternStats
-from .superstring import (
-    DEFAULT_SIZE_CAP,
-    _check_params,
-    _concat_array,
-    _shortest_array,
-)
+from .superstring import _check_params, _concat_array, _shortest_array
 
 METHODS = ("iid", "sbu", "sl_sbu", "two_stage", "lov", "plov", "manp")
 
@@ -168,7 +163,7 @@ def _fill_iid(z, mask, alphabet_size, config, source) -> None:
 
 def _fill_superstring(z, mask, alphabet_size, config, source) -> None:
     kind = "concatenation" if config.method == "sbu" else "shortest"
-    _check_params(alphabet_size, config.order, DEFAULT_SIZE_CAP)
+    _check_params(alphabet_size, config.order)
     z[mask] = _replacement_stream(
         source.generator, alphabet_size, config.order, kind, int(mask.sum())
     )

@@ -33,7 +33,7 @@ import numpy as np
 from .core import Alphabet, Pattern, RandomSource, Trace
 from .detect import _contiguous_matches, has_pattern
 from .engines import METHODS, EngineConfig, obfuscate
-from .superstring import DEFAULT_SIZE_CAP, _check_params, _shortest_array
+from .superstring import _check_params, _shortest_array
 from . import bounds as bounds_mod
 from . import ingest as ingest_mod
 
@@ -103,33 +103,6 @@ def _engine_config(spec: ExperimentSpec, method: str) -> EngineConfig:
         gamma=spec.gamma,
         gap=spec.gap if method == "manp" else None,
     )
-
-
-def insert_unique_pattern(
-    base: Trace,
-    alphabet_size: int,
-    order: int,
-    source: RandomSource,
-    gap: int | None = 1,
-) -> tuple[Trace, Pattern]:
-    """Overwrite a random window of the base trace with the reserved pattern.
-
-    The base trace must use only symbols below alphabet_size - order; the
-    pattern [r-l, ..., r-1] then cannot occur anywhere else, making it
-    unique to this trace by construction.
-    """
-    r, l = alphabet_size, order
-    if base.length < l:
-        raise ValueError("base trace shorter than the pattern")
-    if base.symbols.max() >= r - l:
-        raise ValueError(
-            f"base trace must stay below symbol {r - l} to keep the pattern unique"
-        )
-    pattern = Pattern(tuple(range(r - l, r)), gap=gap)
-    start = int(source.generator.integers(base.length - l + 1))
-    symbols = base.symbols.copy()
-    symbols[start : start + l] = pattern.symbols
-    return Trace(symbols, Alphabet(r)), pattern
 
 
 def _load_trace_pool(spec: ExperimentSpec) -> list[np.ndarray]:
@@ -248,7 +221,6 @@ def run_first_occurrence_race(
     order: int,
     iterations: int,
     master_seed: int = 0,
-    size_cap: int = DEFAULT_SIZE_CAP,
 ) -> ExperimentResult:
     """Race the two pure noise streams to a random pattern's first occurrence.
 
@@ -257,7 +229,7 @@ def run_first_occurrence_race(
     contiguously.  Records the mean first-occurrence indices and the
     probability that the iid stream is strictly slower.
     """
-    _check_params(alphabet_size, order, size_cap)
+    _check_params(alphabet_size, order)
     t0 = time.perf_counter()
     root = RandomSource(master_seed)
     n = alphabet_size**order

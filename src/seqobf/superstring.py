@@ -21,20 +21,20 @@ import numpy as np
 from .core import RandomSource
 
 # Refuse to materialize cycles longer than this many symbols.
-DEFAULT_SIZE_CAP = 2**24
+SIZE_CAP = 2**24
 
 KINDS = ("concatenation", "shortest")
 
 
-def _check_params(alphabet_size: int, order: int, size_cap: int) -> None:
+def _check_params(alphabet_size: int, order: int) -> None:
     if alphabet_size < 2:
         raise ValueError(f"alphabet size must be >= 2, got {alphabet_size}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     # Compare in log space so huge orders cannot overflow.
-    if order * np.log(alphabet_size) > np.log(size_cap) + 1e-9:
+    if order * np.log(alphabet_size) > np.log(SIZE_CAP) + 1e-9:
         raise ValueError(
-            f"{alphabet_size}^{order} exceeds the size cap of {size_cap} symbols"
+            f"{alphabet_size}^{order} exceeds the size cap of {SIZE_CAP} symbols"
         )
 
 
@@ -104,11 +104,9 @@ def _all_blocks(alphabet_size: int, order: int) -> np.ndarray:
     return blocks
 
 
-def de_bruijn(
-    alphabet_size: int, order: int, size_cap: int = DEFAULT_SIZE_CAP
-) -> np.ndarray:
+def de_bruijn(alphabet_size: int, order: int) -> np.ndarray:
     """A de Bruijn cycle: length r^l, every length-l string once cyclically."""
-    _check_params(alphabet_size, order, size_cap)
+    _check_params(alphabet_size, order)
     return _canonical_cycle(alphabet_size, order).copy()
 
 
@@ -133,10 +131,7 @@ def _concat_array(
 
 
 def shortest_superstring(
-    alphabet_size: int,
-    order: int,
-    source: RandomSource,
-    size_cap: int = DEFAULT_SIZE_CAP,
+    alphabet_size: int, order: int, source: RandomSource
 ) -> Superstring:
     """A minimum-length covering sequence, length r^l + l - 1.
 
@@ -144,16 +139,13 @@ def shortest_superstring(
     symbols are appended, so the position of any fixed length-l string is
     uniform over 1..r^l across draws.
     """
-    _check_params(alphabet_size, order, size_cap)
+    _check_params(alphabet_size, order)
     symbols = _shortest_array(alphabet_size, order, source.generator)
     return Superstring(symbols, alphabet_size, order, "shortest")
 
 
 def concat_superstring(
-    alphabet_size: int,
-    order: int,
-    source: RandomSource,
-    size_cap: int = DEFAULT_SIZE_CAP,
+    alphabet_size: int, order: int, source: RandomSource
 ) -> Superstring:
     """The concatenation-form covering sequence, length l * r^l.
 
@@ -161,7 +153,7 @@ def concat_superstring(
     assignment of blocks to slots, so any fixed block is equally likely to
     sit in each of the r^l slots.
     """
-    _check_params(alphabet_size, order, size_cap)
+    _check_params(alphabet_size, order)
     symbols = _concat_array(alphabet_size, order, source.generator)
     return Superstring(symbols, alphabet_size, order, "concatenation")
 
@@ -180,11 +172,10 @@ def _window_codes(seq: np.ndarray, alphabet_size: int, order: int) -> np.ndarray
     return codes[ok]
 
 
-def verify_superstring(seq, alphabet_size: int, order: int,
-                       size_cap: int = DEFAULT_SIZE_CAP) -> bool:
+def verify_superstring(seq, alphabet_size: int, order: int) -> bool:
     """True iff every length-l string over the alphabet occurs as a
     contiguous linear substring of seq (no cyclic wrap allowed)."""
-    _check_params(alphabet_size, order, size_cap)
+    _check_params(alphabet_size, order)
     arr = np.asarray(seq, dtype=np.int64)
     codes = _window_codes(arr, alphabet_size, order)
     return int(np.unique(codes).size) == alphabet_size**order

@@ -144,6 +144,16 @@ class TestObfuscateAndDetect:
         assert len(symbols) == 50
         assert any(s != 0 for s in symbols)
 
+    def test_two_stage_config_line_shows_the_stage_noise(self, tmp_path, capsys):
+        src = tmp_path / "in.txt"
+        src.write_text("0 1 2 3\n")
+        _, out, _ = run_cli(
+            capsys, "obfuscate", "--method", "two_stage", "--stage-a", "0.3",
+            "--stage-b", "0.3", "--r", "4",
+            "--in", str(src), "--out", str(tmp_path / "out.txt"),
+        )
+        assert "stage_noise=0.3,0.3" in out.splitlines()[0].split()
+
     def test_two_stage_without_stage_flags_is_a_usage_error(self, tmp_path, capsys):
         src = tmp_path / "in.txt"
         dst = tmp_path / "out.txt"
@@ -210,6 +220,25 @@ class TestSimulateAndIngest:
         assert code == 0
         lines = out_csv.read_text().strip().splitlines()
         assert len(lines) == 4  # header + three grid points
+
+    @pytest.mark.parametrize("section,expected", [
+        ("[experiment]\nscenario = fraction\nmethods = plov\niterations = 1\n"
+         "[parameters]\nm = 20\nr = 4\nl = 2\nh = 3\nn_users = 2\ngamma = 0.7\n",
+         ["gamma=0.7"]),
+        ("[experiment]\nscenario = crowd_count\niterations = 5\n"
+         "[parameters]\nn_users = 50\n"
+         "[crowd]\nmatch_probability = 0.05\nbeta = 0.5\n",
+         ["match_probability=0.05", "beta=0.5"]),
+    ], ids=["plov_gamma", "crowd_count"])
+    def test_config_line_shows_the_spec_that_runs(self, tmp_path, capsys,
+                                                  section, expected):
+        spec = tmp_path / "exp.ini"
+        spec.write_text(section)
+        code, out, _ = run_cli(capsys, "simulate", "--spec", str(spec),
+                               "--out", str(tmp_path / "res.csv"))
+        assert code == 0
+        first = out.splitlines()[0].split()
+        assert all(token in first for token in expected)
 
     def test_two_stage_in_a_spec_is_a_usage_error(self, tmp_path, capsys):
         spec = tmp_path / "exp.ini"

@@ -2,14 +2,7 @@
 import numpy as np
 import pytest
 
-from seqobf.core import (
-    Alphabet,
-    Pattern,
-    Permutation,
-    RandomSource,
-    Trace,
-    anonymize,
-)
+from seqobf.core import Alphabet, Pattern, RandomSource, Trace
 
 
 def make_trace(symbols, r):
@@ -76,46 +69,3 @@ class TestRandomSource:
         root.derive(1).generator.random(1000)
         again = root.derive(0).generator.random(16)
         assert np.array_equal(first, again)
-
-
-class TestPermutation:
-    def test_rejects_non_bijection(self):
-        with pytest.raises(ValueError):
-            Permutation((0, 0, 1))
-
-    def test_inverse(self):
-        p = Permutation((2, 0, 1))
-        inv = p.inverse()
-        assert all(inv.apply(p.apply(u)) == u for u in range(3))
-
-
-class TestAnonymize:
-    def test_single_trace_identity(self):
-        t = make_trace([0, 1, 1], 2)
-        out, perm = anonymize([t], RandomSource(5))
-        assert out == [t]
-        assert perm.mapping == (0,)
-
-    def test_multiset_preserved(self):
-        traces = [make_trace([i % 2, 1], 2) for i in range(3)]
-        out, perm = anonymize(traces, RandomSource(17))
-        assert sorted(tuple(t.symbols) for t in out) == sorted(
-            tuple(t.symbols) for t in traces
-        )
-        assert all(out[perm.apply(u)] == traces[u] for u in range(3))
-
-    def test_rejects_empty_input(self):
-        with pytest.raises(ValueError):
-            anonymize([], RandomSource(0))
-
-    def test_permutation_is_uniform(self):
-        traces = [make_trace([i], 4) for i in range(4)]
-        src = RandomSource(31)
-        runs = 10**5
-        counts: dict[tuple, int] = {}
-        for _ in range(runs):
-            _, perm = anonymize(traces, src)
-            counts[perm.mapping] = counts.get(perm.mapping, 0) + 1
-        assert len(counts) == 24
-        for freq in counts.values():
-            assert abs(freq / runs - 1 / 24) < 0.005

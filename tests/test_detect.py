@@ -176,7 +176,6 @@ class TestPatternStats:
     def test_recent_symbols_window(self):
         stats = PatternStats.from_symbols([4, 3, 2, 1, 0], order=2, gap=3)
         assert stats.recent_symbols() == (2, 1, 0)
-        assert stats.recent_symbols(width=2) == (1, 0)
 
     def test_unbounded_gap_keeps_whole_prefix(self):
         stats = PatternStats.from_symbols([0, 1, 2, 3], order=2, gap=None)

@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from seqobf.core import Alphabet, Pattern, RandomSource, Trace
-from seqobf.detect import has_pattern
+from seqobf.core import RandomSource
 from seqobf.engines import lov_bound
 from seqobf.sim import (
     ExperimentSpec,
-    insert_unique_pattern,
     run,
     run_first_occurrence_race,
     run_fraction,
@@ -54,50 +52,13 @@ class TestSpecValidation:
             fraction_spec(methods=("iid", "two_stage"))
 
 
-class TestInsertUniquePattern:
-    def test_reserved_symbols(self):
-        base = Trace(np.zeros(10, dtype=np.int64), Alphabet(5))
-        trace, pattern = insert_unique_pattern(base, 5, 3, RandomSource(1))
-        assert pattern.symbols == (2, 3, 4)
-        assert has_pattern(trace, pattern)
-
-    def test_whole_trace_when_length_equals_order(self):
-        base = Trace(np.zeros(3, dtype=np.int64), Alphabet(5))
-        trace, pattern = insert_unique_pattern(base, 5, 3, RandomSource(2))
-        assert tuple(trace.symbols) == (2, 3, 4)
-
-    def test_rejects_reserved_symbols_in_base(self):
-        base = Trace(np.array([0, 3, 0], dtype=np.int64), Alphabet(5))
-        with pytest.raises(ValueError):
-            insert_unique_pattern(base, 5, 3, RandomSource(3))
-
-    def test_pattern_unique_to_the_target(self):
-        r, l, m = 6, 2, 25
-        src = RandomSource(4)
-        for i in range(10**4):
-            gen = src.derive(i).generator
-            base = Trace(gen.integers(0, r - l, size=m), Alphabet(r))
-            inserted, pattern = insert_unique_pattern(base, r, l, src.derive(i, 1))
-            assert has_pattern(inserted, Pattern(pattern.symbols, gap=1))
-            widened = Trace(base.symbols, Alphabet(r))
-            assert not has_pattern(widened, Pattern(pattern.symbols, gap=None))
-
-    def test_placement_is_uniform(self):
-        base = Trace(np.zeros(4, dtype=np.int64), Alphabet(4))
-        src = RandomSource(5)
-        starts = []
-        for _ in range(20000):
-            trace, _ = insert_unique_pattern(base, 4, 2, src)
-            starts.append(int(np.argmax(trace.symbols == 2)))
-        counts = np.bincount(starts, minlength=3)
-        assert sstats.chisquare(counts).pvalue > 0.001
-
-
 class TestRunFraction:
     def test_zero_noise_never_finds_the_reserved_pattern(self):
-        res = run_fraction(fraction_spec(p_obf=0.0, iterations=10))
-        for rec in res.records:
-            assert rec["estimate"] == 0.0
+        # gap=None: the reserved symbols never occur in a raw trace at all.
+        for gap in (5, None):
+            res = run_fraction(fraction_spec(p_obf=0.0, iterations=10, gap=gap))
+            for rec in res.records:
+                assert rec["estimate"] == 0.0
 
     def test_estimates_lie_in_unit_interval(self):
         res = run_fraction(fraction_spec())

@@ -48,7 +48,7 @@ class TestDeBruijn:
         with pytest.raises(ValueError):
             de_bruijn(2, 30)
         with pytest.raises(ValueError):
-            de_bruijn(2, 25, size_cap=2**24)
+            de_bruijn(2, 25)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
