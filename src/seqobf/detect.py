@@ -28,15 +28,14 @@ def _window_any(mask: np.ndarray, gap: int | None) -> np.ndarray:
 
 
 def has_pattern(trace: Trace, pattern: Pattern) -> bool:
-    """True iff the pattern occurs in the trace under its gap constraint."""
+    """True iff the pattern occurs in the trace under its gap constraint.
+
+    A trace shorter than the pattern cannot contain it, so the answer is
+    False, as first_occurrence gives None.
+    """
     if max(pattern.symbols) >= trace.alphabet.size:
         raise ValueError(
             f"pattern symbols exceed alphabet 0..{trace.alphabet.size - 1}"
-        )
-    if pattern.order > trace.length:
-        raise ValueError(
-            f"pattern of length {pattern.order} cannot occur in a "
-            f"trace of length {trace.length}"
         )
     z = trace.symbols
     reach = z == pattern.symbols[0]
@@ -83,6 +82,9 @@ class PatternStats:
     realizing tuples, including overlapping ones.  Appending one symbol
     updates the counts incrementally and is equivalent to recomputation
     from scratch.
+
+    This is the documented statistic and the test oracle for manp, whose
+    engine keeps its own pair-seen matrix; no engine uses PatternStats.
 
     A PatternStats instance is single-owner: update it from one place only.
     """

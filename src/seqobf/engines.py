@@ -24,7 +24,12 @@ prefix:
 
 For reproducibility each pass consumes its stream in a fixed order: the
 whole replacement mask first (one uniform per position), then replacement
-draws in stream order.
+draws in stream order.  The data-dependent policies make one draw per
+masked position, in index order, and loop in Python only over the masked
+positions; between two of them they advance the prefix state in bulk.
+Once lov's prefix holds every symbol, its remaining replacements are
+uniform and come from one batched integer draw, which yields the same
+values as one scalar draw per position.
 """
 from __future__ import annotations
 
@@ -34,7 +39,6 @@ import numpy as np
 from scipy import stats as sstats
 
 from .core import RandomSource, Trace
-from .detect import PatternStats
 from .superstring import _check_params, _concat_array, _shortest_array
 
 METHODS = ("iid", "sbu", "sl_sbu", "two_stage", "lov", "plov", "manp")
@@ -138,21 +142,18 @@ def plov_distribution(counts: np.ndarray, gamma: float) -> np.ndarray:
     return p
 
 
-def manp_choose(
-    stats: PatternStats, alphabet_size: int, source: RandomSource
-) -> int:
+def manp_choose(seen: np.ndarray, window: np.ndarray, source: RandomSource) -> int:
     """The symbol completing the most unseen length-2 patterns.
 
-    A candidate i scores one point per distinct symbol a in the trailing
-    window such that the pattern (a, i) has not been observed yet; ties are
-    broken uniformly at random.  With an empty window every candidate
-    scores zero and the choice is uniform.
+    seen[a, i] is True when the pattern (a, i) has been observed in the
+    prefix; window holds the trailing window's symbols.  A candidate i
+    scores one point per distinct symbol a in the window such that (a, i)
+    has not been observed yet; ties are broken uniformly at random.  With
+    an empty window every candidate scores zero and the choice is uniform.
     """
-    scores = np.zeros(alphabet_size, dtype=np.int64)
-    for a in set(stats.recent_symbols()):
-        for i in range(alphabet_size):
-            if stats.count((a, i)) == 0:
-                scores[i] += 1
+    in_window = np.zeros(seen.shape[0], dtype=bool)
+    in_window[window] = True
+    scores = (~seen[in_window]).sum(0)
     best = np.flatnonzero(scores == scores.max())
     return int(best[source.generator.integers(best.size)])
 
@@ -170,29 +171,54 @@ def _fill_superstring(z, mask, alphabet_size, config, source) -> None:
 
 
 def _fill_lov(z, mask, alphabet_size, config, source) -> None:
+    gen = source.generator
     observed = np.zeros(alphabet_size, dtype=bool)
-    for t in range(z.size):
-        if mask[t]:
-            z[t] = lov_choose(observed, source)
-        observed[z[t]] = True
+    targets = np.flatnonzero(mask)
+    prev = 0
+    for j, t in enumerate(targets):
+        observed[z[prev:t]] = True
+        if observed.all():
+            # Uniform from here on: one batched draw equals a scalar draw
+            # per remaining position.
+            z[targets[j:]] = gen.integers(alphabet_size, size=targets.size - j)
+            return
+        z[t] = lov_choose(observed, source)
+        prev = t
 
 
 def _fill_plov(z, mask, alphabet_size, config, source) -> None:
     gen = source.generator
     counts = np.zeros(alphabet_size, dtype=np.int64)
-    for t in range(z.size):
-        if mask[t]:
-            p = plov_distribution(counts, config.gamma)
-            z[t] = gen.choice(alphabet_size, p=p)
-        counts[z[t]] += 1
+    prev = 0
+    for t in np.flatnonzero(mask):
+        counts += np.bincount(z[prev:t], minlength=alphabet_size)
+        # Inverse-CDF sampling with one uniform, as Generator.choice does.
+        cdf = plov_distribution(counts, config.gamma).cumsum()
+        cdf /= cdf[-1]
+        z[t] = cdf.searchsorted(gen.random(), side="right")
+        prev = t
+
+
+# Bound on the index pairs that one numpy call marks in manp's pair table.
+_PAIR_BLOCK = 1 << 16
 
 
 def _fill_manp(z, mask, alphabet_size, config, source) -> None:
-    stats = PatternStats(order=2, gap=config.gap)
-    for t in range(z.size):
-        if mask[t]:
-            z[t] = manp_choose(stats, alphabet_size, source)
-        stats.update(int(z[t]))
+    gap = config.gap
+    seen = np.zeros((alphabet_size, alphabet_size), dtype=bool)
+    # Offsets back to the window.  One that reaches before position 0 is
+    # clipped to 0; that repeats the pair (0, v), which is in the window
+    # since v < d <= gap.
+    d = np.arange(1, min(gap, z.size) + 1)
+    rows = max(1, _PAIR_BLOCK // d.size)
+    prev = 0
+    for t in np.flatnonzero(mask):
+        # Mark the pairs that end at v in [prev, t); v = 0 ends none.
+        for lo in range(max(prev, 1), t, rows):
+            v = np.arange(lo, min(lo + rows, t))[:, None]
+            seen[z[np.maximum(v - d, 0)], z[v]] = True
+        z[t] = manp_choose(seen, z[max(0, t - gap):t], source)
+        prev = t
 
 
 # Replacement policy of each single-pass method.  A policy

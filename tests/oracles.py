@@ -2,7 +2,11 @@
 
 Everything here is deliberately naive: exhaustive enumeration, quadratic
 scans, exact rational or high-precision arithmetic.  None of it shares code
-with the library.
+with the library, except the reference policies of the data-dependent
+engines: the manp policy scores candidates with ``PatternStats``, which is
+checked against ``brute_force_pattern_counts``, and the plov policy takes
+its distribution from ``plov_distribution``, which is checked against the
+50-digit ``plov_reference``.
 """
 from __future__ import annotations
 
@@ -11,6 +15,10 @@ from itertools import combinations
 from math import comb
 
 import mpmath
+import numpy as np
+
+from seqobf.detect import PatternStats
+from seqobf.engines import plov_distribution
 
 
 def brute_force_has_pattern(symbols, pattern, gap) -> bool:
@@ -98,3 +106,53 @@ def greedy_thin(timestamps, min_interval):
             kept.append(i)
         i += 1
     return kept
+
+
+# Reference policies of the data-dependent engines.  Each steps through
+# every position of the trace, updating the prefix state as it goes, and
+# fills the masked positions in place with the same draws, in the same
+# order, as the library's policy of the same method.
+
+
+def lov_policy_reference(z, mask, alphabet_size, config, source) -> None:
+    gen = source.generator
+    observed = np.zeros(alphabet_size, dtype=bool)
+    for t in range(z.size):
+        if mask[t]:
+            missing = np.flatnonzero(~observed)
+            if missing.size == 0:
+                z[t] = gen.integers(alphabet_size)
+            else:
+                z[t] = missing[gen.integers(missing.size)]
+        observed[z[t]] = True
+
+
+def plov_policy_reference(z, mask, alphabet_size, config, source) -> None:
+    gen = source.generator
+    counts = np.zeros(alphabet_size, dtype=np.int64)
+    for t in range(z.size):
+        if mask[t]:
+            z[t] = gen.choice(alphabet_size, p=plov_distribution(counts, config.gamma))
+        counts[z[t]] += 1
+
+
+def manp_policy_reference(z, mask, alphabet_size, config, source) -> None:
+    gen = source.generator
+    stats = PatternStats(order=2, gap=config.gap)
+    for t in range(z.size):
+        if mask[t]:
+            scores = np.zeros(alphabet_size, dtype=np.int64)
+            for a in set(stats.recent_symbols()):
+                for i in range(alphabet_size):
+                    if stats.count((a, i)) == 0:
+                        scores[i] += 1
+            best = np.flatnonzero(scores == scores.max())
+            z[t] = best[gen.integers(best.size)]
+        stats.update(int(z[t]))
+
+
+REFERENCE_POLICIES = {
+    "lov": lov_policy_reference,
+    "plov": plov_policy_reference,
+    "manp": manp_policy_reference,
+}

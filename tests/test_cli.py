@@ -184,6 +184,15 @@ class TestObfuscateAndDetect:
         )
         assert data_lines(out)[1] == "0,True,"
 
+    def test_detect_reports_a_trace_shorter_than_the_pattern(self, tmp_path, capsys):
+        path = tmp_path / "t.txt"
+        path.write_text("2 0 1 0 1\n1\n")
+        code, out, _ = run_cli(
+            capsys, "detect", "--trace-file", str(path), "--pattern", "0,1",
+        )
+        assert code == 0
+        assert data_lines(out)[1:] == ["0,True,2", "1,False,"]
+
 
 class TestSimulateAndIngest:
     def test_fraction_spec_file(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqobf import engines
 from seqobf.core import Alphabet, RandomSource, Trace
 from seqobf.detect import PatternStats
 from seqobf.engines import (
@@ -20,7 +21,7 @@ from seqobf.engines import (
     two_stage_obfuscate,
 )
 from seqobf.superstring import verify_superstring
-from oracles import exact_lov_bound, plov_reference
+from oracles import REFERENCE_POLICIES, exact_lov_bound, plov_reference
 
 
 def make_trace(symbols, r):
@@ -29,6 +30,14 @@ def make_trace(symbols, r):
 
 def random_trace(gen, m, r):
     return make_trace(gen.integers(0, r, size=m), r)
+
+
+def manp_state(stats, alphabet_size):
+    """The (pair-seen matrix, window) state manp_choose reads, from PatternStats."""
+    seen = np.zeros((alphabet_size, alphabet_size), dtype=bool)
+    for a, b in stats.counts:
+        seen[a, b] = True
+    return seen, np.array(stats.recent_symbols(), dtype=np.int64)
 
 
 def config_for(method, p_obf, r=6):
@@ -250,9 +259,9 @@ class TestPlov:
 
 class TestManp:
     def test_empty_prefix_is_uniform(self):
-        stats = PatternStats(order=2, gap=2)
+        state = manp_state(PatternStats(order=2, gap=2), 3)
         src = RandomSource(8)
-        picks = np.array([manp_choose(stats, 3, src) for _ in range(3 * 10**4)])
+        picks = np.array([manp_choose(*state, src) for _ in range(3 * 10**4)])
         for s in range(3):
             assert abs((picks == s).mean() - 1 / 3) < 0.02
 
@@ -261,7 +270,7 @@ class TestManp:
         picks = []
         for _ in range(3 * 10**4):
             stats = PatternStats.from_symbols([0], order=2, gap=1)
-            picks.append(manp_choose(stats, 3, src))
+            picks.append(manp_choose(*manp_state(stats, 3), src))
         picks = np.array(picks)
         for s in range(3):
             assert abs((picks == s).mean() - 1 / 3) < 0.02
@@ -273,7 +282,7 @@ class TestManp:
         seen = set()
         for _ in range(200):
             stats = PatternStats.from_symbols([0, 1], order=2, gap=2)
-            pick = manp_choose(stats, 3, src)
+            pick = manp_choose(*manp_state(stats, 3), src)
             assert pick in (0, 2)
             seen.add(pick)
         assert seen == {0, 2}
@@ -285,6 +294,67 @@ class TestManp:
             z = obfuscate(t, cfg, RandomSource(r))
             stats = PatternStats.from_symbols(z.symbols, order=2, gap=2)
             assert stats.distinct_patterns == r * r
+
+
+# (seed, r, m, p, gamma, gap) for the bit-for-bit check against the
+# per-position reference policies.
+DATADEP_CORPUS = [
+    (1, 20, 1000, 0.1, 0.1, 10),  # the canonical fraction cell
+    (2, 2, 60, 0.5, 0.3, 1),  # binary alphabet
+    (3, 7, 1, 1.0, 0.1, 1),  # one position, replaced
+    (4, 7, 1, 0.0, 0.1, 1),  # one position, kept
+    (5, 5, 120, 0.0, 0.7, 3),  # no noise
+    (6, 5, 120, 1.0, 1.5, 2),  # full noise
+    (7, 6, 40, 0.3, 0.1, 40),  # window as long as the trace
+    (8, 4, 150, 0.3, 2.0, 500),  # window longer than the trace
+    (9, 29, 400, 0.9, 0.05, 7),
+    (10, 3, 200, 0.05, 0.1, 4),  # lov covers the alphabet early
+    (11, 12, 300, 0.01, 0.4, 2),
+]
+
+
+def reference_pass(trace, config, source):
+    """One pass of the mask-then-replace frame run with a reference policy."""
+    mask = source.generator.random(trace.length) < config.p_obf
+    z = trace.symbols.copy()
+    REFERENCE_POLICIES[config.method](z, mask, trace.alphabet.size, config, source)
+    return z, mask
+
+
+class TestDataDependentMatchReference:
+    @pytest.mark.parametrize("method", sorted(REFERENCE_POLICIES))
+    @pytest.mark.parametrize("case", DATADEP_CORPUS, ids=lambda c: f"seed{c[0]}")
+    def test_bit_identical_to_per_position_reference(self, method, case):
+        seed, r, m, p, gamma, gap = case
+        t = random_trace(np.random.default_rng(seed), m, r)
+        cfg = EngineConfig(method=method, p_obf=p, gamma=gamma, gap=gap)
+        z, mask = obfuscate(t, cfg, RandomSource(seed, (1,)), return_mask=True)
+        want_z, want_mask = reference_pass(t, cfg, RandomSource(seed, (1,)))
+        assert np.array_equal(mask, want_mask)
+        assert np.array_equal(z.symbols, want_z)
+
+    def test_manp_pair_marking_in_small_blocks(self, monkeypatch):
+        # Long windows mark their pairs in several bounded numpy calls.
+        monkeypatch.setattr(engines, "_PAIR_BLOCK", 7)
+        t = random_trace(np.random.default_rng(12), 150, 4)
+        cfg = EngineConfig(method="manp", p_obf=0.3, gap=500)
+        z, mask = obfuscate(t, cfg, RandomSource(12, (1,)), return_mask=True)
+        want_z, want_mask = reference_pass(t, cfg, RandomSource(12, (1,)))
+        assert np.array_equal(mask, want_mask)
+        assert np.array_equal(z.symbols, want_z)
+
+    def test_corpus_reaches_the_batched_lov_tail(self):
+        # Some lov run must see every symbol in its prefix before its last
+        # replacement, so that the batched uniform tail is compared too.
+        reached = False
+        for seed, r, m, p, gamma, gap in DATADEP_CORPUS:
+            t = random_trace(np.random.default_rng(seed), m, r)
+            cfg = EngineConfig(method="lov", p_obf=p)
+            z, mask = reference_pass(t, cfg, RandomSource(seed, (1,)))
+            replaced = np.flatnonzero(mask)
+            if replaced.size and np.unique(z[: replaced[-1]]).size == r:
+                reached = True
+        assert reached
 
 
 class TestTwoStage:
