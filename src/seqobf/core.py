@@ -3,6 +3,11 @@
 Symbols are canonically the integers 0..size-1.  Every other module builds
 on the types here; all of them are plain immutable values except
 RandomSource, whose draw position advances as it is consumed.
+
+Deriving a RandomSource hashes its identity with numpy's SeedSequence,
+which costs tens of microseconds.  ``_derive_keys`` reproduces that hash
+for many paths at once, and ``RandomSource._keyed`` builds the source from
+a key so derived, with the same stream.
 """
 from __future__ import annotations
 
@@ -124,5 +129,106 @@ class RandomSource:
     def generator(self) -> np.random.Generator:
         return self._generator
 
+    @classmethod
+    def _keyed(cls, master_seed: int, path: tuple[int, ...], key: np.ndarray) -> "RandomSource":
+        """RandomSource(master_seed, path), given its key from _derive_keys."""
+        source = cls.__new__(cls)
+        source.master_seed = int(master_seed)
+        source.path = path
+        source._generator = np.random.Generator(np.random.Philox(_KnownKey(key)))
+        return source
+
     def __repr__(self) -> str:
         return f"RandomSource(master_seed={self.master_seed}, path={self.path})"
+
+
+class _KnownKey(np.random.bit_generator.ISeedSequence):
+    """Hands Philox a key that was derived ahead of time."""
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a known key serves only Philox's two 64-bit words")
+        return self.key
+
+
+# The constants of numpy's SeedSequence (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_WORD = 0xFFFFFFFF
+
+
+def _hash_consts(init: int, multiplier: int, count: int) -> list[int]:
+    """The successive hash constants that SeedSequence steps through."""
+    consts = [init]
+    for _ in range(count - 1):
+        consts.append(consts[-1] * multiplier & _WORD)
+    return consts
+
+
+# SeedSequence's two hash steps on 32-bit words.  Each works on Python ints
+# and on uint32 arrays alike, since every product is reduced to 32 bits.
+
+
+def _hashmix(value, xor, multiplier):
+    value = (value ^ xor) * multiplier & _WORD
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    out = (_MIX_MULT_L * x & _WORD) - (_MIX_MULT_R * y & _WORD) & _WORD
+    return out ^ out >> 16
+
+
+def _derive_keys(master_seed: int, paths) -> np.ndarray:
+    """The Philox key of RandomSource(master_seed, path) for each row of paths.
+
+    Row i of the (n, 2) uint64 result equals
+    SeedSequence(master_seed, spawn_key=paths[i]).generate_state(2, uint64),
+    which is the key Philox takes from that seed sequence.  paths is an
+    (n, depth) array of indices; an index outside [0, 2**32) is refused,
+    since SeedSequence would read it as more than one word.
+    """
+    paths = np.asarray(paths, dtype=np.int64)
+    if paths.size and (paths.min() < 0 or paths.max() > _WORD):
+        raise ValueError("path indices must lie in [0, 2**32) to be derived in bulk")
+    master_seed = int(master_seed)
+    if master_seed < 0:
+        raise ValueError(f"master seed must be non-negative, got {master_seed}")
+    # The seed's little-endian 32-bit words fill the pool, zeros past them.
+    # SeedSequence pads the seed to the pool size when a path follows, so
+    # the seed's words past the pool and then one uint32 column per path
+    # index are mixed in after it.
+    words = [master_seed & _WORD]
+    while master_seed > _WORD:
+        master_seed >>= 32
+        words.append(master_seed & _WORD)
+    tail = words[_POOL_SIZE:] + list(paths.T.astype(np.uint32))
+    a = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + len(tail)) + 1)
+    # The pool's first words and their mixing depend on the seed alone, so
+    # they are computed once, on Python ints.
+    pool = [_hashmix(words[i] if i < len(words) else 0, a[i], a[i + 1])
+            for i in range(_POOL_SIZE)]
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[k], a[k + 1]))
+                k += 1
+    # Each later word is mixed into the four pool words with four
+    # consecutive constants: one (4, n) step per word.
+    pool = np.array(pool, dtype=np.uint32)[:, None]
+    a = np.array(a, dtype=np.uint32)[:, None]
+    for word in tail:
+        pool = _mix(pool, _hashmix(word, a[k : k + _POOL_SIZE], a[k + 1 : k + _POOL_SIZE + 1]))
+        k += _POOL_SIZE
+    b = np.array(_hash_consts(_INIT_B, _MULT_B, _POOL_SIZE + 1), dtype=np.uint32)[:, None]
+    state = _hashmix(pool, b[:-1], b[1:]).astype(np.uint64)
+    keys = np.empty((paths.shape[0], 2), dtype=np.uint64)
+    keys[:, 0] = state[0] | state[1] << np.uint64(32)
+    keys[:, 1] = state[2] | state[3] << np.uint64(32)
+    return keys

@@ -3,8 +3,10 @@
 A pattern q1..ql is present in a trace when there are indices
 i1 < i2 < ... < il with trace[ij] = qj and i(j+1) - ij <= gap for all j.
 Detection runs a dynamic program over pattern positions with a sliding
-reachability window, O(m*l) time; the exhaustive reference scans used to
-validate it live in the test suite.
+reachability window, O(m*l) time, along the last axis of an array: one
+cumulative sum per pattern element decides a whole block of traces, and
+has_pattern is the one-trace case.  The exhaustive reference scans used
+to validate it live in the test suite.
 """
 from __future__ import annotations
 
@@ -17,14 +19,25 @@ from .core import Pattern, Trace
 
 
 def _window_any(mask: np.ndarray, gap: int | None) -> np.ndarray:
-    """out[t] = True iff mask is set anywhere in [t-gap, t-1] (or [0, t-1])."""
-    m = mask.size
-    cs = np.concatenate([[0], np.cumsum(mask, dtype=np.int64)])
-    t = np.arange(m)
-    if gap is None:
-        return cs[t] > 0
-    lo = np.maximum(t - gap, 0)
-    return (cs[t] - cs[lo]) > 0
+    """out[..., t] = True iff mask[..., s] is set for some s in [t-gap, t-1]
+    (or [0, t-1]), along the last axis."""
+    m = mask.shape[-1]
+    # cs[..., t] counts the set entries in [0, t-1]; then in [t-gap, t-1].
+    cs = np.zeros(mask.shape, dtype=np.int64)
+    np.cumsum(mask[..., :-1], axis=-1, out=cs[..., 1:])
+    if gap is not None and gap < m:
+        cs[..., gap:] -= cs[..., : m - gap]
+    return cs > 0
+
+
+def _pattern_found(symbols: np.ndarray, pattern_symbols, gap: int | None) -> np.ndarray:
+    """Whether the pattern occurs along the last axis, for each leading index."""
+    reach = symbols == pattern_symbols[0]
+    for q in pattern_symbols[1:]:
+        if not reach.any():
+            break
+        reach = (symbols == q) & _window_any(reach, gap)
+    return reach.any(axis=-1)
 
 
 def has_pattern(trace: Trace, pattern: Pattern) -> bool:
@@ -37,13 +50,7 @@ def has_pattern(trace: Trace, pattern: Pattern) -> bool:
         raise ValueError(
             f"pattern symbols exceed alphabet 0..{trace.alphabet.size - 1}"
         )
-    z = trace.symbols
-    reach = z == pattern.symbols[0]
-    for q in pattern.symbols[1:]:
-        if not reach.any():
-            return False
-        reach = (z == q) & _window_any(reach, pattern.gap)
-    return bool(reach.any())
+    return bool(_pattern_found(trace.symbols, pattern.symbols, pattern.gap))
 
 
 def _contiguous_matches(symbols: np.ndarray, pattern_symbols) -> np.ndarray:

@@ -1,16 +1,21 @@
 """Obfuscation engines: per-trace symbol replacement mechanisms.
 
-Every engine runs in one frame, ``obfuscate``: copy the symbols, then for
-each pass draw a Bernoulli(p) mask from that pass's source and let the
-pass's replacement policy fill the masked positions.  Positions outside
-every mask always carry the original symbol.  ``_POLICIES`` maps each
-single-pass method to its policy; two_stage is two passes of the frame.
+Every engine runs in one frame, ``_obfuscate_rows``: it fills the rows of
+a 2-D array in place, one source per row.  For each pass it draws every
+row's Bernoulli(p) mask from that row's source and lets the pass's
+replacement policy fill each row's masked positions.  Positions outside
+every mask always carry the original symbol.  ``obfuscate`` on one Trace
+is the one-row case.  ``_POLICIES`` maps each single-pass method to its
+policy; two_stage is two passes of the frame.
 
 Data-independent methods draw replacements ahead of the data:
 
 * iid      — fresh uniform symbols;
 * sbu      — a concatenation-form covering superstring consumed in order;
-* sl_sbu   — a shortest covering superstring consumed in order;
+  the whole block permutation is drawn, but only the blocks used are
+  gathered;
+* sl_sbu   — a shortest covering superstring consumed in order; symbol j
+  of a draw is cycle[(offset + j) % r^l] for its one offset draw;
 * two_stage — an iid pass on source.derive(0), then an sl_sbu pass on
   source.derive(1), over the first pass's output.
 
@@ -91,19 +96,16 @@ def _replacement_stream(
 
     Superstrings are drawn independently and concatenated until the stream
     is long enough; a fresh one is drawn whenever the previous is used up.
+    Each draw gathers only the symbols that the stream uses.
     """
+    draw = _concat_array if kind == "concatenation" else _shortest_array
     parts: list[np.ndarray] = []
-    have = 0
-    while have < count:
-        if kind == "concatenation":
-            part = _concat_array(alphabet_size, order, gen)
-        else:
-            part = _shortest_array(alphabet_size, order, gen)
-        parts.append(part)
-        have += part.size
+    while count > 0:
+        parts.append(draw(alphabet_size, order, gen, count))
+        count -= parts[-1].size
     if not parts:
         return np.empty(0, dtype=np.int64)
-    return np.concatenate(parts)[:count]
+    return np.concatenate(parts)
 
 
 def lov_choose(observed: np.ndarray, source: RandomSource) -> int:
@@ -159,14 +161,14 @@ def manp_choose(seen: np.ndarray, window: np.ndarray, source: RandomSource) -> i
 
 
 def _fill_iid(z, mask, alphabet_size, config, source) -> None:
-    z[mask] = source.generator.integers(0, alphabet_size, size=int(mask.sum()))
+    z[mask] = source.generator.integers(0, alphabet_size, size=np.count_nonzero(mask))
 
 
 def _fill_superstring(z, mask, alphabet_size, config, source) -> None:
     kind = "concatenation" if config.method == "sbu" else "shortest"
     _check_params(alphabet_size, config.order)
     z[mask] = _replacement_stream(
-        source.generator, alphabet_size, config.order, kind, int(mask.sum())
+        source.generator, alphabet_size, config.order, kind, np.count_nonzero(mask)
     )
 
 
@@ -234,6 +236,37 @@ _POLICIES = {
 }
 
 
+def _obfuscate_rows(
+    z: np.ndarray, alphabet_size: int, config: EngineConfig, sources
+) -> np.ndarray:
+    """Obfuscate each row of the 2-D array z in place, row i from sources[i].
+
+    Returns the mask of touched positions, shaped like z.  Each row draws
+    from its own source in the documented order, so a row comes out as it
+    would alone.
+    """
+    if config.method == "two_stage":
+        a, b = config.stage_noise
+        passes = [
+            (EngineConfig(method="iid", p_obf=a), [s.derive(0) for s in sources]),
+            (EngineConfig(method="sl_sbu", p_obf=b, order=config.order),
+             [s.derive(1) for s in sources]),
+        ]
+    else:
+        passes = [(config, sources)]
+    uniforms = np.empty(z.shape)
+    touched = np.zeros(z.shape, dtype=bool)
+    for stage, streams in passes:
+        for row, stream in zip(uniforms, streams):
+            stream.generator.random(out=row)
+        mask = uniforms < stage.p_obf
+        fill = _POLICIES[stage.method]
+        for row, row_mask, stream in zip(z, mask, streams):
+            fill(row, row_mask, alphabet_size, stage, stream)
+        touched |= mask
+    return touched
+
+
 def obfuscate(
     trace: Trace,
     config: EngineConfig,
@@ -247,22 +280,10 @@ def obfuscate(
     where mask marks the replaced positions (for two_stage, positions
     touched by either stage).
     """
-    if config.method == "two_stage":
-        a, b = config.stage_noise
-        passes = [
-            (EngineConfig(method="iid", p_obf=a), source.derive(0)),
-            (EngineConfig(method="sl_sbu", p_obf=b, order=config.order), source.derive(1)),
-        ]
-    else:
-        passes = [(config, source)]
-    z = trace.symbols.copy()
-    touched = np.zeros(z.size, dtype=bool)
-    for stage, stream in passes:
-        mask = stream.generator.random(z.size) < stage.p_obf
-        _POLICIES[stage.method](z, mask, trace.alphabet.size, stage, stream)
-        touched |= mask
-    out = Trace(z, trace.alphabet)
-    return (out, touched) if return_mask else out
+    z = trace.symbols[None, :].copy()
+    touched = _obfuscate_rows(z, trace.alphabet.size, config, [source])
+    out = Trace(z[0], trace.alphabet)
+    return (out, touched[0]) if return_mask else out
 
 
 def two_stage_obfuscate(

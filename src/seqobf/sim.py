@@ -17,7 +17,10 @@ Scenarios:
 
 Streams are keyed by (master seed, iteration, user, purpose), so results
 are identical for any worker count and adding iterations, users or methods
-never perturbs existing draws.
+never perturbs existing draws.  The fraction protocol derives the keys of
+a block of samples at once and runs the users as rows of bounded row
+blocks through the engines' frame and the detection body, so its memory
+does not grow with the user count.
 """
 from __future__ import annotations
 
@@ -25,19 +28,24 @@ import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Alphabet, Pattern, RandomSource, Trace
-from .detect import _contiguous_matches, has_pattern
-from .engines import METHODS, EngineConfig, obfuscate
+from .core import Pattern, RandomSource, _derive_keys
+from .detect import _contiguous_matches, _pattern_found
+from .engines import METHODS, EngineConfig, _obfuscate_rows
 from .superstring import _check_params, _shortest_array
 from . import bounds as bounds_mod
 from . import ingest as ingest_mod
 
 SCENARIOS = ("fraction", "first_occurrence", "bounds_table", "crowd_count")
+
+# Samples (or race iterations) whose stream keys are derived at once, and
+# users obfuscated and scanned together as the rows of one array.
+_KEY_BLOCK = 1024
+_ROW_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -70,6 +78,11 @@ class ExperimentSpec:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
+        if "manp" in self.methods and self.gap is None:
+            raise ValueError(
+                "manp needs a finite gap h: it scores symbols against the "
+                "trailing window of h predecessors"
+            )
         if "two_stage" in self.methods:
             raise ValueError(
                 "two_stage takes per-stage noise levels, which a spec cannot set; "
@@ -79,6 +92,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown trace source {self.trace_source!r}")
         if self.trace_source == "ingested" and not self.trace_file:
             raise ValueError("ingested trace source requires trace_file")
+        if self.scenario == "fraction" and self.trace_length < 1:
+            raise ValueError(f"trace_length must be >= 1, got {self.trace_length}")
         if self.scenario == "fraction" and self.alphabet_size - self.order < 1:
             raise ValueError(
                 "unique-pattern protocol needs alphabet_size - order >= 1"
@@ -89,10 +104,17 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Per-cell records plus total wall-clock seconds."""
+    """Per-cell records, total wall-clock seconds and work counters.
+
+    For the fraction protocol the counters are "samples", and per method
+    "replacements.<method>" (positions replaced) and "hits.<method>"
+    (samples whose obfuscated trace holds the pattern), summed over
+    workers and over a sweep's cells.  Other scenarios count nothing.
+    """
 
     records: tuple[dict, ...]
     wall_clock: float
+    counters: dict = field(default_factory=dict)
 
 
 def _engine_config(spec: ExperimentSpec, method: str) -> EngineConfig:
@@ -128,30 +150,45 @@ def _base_symbols(
 
 def _fraction_iterations(
     spec: ExperimentSpec, start: int, stop: int
-) -> tuple[np.ndarray, int]:
-    """Pattern-hit counts per method over iterations [start, stop)."""
-    root = RandomSource(spec.master_seed)
-    alphabet = Alphabet(spec.alphabet_size)
-    pattern = Pattern(
-        tuple(range(spec.alphabet_size - spec.order, spec.alphabet_size)),
-        gap=spec.gap,
-    )
-    configs = [_engine_config(spec, m) for m in spec.methods]
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Pattern hits and replacements per method over iterations [start, stop).
+
+    User 0 is the target.  The estimate counts only the other users, so
+    the target's trace is never drawn; sample s is user 1 + s % (n - 1) of
+    iteration s // (n - 1).  Its base trace comes from stream (it, u, 0)
+    and method j obfuscates it with stream (it, u, 1 + j).  The base draws
+    lie in the reduced alphabet by construction, so they are not checked
+    again as Traces.
+    """
+    r = spec.alphabet_size
+    pattern = Pattern(tuple(range(r - spec.order, r)), gap=spec.gap)
+    configs = [_engine_config(spec, method) for method in spec.methods]
     pool = _load_trace_pool(spec) if spec.trace_source == "ingested" else None
     hits = np.zeros(len(configs), dtype=np.int64)
-    samples = 0
-    for it in range(start, stop):
-        # User 0 is the target.  The estimate counts only the other users,
-        # so the target's trace is never drawn; their streams start at 1.
-        for u in range(1, spec.n_users):
-            x = _base_symbols(spec, root.derive(it, u, 0).generator, pool)
-            trace = Trace(x, alphabet)
+    replaced = np.zeros(len(configs), dtype=np.int64)
+    users = spec.n_users - 1
+    purposes = np.arange(1 + len(configs))
+    for first in range(start * users, stop * users, _KEY_BLOCK):
+        s = np.arange(first, min(first + _KEY_BLOCK, stop * users))
+        paths = np.empty((s.size, purposes.size, 3), dtype=np.int64)
+        paths[..., 0] = (s // users)[:, None]
+        paths[..., 1] = (1 + s % users)[:, None]
+        paths[..., 2] = purposes
+        keys = _derive_keys(spec.master_seed, paths.reshape(-1, 3)).reshape(paths.shape[:2] + (2,))
+        for lo in range(0, s.size, _ROW_BLOCK):
+            rows = slice(lo, lo + _ROW_BLOCK)
+            streams = [
+                [RandomSource._keyed(spec.master_seed, tuple(path), key)
+                 for path, key in zip(paths[rows, j].tolist(), keys[rows, j])]
+                for j in purposes
+            ]
+            x = np.stack([_base_symbols(spec, src.generator, pool) for src in streams[0]])
             for j, config in enumerate(configs):
-                z = obfuscate(trace, config, root.derive(it, u, 1 + j))
-                if has_pattern(z, pattern):
-                    hits[j] += 1
-            samples += 1
-    return hits, samples
+                z = x.copy()
+                touched = _obfuscate_rows(z, r, config, streams[1 + j])
+                replaced[j] += np.count_nonzero(touched)
+                hits[j] += np.count_nonzero(_pattern_found(z, pattern.symbols, pattern.gap))
+    return hits, replaced, (stop - start) * users
 
 
 def run_fraction(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
@@ -164,12 +201,16 @@ def run_fraction(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
         chunks = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if a < b]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_fraction_iterations, *zip(*[(spec, a, b) for a, b in chunks])))
-        hits = np.sum([h for h, _ in parts], axis=0)
-        samples = sum(s for _, s in parts)
     else:
-        hits, samples = _fraction_iterations(spec, 0, spec.iterations)
+        parts = [_fraction_iterations(spec, 0, spec.iterations)]
+    hits = sum(h for h, _, _ in parts)
+    replaced = sum(k for _, k, _ in parts)
+    samples = sum(n for _, _, n in parts)
+    counters = {"samples": samples}
     records = []
-    for method, h in zip(spec.methods, hits):
+    for method, h, k in zip(spec.methods, hits, replaced):
+        for name, count in ((f"hits.{method}", h), (f"replacements.{method}", k)):
+            counters[name] = counters.get(name, 0) + int(count)
         estimate = h / samples
         records.append(
             {
@@ -187,7 +228,7 @@ def run_fraction(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
                 "std_error": float(np.sqrt(max(estimate * (1 - estimate), 0.0) / samples)),
             }
         )
-    return ExperimentResult(tuple(records), time.perf_counter() - t0)
+    return ExperimentResult(tuple(records), time.perf_counter() - t0, counters)
 
 
 def _first_hit(buffer: np.ndarray, pattern_symbols: np.ndarray) -> int | None:
@@ -231,21 +272,23 @@ def run_first_occurrence_race(
     """
     _check_params(alphabet_size, order)
     t0 = time.perf_counter()
-    root = RandomSource(master_seed)
     n = alphabet_size**order
     chunk = max(4 * n, 1024)
     first_iid = np.empty(iterations, dtype=np.float64)
     first_super = np.empty(iterations, dtype=np.float64)
-    for it in range(iterations):
-        gen = root.derive(it).generator
-        q = gen.integers(0, alphabet_size, size=order)
-        # The superstring stream contains any pattern exactly once per
-        # drawn superstring, so the first draw always settles it.
-        stream = _shortest_array(alphabet_size, order, gen)
-        hit = _first_hit(stream, q)
-        assert hit is not None
-        first_super[it] = hit + 1
-        first_iid[it] = _scan_iid_stream(gen, q, alphabet_size, chunk)
+    for first in range(0, iterations, _KEY_BLOCK):
+        block = range(first, min(first + _KEY_BLOCK, iterations))
+        keys = _derive_keys(master_seed, np.array(block)[:, None])
+        for it, key in zip(block, keys):
+            gen = RandomSource._keyed(master_seed, (it,), key).generator
+            q = gen.integers(0, alphabet_size, size=order)
+            # The superstring stream contains any pattern exactly once per
+            # drawn superstring, so the first draw always settles it.
+            stream = _shortest_array(alphabet_size, order, gen)
+            hit = _first_hit(stream, q)
+            assert hit is not None
+            first_super[it] = hit + 1
+            first_iid[it] = _scan_iid_stream(gen, q, alphabet_size, chunk)
     record = {
         "scenario": "first_occurrence",
         "r": alphabet_size,
@@ -328,10 +371,13 @@ def sweep(
     """
     t0 = time.perf_counter()
     records: list[dict] = []
+    counters: dict[str, int] = {}
     for p in p_values:
-        cell = replace(spec, p_obf=float(p))
-        records.extend(run_fraction(cell, workers=workers).records)
-    return ExperimentResult(tuple(records), time.perf_counter() - t0)
+        cell = run_fraction(replace(spec, p_obf=float(p)), workers=workers)
+        records.extend(cell.records)
+        for name, count in cell.counters.items():
+            counters[name] = counters.get(name, 0) + count
+    return ExperimentResult(tuple(records), time.perf_counter() - t0, counters)
 
 
 def run(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:

@@ -13,6 +13,7 @@ draws, any fixed block is equally likely to sit at any position.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,7 +33,7 @@ def _check_params(alphabet_size: int, order: int) -> None:
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     # Compare in log space so huge orders cannot overflow.
-    if order * np.log(alphabet_size) > np.log(SIZE_CAP) + 1e-9:
+    if order * math.log(alphabet_size) > math.log(SIZE_CAP) + 1e-9:
         raise ValueError(
             f"{alphabet_size}^{order} exceeds the size cap of {SIZE_CAP} symbols"
         )
@@ -111,23 +112,34 @@ def de_bruijn(alphabet_size: int, order: int) -> np.ndarray:
 
 
 def _shortest_array(
-    alphabet_size: int, order: int, gen: np.random.Generator
+    alphabet_size: int, order: int, gen: np.random.Generator, count: int | None = None
 ) -> np.ndarray:
-    """Uniformly rotated de Bruijn cycle with the cyclic wrap made explicit."""
+    """Uniformly rotated de Bruijn cycle with the cyclic wrap made explicit.
+
+    Symbol j is cycle[(offset + j) % r^l].  With count, only the first
+    count symbols (at most r^l + l - 1) are gathered.
+    """
     cycle = _canonical_cycle(alphabet_size, order)
     offset = int(gen.integers(cycle.size))
-    rotated = np.roll(cycle, -offset)
-    if order == 1:
-        return rotated
-    return np.concatenate([rotated, rotated[: order - 1]])
+    length = cycle.size + order - 1
+    if count is not None:
+        length = min(length, count)
+    return cycle[(offset + np.arange(length)) % cycle.size]
 
 
 def _concat_array(
-    alphabet_size: int, order: int, gen: np.random.Generator
+    alphabet_size: int, order: int, gen: np.random.Generator, count: int | None = None
 ) -> np.ndarray:
-    """All r^l blocks laid end to end in a uniformly random order."""
+    """All r^l blocks laid end to end in a uniformly random order.
+
+    With count, only the blocks that hold the first count symbols are
+    gathered; the whole permutation is drawn either way.
+    """
     blocks = _all_blocks(alphabet_size, order)
-    return blocks[gen.permutation(blocks.shape[0])].ravel()
+    perm = gen.permutation(blocks.shape[0])
+    if count is not None:
+        perm = perm[: -(-count // order)]
+    return blocks[perm].ravel()[:count]
 
 
 def shortest_superstring(

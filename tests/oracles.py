@@ -2,11 +2,14 @@
 
 Everything here is deliberately naive: exhaustive enumeration, quadratic
 scans, exact rational or high-precision arithmetic.  None of it shares code
-with the library, except the reference policies of the data-dependent
-engines: the manp policy scores candidates with ``PatternStats``, which is
-checked against ``brute_force_pattern_counts``, and the plov policy takes
-its distribution from ``plov_distribution``, which is checked against the
-50-digit ``plov_reference``.
+with the library, except in two places.  The reference policies of the
+data-dependent engines: the manp policy scores candidates with
+``PatternStats``, which is checked against ``brute_force_pattern_counts``,
+and the plov policy takes its distribution from ``plov_distribution``,
+which is checked against the 50-digit ``plov_reference``.  And the
+reference fraction loop, which runs one user at a time through the
+library's per-trace ``RandomSource``, ``Trace``, ``obfuscate`` and
+``has_pattern``; each of those is checked on its own.
 """
 from __future__ import annotations
 
@@ -17,8 +20,10 @@ from math import comb
 import mpmath
 import numpy as np
 
-from seqobf.detect import PatternStats
-from seqobf.engines import plov_distribution
+from seqobf.core import Alphabet, Pattern, RandomSource, Trace
+from seqobf.detect import PatternStats, has_pattern
+from seqobf.engines import EngineConfig, obfuscate, plov_distribution
+from seqobf.ingest import read_trace_file
 
 
 def brute_force_has_pattern(symbols, pattern, gap) -> bool:
@@ -156,3 +161,44 @@ REFERENCE_POLICIES = {
     "plov": plov_policy_reference,
     "manp": manp_policy_reference,
 }
+
+
+def fraction_counts_reference(spec, start: int, stop: int):
+    """Hits, replacements and samples of the fraction protocol, per method.
+
+    One user at a time over iterations [start, stop): user u of iteration
+    it draws its base trace from RandomSource(seed, (it, u, 0)) and is
+    obfuscated by method j with RandomSource(seed, (it, u, 1 + j)).
+    """
+    root = RandomSource(spec.master_seed)
+    alphabet = Alphabet(spec.alphabet_size)
+    reduced = spec.alphabet_size - spec.order
+    pattern = Pattern(tuple(range(reduced, spec.alphabet_size)), gap=spec.gap)
+    configs = [
+        EngineConfig(method=m, p_obf=spec.p_obf, order=spec.order, gamma=spec.gamma,
+                     gap=spec.gap if m == "manp" else None)
+        for m in spec.methods
+    ]
+    pool = None
+    if spec.trace_source == "ingested":
+        pool = [t.symbols for t in read_trace_file(spec.trace_file, reduced)
+                if t.length >= spec.trace_length]
+    hits = np.zeros(len(configs), dtype=np.int64)
+    replaced = np.zeros(len(configs), dtype=np.int64)
+    samples = 0
+    for it in range(start, stop):
+        for u in range(1, spec.n_users):
+            gen = root.derive(it, u, 0).generator
+            if pool is None:
+                x = gen.integers(0, reduced, size=spec.trace_length)
+            else:
+                symbols = pool[int(gen.integers(len(pool)))]
+                first = int(gen.integers(symbols.size - spec.trace_length + 1))
+                x = symbols[first : first + spec.trace_length]
+            trace = Trace(x, alphabet)
+            for j, config in enumerate(configs):
+                z, mask = obfuscate(trace, config, root.derive(it, u, 1 + j), return_mask=True)
+                hits[j] += has_pattern(z, pattern)
+                replaced[j] += int(mask.sum())
+            samples += 1
+    return hits, replaced, samples

@@ -264,6 +264,22 @@ class TestSimulateAndIngest:
         assert "two_stage" in err
         assert not out_csv.exists()
 
+    def test_manp_without_a_finite_gap_is_a_usage_error(self, tmp_path, capsys):
+        spec = tmp_path / "exp.ini"
+        spec.write_text(
+            "[experiment]\n"
+            "scenario = fraction\nmethods = manp\niterations = 2\nworkers = 2\n"
+            "[parameters]\n"
+            "m = 60\nr = 6\nl = 2\nh = inf\np_obf = 0.3\nn_users = 6\n"
+        )
+        out_csv = tmp_path / "res.csv"
+        code, out, err = run_cli(capsys, "simulate", "--spec", str(spec),
+                                 "--out", str(out_csv))
+        assert code == 2
+        assert "manp needs a finite gap" in err
+        assert out == ""
+        assert not out_csv.exists()
+
     def test_ingest_end_to_end(self, tmp_path, capsys):
         raw = tmp_path / "raw.csv"
         rows = ["user_id,timestamp,category"]

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from seqobf.core import Alphabet, Pattern, RandomSource, Trace
+from seqobf.core import Alphabet, Pattern, RandomSource, Trace, _derive_keys
 
 
 def make_trace(symbols, r):
@@ -69,3 +69,55 @@ class TestRandomSource:
         root.derive(1).generator.random(1000)
         again = root.derive(0).generator.random(16)
         assert np.array_equal(first, again)
+
+
+class TestDeriveKeys:
+    """The bulk derivation against numpy's own SeedSequence as the oracle."""
+
+    # 2**160 + 3 has seed words past the 4-word pool.
+    SEEDS = (0, 2**32 - 1, 2**32 + 5, 2**64 - 1, 2**160 + 3)
+
+    @staticmethod
+    def seed_sequence_key(master_seed, path):
+        seq = np.random.SeedSequence(master_seed, spawn_key=tuple(int(i) for i in path))
+        return seq.generate_state(2, np.uint64)
+
+    @pytest.mark.parametrize("master_seed", SEEDS)
+    @pytest.mark.parametrize("depth", range(6))
+    def test_matches_seed_sequence(self, master_seed, depth):
+        # Depths past 4 run beyond SeedSequence's 4-word pool.
+        gen = np.random.default_rng(depth)
+        paths = gen.integers(0, 2**32, size=(12, depth))
+        paths[0] = 0
+        paths[1] = 2**32 - 1
+        keys = _derive_keys(master_seed, paths)
+        assert keys.shape == (12, 2) and keys.dtype == np.uint64
+        for path, key in zip(paths, keys):
+            assert np.array_equal(key, self.seed_sequence_key(master_seed, path))
+
+    def test_empty_path(self):
+        for master_seed in self.SEEDS:
+            key = _derive_keys(master_seed, np.empty((1, 0), dtype=np.int64))[0]
+            assert np.array_equal(key, self.seed_sequence_key(master_seed, ()))
+
+    def test_refuses_indices_outside_one_word(self):
+        # SeedSequence reads an index >= 2**32 as two words; bulk derivation
+        # refuses it rather than guess.
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            _derive_keys(3, [[0, 2**32]])
+        with pytest.raises(ValueError):
+            _derive_keys(3, [[-1]])
+        with pytest.raises(ValueError):
+            _derive_keys(-1, [[0]])
+
+    def test_keyed_source_draws_as_random_source(self):
+        path = (4, 17, 2)
+        key = _derive_keys(2**40 + 7, [path])[0]
+        keyed = RandomSource._keyed(2**40 + 7, path, key)
+        plain = RandomSource(2**40 + 7, path)
+        assert (keyed.master_seed, keyed.path) == (plain.master_seed, plain.path)
+        assert np.array_equal(keyed.generator.random(1000), plain.generator.random(1000))
+        assert np.array_equal(keyed.generator.integers(0, 20, size=1000),
+                              plain.generator.integers(0, 20, size=1000))
+        assert np.array_equal(keyed.derive(1).generator.random(8),
+                              plain.derive(1).generator.random(8))

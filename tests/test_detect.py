@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqobf.core import Alphabet, Pattern, RandomSource, Trace
-from seqobf.detect import PatternStats, first_occurrence, has_pattern
+from seqobf.detect import PatternStats, _pattern_found, first_occurrence, has_pattern
 from seqobf.superstring import _shortest_array
 from oracles import (
     brute_force_has_pattern,
@@ -45,6 +45,18 @@ class TestHasPattern:
         t = make_trace([0, 1], 2)
         with pytest.raises(ValueError):
             has_pattern(t, Pattern((0, 5), gap=1))
+
+    def test_a_block_of_traces_is_decided_row_by_row(self):
+        gen = np.random.default_rng(405)
+        for _ in range(300):
+            m = int(gen.integers(1, 31))
+            gap = [1, 2, 5, None][int(gen.integers(4))]
+            block = gen.integers(0, 3, size=(6, m))
+            pattern = tuple(int(s) for s in gen.integers(0, 3, size=int(gen.integers(1, 4))))
+            found = _pattern_found(block, pattern, gap)
+            assert found.shape == (6,)
+            for row, got in zip(block, found):
+                assert got == brute_force_has_pattern(row, pattern, gap)
 
     def test_pattern_longer_than_trace_is_absent(self):
         t = make_trace([0, 1], 2)

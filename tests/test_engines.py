@@ -129,6 +129,24 @@ class TestCommonEngineContract:
         assert abs(mask.mean() - p) < 3 * se
 
 
+class TestRowsFrame:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_each_row_comes_out_as_it_would_alone(self, method):
+        gen = np.random.default_rng(8)
+        x = gen.integers(0, 6, size=(5, 70))
+        config = config_for(method, 0.3)
+        z = x.copy()
+        touched = engines._obfuscate_rows(
+            z, 6, config, [RandomSource(3, (i, 1)) for i in range(5)]
+        )
+        for i in range(5):
+            alone, mask = obfuscate(
+                make_trace(x[i], 6), config, RandomSource(3, (i, 1)), return_mask=True
+            )
+            assert np.array_equal(z[i], alone.symbols)
+            assert np.array_equal(touched[i], mask)
+
+
 class TestIndependentEngines:
     def test_iid_channel_marginal(self):
         # Per position: stays itself with prob 1-p+p/r, flips to a specific

@@ -1,14 +1,19 @@
 """Experiment harness: protocols, determinism, and statistical sanity."""
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from seqobf.core import RandomSource
+from seqobf.core import Alphabet, RandomSource, Trace
 from seqobf.engines import lov_bound
+from seqobf.ingest import write_trace_file
 from seqobf.sim import (
+    _KEY_BLOCK,
+    _ROW_BLOCK,
     ExperimentSpec,
+    _fraction_iterations,
     run,
     run_first_occurrence_race,
     run_fraction,
@@ -16,6 +21,7 @@ from seqobf.sim import (
     sweep,
     write_csv,
 )
+from oracles import fraction_counts_reference
 
 
 def fraction_spec(**overrides):
@@ -44,6 +50,14 @@ class TestSpecValidation:
     def test_ingested_source_needs_a_file(self):
         with pytest.raises(ValueError):
             fraction_spec(trace_source="ingested")
+
+    def test_rejects_manp_without_a_finite_gap(self):
+        with pytest.raises(ValueError, match="manp needs a finite gap"):
+            fraction_spec(methods=("iid", "manp"), gap=None)
+
+    def test_rejects_an_empty_trace_length(self):
+        with pytest.raises(ValueError, match="trace_length"):
+            fraction_spec(trace_length=0)
 
     def test_rejects_two_stage_without_stage_noise_keys(self):
         # A spec cannot set the per-stage levels, so two_stage would run
@@ -101,6 +115,91 @@ class TestRunFraction:
         rec = run_fraction(spec).records[0]
         floor = lov_bound(m, r, p)
         assert rec["estimate"] + 3 * rec["std_error"] >= floor
+
+
+SPEC_METHODS = ("iid", "sbu", "sl_sbu", "lov", "plov", "manp")
+
+
+def assert_matches_reference(spec, workers):
+    hits, replaced, samples = fraction_counts_reference(spec, 0, spec.iterations)
+    result = run_fraction(spec, workers=workers)
+    assert result.counters["samples"] == samples
+    for rec, method, h, k in zip(result.records, spec.methods, hits, replaced):
+        assert rec["samples"] == samples
+        assert rec["estimate"] == h / samples
+        assert result.counters[f"hits.{method}"] == h
+        assert result.counters[f"replacements.{method}"] == k
+
+
+class TestFractionMatchesReference:
+    """The batched protocol against the one-user-at-a-time loop, bit for bit."""
+
+    @pytest.mark.parametrize("workers", (1, 3))
+    @pytest.mark.parametrize("gap", (1, 3, None))
+    def test_every_spec_method(self, gap, workers):
+        methods = tuple(m for m in SPEC_METHODS if gap is not None or m != "manp")
+        spec = fraction_spec(alphabet_size=6, trace_length=40, p_obf=0.3, gap=gap,
+                             methods=methods, n_users=6, iterations=4, master_seed=2**33 + 1)
+        assert_matches_reference(spec, workers)
+
+    @pytest.mark.parametrize("workers", (1, 3))
+    def test_ingested_source(self, tmp_path, workers):
+        gen = np.random.default_rng(12)
+        path = tmp_path / "pool.txt"
+        write_trace_file(path, [Trace(gen.integers(0, 6, size=int(n)), Alphabet(6))
+                                for n in gen.integers(20, 90, size=7)])
+        spec = fraction_spec(trace_length=30, gap=4, methods=("iid", "sbu", "lov"),
+                             n_users=5, iterations=6, trace_source="ingested",
+                             trace_file=str(path))
+        assert_matches_reference(spec, workers)
+
+    @pytest.mark.parametrize("workers", (1, 3))
+    def test_across_row_and_key_block_edges(self, workers):
+        # 35 users give 34 rows per iteration, one past a row block; 31
+        # iterations give 1054 samples, past the first key block.
+        spec = fraction_spec(trace_length=20, p_obf=0.4, n_users=_ROW_BLOCK + 3,
+                             iterations=31, master_seed=5)
+        assert (spec.n_users - 1) * spec.iterations > _KEY_BLOCK
+        assert_matches_reference(spec, workers)
+
+
+class TestFractionCounters:
+    def test_full_noise_replaces_every_position(self):
+        spec = fraction_spec(p_obf=1.0, iterations=3, trace_length=50)
+        counters = run_fraction(spec).counters
+        assert counters["samples"] == 3 * 19
+        for method in spec.methods:
+            assert counters[f"replacements.{method}"] == 3 * 19 * 50
+
+    def test_zero_noise_replaces_and_finds_nothing(self):
+        counters = run_fraction(fraction_spec(p_obf=0.0, iterations=3)).counters
+        assert counters["samples"] == 3 * 19
+        for method in ("iid", "sl_sbu"):
+            assert counters[f"replacements.{method}"] == 0
+            assert counters[f"hits.{method}"] == 0
+
+    def test_worker_count_does_not_change_counters(self):
+        spec = fraction_spec(iterations=7, n_users=8)
+        assert run_fraction(spec, workers=1).counters == run_fraction(spec, workers=3).counters
+
+    def test_sweep_sums_its_cells(self):
+        spec = fraction_spec(iterations=2)
+        cells = [run_fraction(fraction_spec(iterations=2, p_obf=p)).counters for p in (0.1, 0.3)]
+        total = sweep(spec, [0.1, 0.3]).counters
+        assert total == {k: cells[0][k] + cells[1][k] for k in cells[0]}
+
+
+def test_memory_of_an_iteration_is_bounded_by_its_row_blocks():
+    spec = fraction_spec(alphabet_size=20, order=2, gap=10, trace_length=1000,
+                         p_obf=0.1, methods=("iid",), n_users=5000, iterations=1)
+    tracemalloc.start()
+    try:
+        _fraction_iterations(spec, 0, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    whole_iteration = (spec.n_users - 1) * spec.trace_length * 8
+    assert peak < whole_iteration / 10
 
 
 class TestRace:

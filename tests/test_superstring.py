@@ -8,6 +8,8 @@ from scipy import stats as sstats
 from seqobf.core import RandomSource
 from seqobf.superstring import (
     Superstring,
+    _concat_array,
+    _shortest_array,
     concat_superstring,
     de_bruijn,
     shortest_superstring,
@@ -120,6 +122,38 @@ class TestConcatSuperstring:
                     break
         freqs = slot_of_zero_block / draws
         assert np.all(np.abs(freqs - 1 / n_blocks) < 0.01)
+
+
+class TestPartialDraws:
+    """A draw of count symbols is the head of the whole draw, as the whole
+    draw was first built, and leaves the stream where the whole draw does."""
+
+    CASES = [(2, 1), (3, 2), (4, 2), (2, 3), (5, 3)]
+
+    @pytest.mark.parametrize("r,l", CASES)
+    def test_shortest_gathers_the_rotated_cycle(self, r, l):
+        cycle = de_bruijn(r, l)
+        length = r**l + l - 1
+        for seed, count in enumerate([None, 0, 1, l, length - 1, length, length + 4]):
+            gen = np.random.default_rng(seed)
+            got = _shortest_array(r, l, gen, count)
+            replay = np.random.default_rng(seed)
+            rotated = np.roll(cycle, -int(replay.integers(cycle.size)))
+            whole = np.concatenate([rotated, rotated[: l - 1]])
+            assert np.array_equal(got, whole[:count])
+            assert gen.integers(2**62) == replay.integers(2**62)
+
+    @pytest.mark.parametrize("r,l", CASES)
+    def test_concatenation_gathers_only_the_blocks_used(self, r, l):
+        blocks = np.array(list(product(range(r), repeat=l)))
+        length = l * r**l
+        for seed, count in enumerate([None, 0, 1, l - 1, l + 1, length, length + 4]):
+            gen = np.random.default_rng(seed)
+            got = _concat_array(r, l, gen, count)
+            replay = np.random.default_rng(seed)
+            whole = blocks[replay.permutation(r**l)].ravel()
+            assert np.array_equal(got, whole[:count])
+            assert gen.integers(2**62) == replay.integers(2**62)
 
 
 class TestVerify:
