@@ -24,7 +24,6 @@ from .engines import (
     manp_choose,
     obfuscate,
     plov_distribution,
-    two_stage_obfuscate,
 )
 from .bounds import (
     BoundParams,
@@ -53,7 +52,7 @@ __all__ = [
     "shortest_superstring", "verify_superstring",
     "PatternStats", "first_occurrence", "has_pattern",
     "EngineConfig", "lov_bound", "lov_choose", "manp_choose", "obfuscate",
-    "plov_distribution", "two_stage_obfuscate",
+    "plov_distribution",
     "BoundParams", "Schedule", "ScheduleParams", "bound_sbu", "bound_slsbu",
     "expected_first_occurrence", "schedule",
     "ExperimentResult", "ExperimentSpec",

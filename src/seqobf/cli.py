@@ -59,13 +59,9 @@ def _cmd_gen_superstring(args) -> int:
 
 
 def _cmd_obfuscate(args) -> int:
-    traces = ingest_mod.read_trace_file(args.infile, alphabet_size=2**31 - 1)
+    traces = ingest_mod.read_trace_file(args.infile, args.r)
     if not traces:
         raise ValueError(f"{args.infile}: no traces found")
-    r = args.r
-    if r is None:
-        r = max(int(t.symbols.max()) for t in traces) + 1
-        r = max(r, 2)
     config = EngineConfig(
         method=args.method,
         p_obf=args.p_obf,
@@ -75,15 +71,11 @@ def _cmd_obfuscate(args) -> int:
         stage_noise=(args.stage_a, args.stage_b),
     )
     _print_config(
-        "obfuscate", **dataclasses.asdict(config), r=r, seed=args.seed,
+        "obfuscate", **dataclasses.asdict(config), r=args.r, seed=args.seed,
         infile=args.infile, outfile=args.outfile,
     )
-    alphabet = Alphabet(r)
     source = RandomSource(args.seed)
-    out = []
-    for u, trace in enumerate(traces):
-        rebound = Trace(trace.symbols, alphabet)
-        out.append(obfuscate(rebound, config, source.derive(u)))
+    out = [obfuscate(trace, config, source.derive(u)) for u, trace in enumerate(traces)]
     ingest_mod.write_trace_file(args.outfile, out)
     print(f"wrote {len(out)} obfuscated traces to {args.outfile}")
     return 0
@@ -242,8 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=0.1)
     p.add_argument("--h", dest="gap", type=_parse_gap, default=None)
     p.add_argument("--l", type=int, default=2)
-    p.add_argument("--r", type=int, default=None,
-                   help="alphabet size (default: max symbol + 1)")
+    p.add_argument("--r", type=int, required=True,
+                   help="alphabet size: noise is drawn from 0..r-1, and every "
+                        "input symbol must be below r")
     p.add_argument("--stage-a", dest="stage_a", type=float, default=0.0)
     p.add_argument("--stage-b", dest="stage_b", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=_default_seed())

@@ -54,8 +54,12 @@ class EngineConfig:
     """Method tag plus its parameters.
 
     p_obf applies to every method except two_stage, whose per-stage noise
-    levels come from stage_noise; a two_stage config with p_obf > 0 and no
-    stage noise is rejected, since none of that noise would be applied.
+    levels (a, b) come from stage_noise: an iid pass at a on
+    source.derive(0), then an sl_sbu pass at b on source.derive(1), so
+    setting either level to zero leaves the other stage's draws unchanged.
+    A position is touched with probability a + b - a*b.  A two_stage
+    config with p_obf > 0 and no stage noise is rejected, since none of
+    that noise would be applied.
     order is the covering-superstring order for sbu/sl_sbu/two_stage; gamma
     is the plov tilt exponent; gap is the manp predecessor-window width.
     """
@@ -277,36 +281,14 @@ def obfuscate(
     """Apply one obfuscation method to a trace.
 
     Returns the obfuscated Trace, or (Trace, mask) with return_mask=True,
-    where mask marks the replaced positions (for two_stage, positions
-    touched by either stage).
+    where mask marks the replaced positions.  For two_stage it marks the
+    positions that either stage touched, and the second stage runs over
+    the first stage's output (see EngineConfig).
     """
     z = trace.symbols[None, :].copy()
     touched = _obfuscate_rows(z, trace.alphabet.size, config, [source])
     out = Trace(z[0], trace.alphabet)
     return (out, touched[0]) if return_mask else out
-
-
-def two_stage_obfuscate(
-    trace: Trace,
-    first_noise: float,
-    second_noise: float,
-    order: int,
-    source: RandomSource,
-    *,
-    return_mask: bool = False,
-):
-    """iid obfuscation at first_noise, then sl_sbu at second_noise.
-
-    The stages consume the derived sub-streams source.derive(0) and
-    source.derive(1), so setting either noise level to zero leaves the
-    other stage's draws unchanged.  A position is touched when either
-    stage's mask selects it, which happens with probability
-    first_noise + second_noise - first_noise*second_noise.
-    """
-    config = EngineConfig(
-        method="two_stage", order=order, stage_noise=(first_noise, second_noise)
-    )
-    return obfuscate(trace, config, source, return_mask=return_mask)
 
 
 def lov_bound(trace_length: int, alphabet_size: int, p_obf: float) -> float:

@@ -9,7 +9,8 @@ Scenarios:
   contains the pattern.
 * first_occurrence — the race between a pure iid noise stream and a pure
   shortest-superstring noise stream to the first contiguous occurrence of
-  a random pattern.
+  a random pattern.  The superstring's index follows from its rotation
+  offset, so only the iid stream is built and scanned.
 * crowd_count — binomial sanity counts for the number of users sharing a
   pattern at a given per-user match probability.
 * bounds_table — deterministic evaluation of both closed-form bounds at
@@ -36,7 +37,7 @@ import numpy as np
 from .core import Pattern, RandomSource, _derive_keys
 from .detect import _contiguous_matches, _pattern_found
 from .engines import METHODS, EngineConfig, _obfuscate_rows
-from .superstring import _check_params, _shortest_array
+from .superstring import _check_params, _shortest_first_index
 from . import bounds as bounds_mod
 from . import ingest as ingest_mod
 
@@ -100,6 +101,17 @@ class ExperimentSpec:
             )
         if not 0.0 <= self.p_obf <= 1.0:
             raise ValueError(f"p_obf must be in [0, 1], got {self.p_obf}")
+        if self.gap is not None and self.gap < 1:
+            raise ValueError(f"gap must be >= 1 or None, got {self.gap}")
+        if self.scenario == "bounds_table":
+            if self.gap is None:
+                raise ValueError("bounds_table needs a finite gap h")
+            _bound_params(self)
+        if self.scenario == "crowd_count" and not (
+            self.beta is not None and self.match_probability is not None
+            and 0.0 <= self.match_probability <= 1.0
+        ):
+            raise ValueError("crowd_count requires beta and a match_probability in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -115,6 +127,12 @@ class ExperimentResult:
     records: tuple[dict, ...]
     wall_clock: float
     counters: dict = field(default_factory=dict)
+
+
+def _bound_params(spec: ExperimentSpec) -> bounds_mod.BoundParams:
+    return bounds_mod.BoundParams(
+        spec.trace_length, spec.alphabet_size, spec.order, spec.gap, spec.p_obf
+    )
 
 
 def _engine_config(spec: ExperimentSpec, method: str) -> EngineConfig:
@@ -231,11 +249,6 @@ def run_fraction(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     return ExperimentResult(tuple(records), time.perf_counter() - t0, counters)
 
 
-def _first_hit(buffer: np.ndarray, pattern_symbols: np.ndarray) -> int | None:
-    hit = _contiguous_matches(buffer, pattern_symbols)
-    return int(np.argmax(hit)) if hit.any() else None
-
-
 def _scan_iid_stream(
     gen: np.random.Generator, pattern: np.ndarray, alphabet_size: int, chunk: int
 ) -> int:
@@ -249,9 +262,9 @@ def _scan_iid_stream(
     carry = np.empty(0, dtype=np.int64)
     while True:
         buffer = np.concatenate([carry, gen.integers(0, alphabet_size, size=chunk)])
-        hit = _first_hit(buffer, pattern)
-        if hit is not None:
-            return consumed + hit + 1
+        hit = _contiguous_matches(buffer, pattern)
+        if hit.any():
+            return consumed + int(np.argmax(hit)) + 1
         n_starts = buffer.size - order + 1
         consumed += n_starts
         carry = buffer[n_starts:]
@@ -267,8 +280,9 @@ def run_first_occurrence_race(
 
     Per iteration a pattern of the given order is drawn with iid uniform
     letters, and both streams are extended until each contains it
-    contiguously.  Records the mean first-occurrence indices and the
-    probability that the iid stream is strictly slower.
+    contiguously; the superstring's index comes from its offset draw
+    alone.  Records the mean first-occurrence indices and the probability
+    that the iid stream is strictly slower.
     """
     _check_params(alphabet_size, order)
     t0 = time.perf_counter()
@@ -282,12 +296,9 @@ def run_first_occurrence_race(
         for it, key in zip(block, keys):
             gen = RandomSource._keyed(master_seed, (it,), key).generator
             q = gen.integers(0, alphabet_size, size=order)
-            # The superstring stream contains any pattern exactly once per
-            # drawn superstring, so the first draw always settles it.
-            stream = _shortest_array(alphabet_size, order, gen)
-            hit = _first_hit(stream, q)
-            assert hit is not None
-            first_super[it] = hit + 1
+            # The first superstring drawn holds every pattern, so its offset
+            # draw settles the superstring side.
+            first_super[it] = _shortest_first_index(alphabet_size, order, gen, q)
             first_iid[it] = _scan_iid_stream(gen, q, alphabet_size, chunk)
     record = {
         "scenario": "first_occurrence",
@@ -312,10 +323,6 @@ def run_crowd_count(spec: ExperimentSpec) -> ExperimentResult:
     """
     if spec.scenario != "crowd_count":
         raise ValueError(f"run_crowd_count got scenario {spec.scenario!r}")
-    if spec.match_probability is None or spec.beta is None:
-        raise ValueError("crowd_count requires match_probability and beta")
-    if not 0.0 <= spec.match_probability <= 1.0:
-        raise ValueError("match_probability must be in [0, 1]")
     t0 = time.perf_counter()
     gen = RandomSource(spec.master_seed).generator
     counts = gen.binomial(spec.n_users, spec.match_probability, size=spec.iterations)
@@ -337,16 +344,8 @@ def run_crowd_count(spec: ExperimentSpec) -> ExperimentResult:
 
 def run_bounds_table(spec: ExperimentSpec) -> ExperimentResult:
     """Deterministic evaluation of both closed-form bounds at the spec."""
-    if spec.gap is None:
-        raise ValueError("bounds require a finite gap")
     t0 = time.perf_counter()
-    params = bounds_mod.BoundParams(
-        trace_length=spec.trace_length,
-        alphabet_size=spec.alphabet_size,
-        order=spec.order,
-        gap=spec.gap,
-        p_obf=spec.p_obf,
-    )
+    params = _bound_params(spec)
     record = {
         "scenario": "bounds_table",
         "m": spec.trace_length,

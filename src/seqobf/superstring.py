@@ -10,6 +10,11 @@ as a contiguous (non-cyclic) substring.  Two constructions are provided:
 
 Rotation offsets and block orders are drawn uniformly so that, over many
 draws, any fixed block is equally likely to sit at any position.
+
+Block c is the l base-r digits of code c, so concatenation draws compute
+their blocks and keep no table.  A shortest draw holds each string once
+among its first r^l positions; ``_shortest_first_index`` gets that index
+from the offset draw alone.
 """
 from __future__ import annotations
 
@@ -93,16 +98,15 @@ def _canonical_cycle(alphabet_size: int, order: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=32)
-def _all_blocks(alphabet_size: int, order: int) -> np.ndarray:
-    """All r^l length-l strings as rows, in lexicographic order."""
-    r, l = alphabet_size, order
-    idx = np.arange(r**l, dtype=np.int64)
-    blocks = np.empty((r**l, l), dtype=np.int64)
-    for pos in range(l):
-        blocks[:, pos] = (idx // r ** (l - 1 - pos)) % r
-    blocks.flags.writeable = False
-    return blocks
+@lru_cache(maxsize=64)
+def _cycle_starts(alphabet_size: int, order: int) -> np.ndarray:
+    """start[c]: where the string of code c begins in the canonical cycle."""
+    cycle = _canonical_cycle(alphabet_size, order)
+    wrapped = np.concatenate([cycle, cycle[: order - 1]])
+    start = np.empty(cycle.size, dtype=np.int64)
+    start[_window_codes(wrapped, alphabet_size, order)] = np.arange(cycle.size)
+    start.flags.writeable = False
+    return start
 
 
 def de_bruijn(alphabet_size: int, order: int) -> np.ndarray:
@@ -132,14 +136,30 @@ def _concat_array(
 ) -> np.ndarray:
     """All r^l blocks laid end to end in a uniformly random order.
 
-    With count, only the blocks that hold the first count symbols are
-    gathered; the whole permutation is drawn either way.
+    Block slot i holds the string of code perm[i]: its base-r digits, most
+    significant first.  With count, only the blocks that hold the first
+    count symbols are computed; the whole permutation is drawn either way.
     """
-    blocks = _all_blocks(alphabet_size, order)
-    perm = gen.permutation(blocks.shape[0])
+    perm = gen.permutation(alphabet_size**order)
     if count is not None:
         perm = perm[: -(-count // order)]
-    return blocks[perm].ravel()[:count]
+    powers = alphabet_size ** np.arange(order - 1, -1, -1)
+    return (perm[:, None] // powers % alphabet_size).ravel()[:count]
+
+
+def _shortest_first_index(
+    alphabet_size: int, order: int, gen: np.random.Generator, pattern: np.ndarray
+) -> int:
+    """1-based first index of pattern in the draw ``_shortest_array`` makes.
+
+    Only its offset draw is made.  Symbol j is cycle[(offset + j) % r^l],
+    so the string at cycle position s starts at j = (s - offset) mod r^l."""
+    start = _cycle_starts(alphabet_size, order)
+    offset = int(gen.integers(start.size))
+    code = 0
+    for symbol in pattern.tolist():
+        code = code * alphabet_size + symbol
+    return (int(start[code]) - offset) % start.size + 1
 
 
 def shortest_superstring(

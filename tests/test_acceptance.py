@@ -17,7 +17,6 @@ from seqobf.engines import (
     EngineConfig,
     obfuscate,
     plov_distribution,
-    two_stage_obfuscate,
 )
 from seqobf.detect import Pattern, has_pattern
 from seqobf.sim import (
@@ -221,7 +220,8 @@ def _check_mask_fidelity(failures):
 def _check_two_stage_touch_rate(failures):
     a, b, m = 0.1, 0.1, 10**6
     trace = Trace(np.zeros(m, dtype=np.int64), Alphabet(4))
-    _, mask = two_stage_obfuscate(trace, a, b, 2, RandomSource(99), return_mask=True)
+    config = EngineConfig("two_stage", order=2, stage_noise=(a, b))
+    _, mask = obfuscate(trace, config, RandomSource(99), return_mask=True)
     psi = a + b - a * b
     sigma = np.sqrt(psi * (1 - psi) / m)
     if abs(mask.mean() - psi) > 3 * sigma:

@@ -166,6 +166,31 @@ class TestObfuscateAndDetect:
         assert "two_stage" in err
         assert not dst.exists()
 
+    def test_alphabet_size_is_required(self, tmp_path, capsys):
+        src = tmp_path / "in.txt"
+        dst = tmp_path / "out.txt"
+        src.write_text("0 1 2 3\n")
+        code, out, _ = run_cli(
+            capsys, "obfuscate", "--method", "iid",
+            "--in", str(src), "--out", str(dst),
+        )
+        assert code == 2
+        assert out == ""
+        assert not dst.exists()
+
+    def test_a_symbol_outside_the_alphabet_is_a_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "in.txt"
+        dst = tmp_path / "out.txt"
+        src.write_text("0 1 2 3\n0 4 1\n")
+        code, out, err = run_cli(
+            capsys, "obfuscate", "--method", "iid", "--r", "4",
+            "--in", str(src), "--out", str(dst),
+        )
+        assert code == 2
+        assert "outside alphabet" in err
+        assert out == ""
+        assert not dst.exists()
+
     def test_detect_reports_first_occurrence(self, tmp_path, capsys):
         path = tmp_path / "t.txt"
         path.write_text("2 0 1 0 1\n")
@@ -296,3 +321,30 @@ class TestSimulateAndIngest:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 2
         assert all(0 <= int(s) < 3 for s in lines[0].split())
+
+    @pytest.mark.parametrize("text,message", [
+        ("[experiment]\nscenario = fraction\nworkers = 2\n"
+         "[parameters]\nm = 60\nr = 6\nl = 2\nh = 0\nn_users = 6\n",
+         "gap must be >= 1"),
+        ("[experiment]\nscenario = bounds_table\n"
+         "[parameters]\nm = 60\nr = 6\nl = 2\nh = inf\n",
+         "finite gap"),
+        ("[experiment]\nscenario = crowd_count\n"
+         "[parameters]\nn_users = 50\n[crowd]\nbeta = 0.5\n",
+         "match_probability"),
+        ("[experiment]\nscenario = crowd_count\n"
+         "[parameters]\nn_users = 50\n[crowd]\nmatch_probability = 1.5\nbeta = 0.5\n",
+         "match_probability"),
+    ], ids=["zero_gap", "bounds_without_gap", "crowd_without_probability",
+            "crowd_probability_above_one"])
+    def test_bad_spec_is_refused_before_the_config_line(self, tmp_path, capsys,
+                                                        text, message):
+        spec = tmp_path / "exp.ini"
+        spec.write_text(text)
+        out_csv = tmp_path / "res.csv"
+        code, out, err = run_cli(capsys, "simulate", "--spec", str(spec),
+                                 "--out", str(out_csv))
+        assert code == 2
+        assert message in err
+        assert out == ""
+        assert not out_csv.exists()

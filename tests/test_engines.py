@@ -18,7 +18,6 @@ from seqobf.engines import (
     manp_choose,
     obfuscate,
     plov_distribution,
-    two_stage_obfuscate,
 )
 from seqobf.superstring import verify_superstring
 from oracles import REFERENCE_POLICIES, exact_lov_bound, plov_reference
@@ -375,12 +374,16 @@ class TestDataDependentMatchReference:
         assert reached
 
 
+def two_stage(a, b):
+    return EngineConfig("two_stage", order=2, stage_noise=(a, b))
+
+
 class TestTwoStage:
     def test_inert_first_stage_matches_superstring_engine(self):
         gen = np.random.default_rng(40)
         t = random_trace(gen, 70, 5)
         src = RandomSource(23)
-        combined = two_stage_obfuscate(t, 0.0, 0.35, 2, src)
+        combined = obfuscate(t, two_stage(0.0, 0.35), src)
         alone = obfuscate(
             t, EngineConfig(method="sl_sbu", p_obf=0.35, order=2),
             RandomSource(23).derive(1),
@@ -390,7 +393,7 @@ class TestTwoStage:
     def test_inert_second_stage_matches_iid_engine(self):
         gen = np.random.default_rng(41)
         t = random_trace(gen, 70, 5)
-        combined = two_stage_obfuscate(t, 0.35, 0.0, 2, RandomSource(24))
+        combined = obfuscate(t, two_stage(0.35, 0.0), RandomSource(24))
         alone = obfuscate(
             t, EngineConfig(method="iid", p_obf=0.35), RandomSource(24).derive(0)
         )
@@ -399,7 +402,7 @@ class TestTwoStage:
     def test_touch_rate_is_the_combined_noise_level(self):
         m, a, b = 10**6, 0.1, 0.1
         t = make_trace(np.zeros(m, dtype=np.int64), 4)
-        _, mask = two_stage_obfuscate(t, a, b, 2, RandomSource(25), return_mask=True)
+        _, mask = obfuscate(t, two_stage(a, b), RandomSource(25), return_mask=True)
         psi = a + b - a * b
         se = np.sqrt(psi * (1 - psi) / m)
         assert abs(mask.mean() - psi) < 3 * se
@@ -408,7 +411,7 @@ class TestTwoStage:
         gen = np.random.default_rng(43)
         t = random_trace(gen, 80, 5)
         src = RandomSource(27, (1,))
-        combined, mask = two_stage_obfuscate(t, 0.3, 0.4, 2, src, return_mask=True)
+        combined, mask = obfuscate(t, two_stage(0.3, 0.4), src, return_mask=True)
         mid, mask_a = obfuscate(
             t, EngineConfig(method="iid", p_obf=0.3), src.derive(0), return_mask=True
         )
@@ -416,14 +419,6 @@ class TestTwoStage:
         out, mask_b = obfuscate(mid, second, src.derive(1), return_mask=True)
         assert combined == out
         assert np.array_equal(mask, mask_a | mask_b)
-
-    def test_config_dispatch(self):
-        gen = np.random.default_rng(42)
-        t = random_trace(gen, 40, 4)
-        cfg = EngineConfig(method="two_stage", order=2, stage_noise=(0.2, 0.3))
-        via_config = obfuscate(t, cfg, RandomSource(26))
-        direct = two_stage_obfuscate(t, 0.2, 0.3, 2, RandomSource(26))
-        assert via_config == direct
 
 
 class TestLovBound:

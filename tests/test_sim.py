@@ -65,6 +65,28 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="two_stage"):
             fraction_spec(methods=("iid", "two_stage"))
 
+    @pytest.mark.parametrize("scenario", ["fraction", "bounds_table"])
+    def test_rejects_a_gap_below_one(self, scenario):
+        with pytest.raises(ValueError, match="gap must be >= 1"):
+            fraction_spec(scenario=scenario, gap=0)
+
+    def test_bounds_table_needs_a_finite_gap(self):
+        with pytest.raises(ValueError, match="finite gap"):
+            fraction_spec(scenario="bounds_table", gap=None)
+
+    def test_bounds_table_refuses_what_the_bounds_refuse(self):
+        # m - h*(l-1) = 200 - 300 leaves no room for the pattern.
+        with pytest.raises(ValueError, match="trace too short"):
+            fraction_spec(scenario="bounds_table", gap=300)
+
+    @pytest.mark.parametrize("crowd", [
+        dict(beta=0.5), dict(match_probability=0.1),
+        dict(match_probability=1.5, beta=0.5), dict(match_probability=-0.1, beta=0.5),
+    ])
+    def test_crowd_count_needs_a_match_probability_in_range_and_beta(self, crowd):
+        with pytest.raises(ValueError, match="match_probability"):
+            fraction_spec(scenario="crowd_count", **crowd)
+
 
 class TestRunFraction:
     def test_zero_noise_never_finds_the_reserved_pattern(self):

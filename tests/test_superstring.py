@@ -1,8 +1,10 @@
 """Covering-superstring construction and verification."""
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import stats as sstats
 
 from seqobf.core import RandomSource
@@ -10,6 +12,7 @@ from seqobf.superstring import (
     Superstring,
     _concat_array,
     _shortest_array,
+    _shortest_first_index,
     concat_superstring,
     de_bruijn,
     shortest_superstring,
@@ -154,6 +157,81 @@ class TestPartialDraws:
             whole = blocks[replay.permutation(r**l)].ravel()
             assert np.array_equal(got, whole[:count])
             assert gen.integers(2**62) == replay.integers(2**62)
+
+
+class _FixedOffset:
+    """Stands in for a Generator: integers(n) returns the offset set last."""
+
+    offset = 0
+
+    def integers(self, n):
+        assert 0 <= self.offset < n
+        return self.offset
+
+
+def _pairs(max_size):
+    return [(r, l) for l in range(1, 11) for r in range(2, max_size + 1)
+            if r**l <= max_size]
+
+
+class TestShortestFirstIndex:
+    """The closed-form first index equals a scan of the same shortest draw."""
+
+    @pytest.mark.parametrize("r,l", _pairs(100))
+    def test_every_pattern_at_every_offset(self, r, l):
+        patterns = list(np.array(list(product(range(r), repeat=l))))
+        powers = r ** np.arange(l - 1, -1, -1)
+        gen = _FixedOffset()
+        for offset in range(r**l):
+            gen.offset = offset
+            codes = sliding_window_view(_shortest_array(r, l, gen), l) @ powers
+            _, first = np.unique(codes, return_index=True)
+            got = [_shortest_first_index(r, l, gen, q) for q in patterns]
+            assert np.array_equal(got, first + 1)
+
+    def test_every_offset_and_every_pattern_up_to_a_thousand(self):
+        # Each offset is paired with one pattern, each pattern with one
+        # offset, at every (r, l) with l > 1 and r^l <= 1000.  Order 1,
+        # whose cycle is 0..r-1, is sampled above r = 100: its 900 sizes
+        # would take most of the time.
+        gen = _FixedOffset()
+        orders_one = [(r, 1) for r in (101, 256, 500, 999, 1000)]
+        for r, l in [(r, l) for r, l in _pairs(1000) if l > 1] + orders_one:
+            n = r**l
+            patterns = np.array(list(product(range(r), repeat=l)))
+            targets = np.random.default_rng(n + l).permutation(n)
+            draws = np.empty((n, n + l - 1), dtype=np.int64)
+            got = np.empty(n, dtype=np.int64)
+            for offset, code in enumerate(targets.tolist()):
+                gen.offset = offset
+                draws[offset] = _shortest_array(r, l, gen)
+                got[offset] = _shortest_first_index(r, l, gen, patterns[code])
+            windows = sliding_window_view(draws, l, axis=1)
+            hit = (windows == patterns[targets][:, None]).all(2)
+            assert hit.any(axis=1).all()
+            assert np.array_equal(got, hit.argmax(axis=1) + 1), (r, l)
+
+    def test_leaves_the_stream_where_a_whole_draw_does(self):
+        for seed in range(20):
+            gen = np.random.default_rng(seed)
+            _shortest_first_index(4, 3, gen, np.array([1, 0, 3]))
+            replay = np.random.default_rng(seed)
+            _shortest_array(4, 3, replay)
+            assert gen.integers(2**62) == replay.integers(2**62)
+
+
+def test_concatenation_keeps_no_block_table():
+    # The permutation of 2^20 codes takes 8 MB; a 2^20 x 20 block table
+    # would take 168 MB.
+    gen = np.random.default_rng(5)
+    tracemalloc.start()
+    try:
+        out = _concat_array(2, 20, gen, count=100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.size == 100
+    assert peak < 3 * 8 * 2**20
 
 
 class TestVerify:
