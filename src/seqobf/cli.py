@@ -18,7 +18,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import ingest as ingest_mod
 from . import sim as sim_mod
-from .core import Alphabet, Pattern, RandomSource, Trace
+from .core import Pattern, RandomSource
 from .detect import first_occurrence, has_pattern
 from .engines import EngineConfig, lov_bound, obfuscate
 from .superstring import concat_superstring, shortest_superstring
@@ -83,18 +83,16 @@ def _cmd_obfuscate(args) -> int:
 
 def _cmd_detect(args) -> int:
     symbols = tuple(int(s) for s in args.pattern.replace(",", " ").split())
-    gap = args.gap
+    pattern = Pattern(symbols, gap=args.gap)
+    if max(symbols) >= args.r:
+        raise ValueError(f"pattern symbols must be below r={args.r}")
+    traces = ingest_mod.read_trace_file(args.trace_file, args.r)
     _print_config("detect", trace_file=args.trace_file,
-                  pattern=",".join(map(str, symbols)), h=gap)
-    r = max(symbols) + 2
-    traces = ingest_mod.read_trace_file(args.trace_file, alphabet_size=2**31 - 1)
+                  pattern=",".join(map(str, symbols)), h=args.gap, r=args.r)
     records = []
     for idx, trace in enumerate(traces):
-        r_eff = max(r, int(trace.symbols.max()) + 1)
-        rebound = Trace(trace.symbols, Alphabet(r_eff))
-        pattern = Pattern(symbols, gap=gap)
-        found = has_pattern(rebound, pattern)
-        first = first_occurrence(rebound, pattern) if gap == 1 else None
+        found = has_pattern(trace, pattern)
+        first = first_occurrence(trace, pattern) if args.gap == 1 else None
         records.append(
             {"trace": idx, "contains": found,
              "first_index": "" if first is None else first}
@@ -249,6 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True,
                    help="comma- or space-separated symbols")
     p.add_argument("--h", dest="gap", type=_parse_gap, default=1)
+    p.add_argument("--r", type=int, required=True,
+                   help="alphabet size: every pattern and trace symbol must "
+                        "be below r")
     p.set_defaults(fn=_cmd_detect)
 
     p = sub.add_parser("bounds", help="evaluate closed-form guarantees")

@@ -2,11 +2,13 @@
 
 Every engine runs in one frame, ``_obfuscate_rows``: it fills the rows of
 a 2-D array in place, one source per row.  For each pass it draws every
-row's Bernoulli(p) mask from that row's source and lets the pass's
-replacement policy fill each row's masked positions.  Positions outside
-every mask always carry the original symbol.  ``obfuscate`` on one Trace
-is the one-row case.  ``_POLICIES`` maps each single-pass method to its
-policy; two_stage is two passes of the frame.
+row's Bernoulli(p) mask from that row's source and makes one call to the
+pass's replacement policy, which fills the masked positions of the whole
+row block.  Positions outside every mask always carry the original
+symbol.  ``obfuscate`` on one Trace is the one-row case.  ``_POLICIES``
+maps each single-pass method to its policy; two_stage is two passes of
+the frame.  plov steps all rows together; the other policies run a
+one-row policy on each row in turn.
 
 Data-independent methods draw replacements ahead of the data:
 
@@ -34,7 +36,9 @@ masked position, in index order, and loop in Python only over the masked
 positions; between two of them they advance the prefix state in bulk.
 Once lov's prefix holds every symbol, its remaining replacements are
 uniform and come from one batched integer draw, which yields the same
-values as one scalar draw per position.
+values as one scalar draw per position.  plov draws each row's uniforms
+in one call the same way, and at step j picks the j-th replacement of
+every row that has one, from that row's counts of its prefix.
 """
 from __future__ import annotations
 
@@ -122,29 +126,30 @@ def lov_choose(observed: np.ndarray, source: RandomSource) -> int:
 
 
 def plov_distribution(counts: np.ndarray, gamma: float) -> np.ndarray:
-    """Replacement distribution tilted toward less-observed symbols.
+    """Replacement distributions tilted toward less-observed symbols.
 
-    From the prefix histogram, q_i ~ (counts_i / k)^gamma normalized; the
-    output is (1+b)/r - b*q_i with b chosen just inside the largest value
-    keeping every probability in [0, 1].  Empty or flat histograms yield
-    the uniform distribution.
+    Works along the last axis, one prefix histogram per row.  From a
+    histogram, q_i ~ (counts_i / k)^gamma normalized; the row's output is
+    (1+b)/r - b*q_i with b chosen just inside the largest value keeping
+    every probability in [0, 1].  Empty or flat histograms yield the
+    uniform distribution.
     """
     if gamma <= 0.0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
     counts = np.asarray(counts, dtype=np.float64)
-    r = counts.size
-    k = counts.sum()
-    if k <= 0:
-        return np.full(r, 1.0 / r)
-    tilted = (counts / k) ** gamma
-    q = tilted / tilted.sum()
-    q_max, q_min = float(q.max()), float(q.min())
-    if q_max - q_min < 1e-15:
-        return np.full(r, 1.0 / r)
-    b = 0.99 * min(1.0 / (r * q_max - 1.0), (r - 1.0) / (1.0 - r * q_min))
-    p = (1.0 + b) / r - b * q
-    if p.min() < 0.0 or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError(f"degenerate replacement distribution for counts {counts}")
+    r = counts.shape[-1]
+    k = counts.sum(-1, keepdims=True)
+    # Empty and flat rows divide by zero here; they are overwritten below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tilted = (counts / k) ** gamma
+        q = tilted / tilted.sum(-1, keepdims=True)
+        q_max, q_min = q.max(-1, keepdims=True), q.min(-1, keepdims=True)
+        b = 0.99 * np.minimum(1.0 / (r * q_max - 1.0), (r - 1.0) / (1.0 - r * q_min))
+        p = (1.0 + b) / r - b * q
+    p = np.where((k <= 0) | (q_max - q_min < 1e-15), 1.0 / r, p)
+    bad = (p.min(-1) < 0.0) | (np.abs(p.sum(-1) - 1.0) > 1e-9)
+    if bad.any():
+        raise ValueError(f"degenerate replacement distribution for counts {counts[bad][0]}")
     return p
 
 
@@ -192,17 +197,45 @@ def _fill_lov(z, mask, alphabet_size, config, source) -> None:
         prev = t
 
 
-def _fill_plov(z, mask, alphabet_size, config, source) -> None:
-    gen = source.generator
-    counts = np.zeros(alphabet_size, dtype=np.int64)
-    prev = 0
-    for t in np.flatnonzero(mask):
-        counts += np.bincount(z[prev:t], minlength=alphabet_size)
-        # Inverse-CDF sampling with one uniform, as Generator.choice does.
-        cdf = plov_distribution(counts, config.gamma).cumsum()
-        cdf /= cdf[-1]
-        z[t] = cdf.searchsorted(gen.random(), side="right")
-        prev = t
+def _fill_plov(z, mask, alphabet_size, config, streams) -> None:
+    """plov on a row block: step j draws every row's j-th replacement at once."""
+    r = alphabet_size
+    k = np.count_nonzero(mask, axis=1)
+    # Rows are ranked by replacements, most first, so that the rows with a
+    # j-th replacement are the first active[j] ranks.
+    ranks = np.arange(k.size)
+    rank = np.empty_like(k)
+    rank[np.argsort(-k, kind="stable")] = ranks
+    steps = int(k.max(initial=0))
+    active = k.size - np.searchsorted(np.sort(k), np.arange(steps), side="right")
+    row, _ = np.nonzero(mask)
+    # Row i's k_i uniforms in one draw, as k_i scalar draws would give
+    # them; u[rank i, j] belongs to its j-th replacement.
+    step = np.arange(row.size) - np.repeat(np.cumsum(k) - k, k)
+    u = np.zeros((k.size, steps))
+    u[rank[row], step] = np.concatenate([s.generator.random(n) for s, n in zip(streams, k)])
+    # Each kept symbol joins the counts at the replacement it precedes; one
+    # stable sort groups them by that step (after a row's last
+    # replacement, never).
+    before = np.cumsum(mask, axis=1)
+    keep = ~mask & (before < k[:, None])
+    kept_step = before[keep]
+    order = np.argsort(kept_step, kind="stable")
+    kept = (rank[np.nonzero(keep)[0]] * r + z[keep])[order]
+    edges = np.searchsorted(kept_step[order], np.arange(steps + 1))
+    counts = np.zeros((k.size, r))
+    flat = counts.reshape(-1)
+    picks = np.empty((k.size, steps), dtype=np.int64)
+    for j, n in enumerate(active.tolist()):
+        flat += np.bincount(kept[edges[j]:edges[j + 1]], minlength=flat.size)
+        # Inverse-CDF sampling with one uniform, as Generator.choice does; on
+        # a sorted cdf, counting the entries <= u is searchsorted(side="right").
+        cdf = plov_distribution(counts[:n], config.gamma).cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        pick = (cdf <= u[:n, j, None]).sum(axis=1)
+        picks[:n, j] = pick
+        counts[ranks[:n], pick] += 1
+    z[mask] = picks[rank[row], step]
 
 
 # Bound on the index pairs that one numpy call marks in manp's pair table.
@@ -227,16 +260,27 @@ def _fill_manp(z, mask, alphabet_size, config, source) -> None:
         prev = t
 
 
+def _row_by_row(fill):
+    """Lift a one-row policy (z, mask, alphabet_size, config, source) to a
+    row block: each row is filled alone from its own stream."""
+
+    def fill_rows(z, mask, alphabet_size, config, streams) -> None:
+        for row, row_mask, stream in zip(z, mask, streams):
+            fill(row, row_mask, alphabet_size, config, stream)
+
+    return fill_rows
+
+
 # Replacement policy of each single-pass method.  A policy
-# (z, mask, alphabet_size, config, source) fills z in place at the masked
-# positions, drawing from the pass's source after the mask block.
+# (z, mask, alphabet_size, config, streams) fills the row block z in place
+# at the masked positions, row i drawing from streams[i] after its mask.
 _POLICIES = {
-    "iid": _fill_iid,
-    "sbu": _fill_superstring,
-    "sl_sbu": _fill_superstring,
-    "lov": _fill_lov,
+    "iid": _row_by_row(_fill_iid),
+    "sbu": _row_by_row(_fill_superstring),
+    "sl_sbu": _row_by_row(_fill_superstring),
+    "lov": _row_by_row(_fill_lov),
     "plov": _fill_plov,
-    "manp": _fill_manp,
+    "manp": _row_by_row(_fill_manp),
 }
 
 
@@ -264,9 +308,7 @@ def _obfuscate_rows(
         for row, stream in zip(uniforms, streams):
             stream.generator.random(out=row)
         mask = uniforms < stage.p_obf
-        fill = _POLICIES[stage.method]
-        for row, row_mask, stream in zip(z, mask, streams):
-            fill(row, row_mask, alphabet_size, stage, stream)
+        _POLICIES[stage.method](z, mask, alphabet_size, stage, streams)
         touched |= mask
     return touched
 

@@ -121,7 +121,8 @@ class ExperimentResult:
     For the fraction protocol the counters are "samples", and per method
     "replacements.<method>" (positions replaced) and "hits.<method>"
     (samples whose obfuscated trace holds the pattern), summed over
-    workers and over a sweep's cells.  Other scenarios count nothing.
+    workers and over a sweep's cells.  The race's counters are listed at
+    run_first_occurrence_race.  Other scenarios count nothing.
     """
 
     records: tuple[dict, ...]
@@ -251,8 +252,9 @@ def run_fraction(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
 
 def _scan_iid_stream(
     gen: np.random.Generator, pattern: np.ndarray, alphabet_size: int, chunk: int
-) -> int:
-    """1-based index of the pattern's first occurrence in a fresh iid stream.
+) -> tuple[int, int]:
+    """1-based index of the pattern's first occurrence in a fresh iid stream,
+    and the number of symbols drawn to find it.
 
     The stream is materialized chunk by chunk, carrying the last l-1
     symbols across the boundary so occurrences spanning chunks are seen.
@@ -264,7 +266,7 @@ def _scan_iid_stream(
         buffer = np.concatenate([carry, gen.integers(0, alphabet_size, size=chunk)])
         hit = _contiguous_matches(buffer, pattern)
         if hit.any():
-            return consumed + int(np.argmax(hit)) + 1
+            return consumed + int(np.argmax(hit)) + 1, consumed + buffer.size
         n_starts = buffer.size - order + 1
         consumed += n_starts
         carry = buffer[n_starts:]
@@ -282,7 +284,9 @@ def run_first_occurrence_race(
     letters, and both streams are extended until each contains it
     contiguously; the superstring's index comes from its offset draw
     alone.  Records the mean first-occurrence indices and the probability
-    that the iid stream is strictly slower.
+    that the iid stream is strictly slower.  The counters are "samples"
+    (iterations), "iid_symbols_drawn" and "iid_symbols_used": an iid
+    stream is used up to the last symbol of the pattern's first occurrence.
     """
     _check_params(alphabet_size, order)
     t0 = time.perf_counter()
@@ -290,6 +294,7 @@ def run_first_occurrence_race(
     chunk = max(4 * n, 1024)
     first_iid = np.empty(iterations, dtype=np.float64)
     first_super = np.empty(iterations, dtype=np.float64)
+    drawn = 0
     for first in range(0, iterations, _KEY_BLOCK):
         block = range(first, min(first + _KEY_BLOCK, iterations))
         keys = _derive_keys(master_seed, np.array(block)[:, None])
@@ -299,7 +304,8 @@ def run_first_occurrence_race(
             # The first superstring drawn holds every pattern, so its offset
             # draw settles the superstring side.
             first_super[it] = _shortest_first_index(alphabet_size, order, gen, q)
-            first_iid[it] = _scan_iid_stream(gen, q, alphabet_size, chunk)
+            first_iid[it], n_drawn = _scan_iid_stream(gen, q, alphabet_size, chunk)
+            drawn += n_drawn
     record = {
         "scenario": "first_occurrence",
         "r": alphabet_size,
@@ -311,7 +317,12 @@ def run_first_occurrence_race(
         "se_first_superstring": float(first_super.std(ddof=1) / np.sqrt(iterations)),
         "prob_iid_later": float((first_iid > first_super).mean()),
     }
-    return ExperimentResult((record,), time.perf_counter() - t0)
+    counters = {
+        "samples": iterations,
+        "iid_symbols_drawn": drawn,
+        "iid_symbols_used": int(first_iid.sum()) + iterations * (order - 1),
+    }
+    return ExperimentResult((record,), time.perf_counter() - t0, counters)
 
 
 def run_crowd_count(spec: ExperimentSpec) -> ExperimentResult:

@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqobf.core import Alphabet, Pattern, RandomSource, Trace
+from seqobf.detect import has_pattern
+from seqobf.engines import EngineConfig, obfuscate
 from seqobf.bounds import (
     BoundParams,
     ScheduleParams,
@@ -141,3 +144,33 @@ class TestExpectedFirstOccurrence:
     def test_respects_size_cap(self):
         with pytest.raises(ValueError):
             expected_first_occurrence(2, 40)
+
+
+def test_two_stage_dominates_the_shortest_form_bound_at_its_second_stage_noise():
+    # The second stage is an sl_sbu pass at b over the first stage's output,
+    # so the shortest-form bound at p = b holds whatever the first stage
+    # did.  Same rule as the empirical check of the one-stage engines: the
+    # estimate plus 3 standard errors is at least the bound.
+    gen = np.random.default_rng(2718)
+    users = 150
+    failures = []
+    for _ in range(10):
+        l = int(gen.integers(2, 4))
+        h = int(gen.integers(2, 9))
+        r = int(gen.integers(l + 2, 9))
+        m = int(gen.integers(200, 601))
+        a, b = (float(v) for v in gen.uniform(0.1, 0.4, size=2))
+        root = RandomSource(int(gen.integers(2**31)))
+        pattern = Pattern(tuple(range(r - l, r)), gap=h)
+        config = EngineConfig("two_stage", order=l, stage_noise=(a, b))
+        hits = 0
+        for u in range(users):
+            x = root.derive(u, 0).generator.integers(0, r - l, size=m)
+            z = obfuscate(Trace(x, Alphabet(r)), config, root.derive(u, 1))
+            hits += has_pattern(z, pattern)
+        estimate = hits / users
+        se = np.sqrt(estimate * (1 - estimate) / users)
+        bound = bound_slsbu(params(m, r, l, h, b))
+        if estimate + 3 * se < bound:
+            failures.append(f"{(m, r, l, h, round(a, 3), round(b, 3))}: {estimate} < {bound}")
+    assert not failures

@@ -66,7 +66,7 @@ class TestUsageErrors:
     def test_missing_file_is_a_runtime_error(self, capsys):
         code, _, err = run_cli(
             capsys, "detect", "--trace-file", "/nonexistent/t.txt",
-            "--pattern", "0,1",
+            "--pattern", "0,1", "--r", "2",
         )
         assert code == 1
 
@@ -124,6 +124,7 @@ class TestObfuscateAndDetect:
 
         code, out, _ = run_cli(
             capsys, "detect", "--trace-file", str(dst), "--pattern", "1", "--h", "1",
+            "--r", "4",
         )
         assert code == 0
         lines = data_lines(out)
@@ -195,7 +196,7 @@ class TestObfuscateAndDetect:
         path = tmp_path / "t.txt"
         path.write_text("2 0 1 0 1\n")
         _, out, _ = run_cli(
-            capsys, "detect", "--trace-file", str(path), "--pattern", "0,1",
+            capsys, "detect", "--trace-file", str(path), "--pattern", "0,1", "--r", "3",
         )
         row = data_lines(out)[1]
         assert row == "0,True,2"
@@ -205,7 +206,7 @@ class TestObfuscateAndDetect:
         path.write_text("1 2 2 2 0\n")
         _, out, _ = run_cli(
             capsys, "detect", "--trace-file", str(path), "--pattern", "1 0",
-            "--h", "inf",
+            "--h", "inf", "--r", "3",
         )
         assert data_lines(out)[1] == "0,True,"
 
@@ -213,10 +214,50 @@ class TestObfuscateAndDetect:
         path = tmp_path / "t.txt"
         path.write_text("2 0 1 0 1\n1\n")
         code, out, _ = run_cli(
-            capsys, "detect", "--trace-file", str(path), "--pattern", "0,1",
+            capsys, "detect", "--trace-file", str(path), "--pattern", "0,1", "--r", "3",
         )
         assert code == 0
         assert data_lines(out)[1:] == ["0,True,2", "1,False,"]
+
+    def test_detect_config_line_shows_the_alphabet_size(self, tmp_path, capsys):
+        path = tmp_path / "t.txt"
+        path.write_text("0 1 0\n")
+        code, out, _ = run_cli(
+            capsys, "detect", "--trace-file", str(path), "--pattern", "5", "--r", "6",
+        )
+        assert code == 0
+        assert "r=6" in out.splitlines()[0].split()
+        assert data_lines(out)[1:] == ["0,False,"]
+
+    def test_detect_alphabet_size_is_required(self, tmp_path, capsys):
+        path = tmp_path / "t.txt"
+        path.write_text("0 1 0\n")
+        code, out, err = run_cli(
+            capsys, "detect", "--trace-file", str(path), "--pattern", "0,1",
+        )
+        assert code == 2
+        assert "--r" in err
+        assert out == ""
+
+    def test_detect_pattern_symbol_outside_the_alphabet(self, tmp_path, capsys):
+        path = tmp_path / "t.txt"
+        path.write_text("0 1 0\n")
+        code, out, err = run_cli(
+            capsys, "detect", "--trace-file", str(path), "--pattern", "0,3", "--r", "3",
+        )
+        assert code == 2
+        assert "below r=3" in err
+        assert out == ""
+
+    def test_detect_trace_symbol_outside_the_alphabet(self, tmp_path, capsys):
+        path = tmp_path / "t.txt"
+        path.write_text("0 1 0\n2 7 1\n")
+        code, out, err = run_cli(
+            capsys, "detect", "--trace-file", str(path), "--pattern", "0,1", "--r", "3",
+        )
+        assert code == 2
+        assert "outside alphabet" in err
+        assert out == ""
 
 
 class TestSimulateAndIngest:

@@ -1,4 +1,5 @@
 """Obfuscation engines: replacement kernels, masks, and noise streams."""
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -372,6 +373,79 @@ class TestDataDependentMatchReference:
             if replaced.size and np.unique(z[: replaced[-1]]).size == r:
                 reached = True
         assert reached
+
+
+# (rows, r, m, p, gamma) for the row-block plov policy.
+PLOV_BLOCKS = [
+    (1, 20, 1000, 0.1, 0.1),  # one row, the canonical cell
+    (32, 6, 80, 0.3, 0.1),  # a full row block
+    (33, 2, 50, 0.5, 0.3),  # one row past a block, binary alphabet
+    (32, 5, 1, 0.5, 0.1),  # one position per row: 0 or 1 replacement
+    (33, 4, 60, 1.0, 1.5),  # full noise
+    (32, 7, 100, 0.02, 0.1),  # several rows with no replacement
+    (5, 7, 30, 0.0, 0.1),  # no replacement at all
+]
+
+
+class TestPlovBlock:
+    def test_rows_equal_the_one_row_call(self):
+        gen = np.random.default_rng(31)
+        for r in (2, 5, 20):
+            mixed = np.vstack([
+                np.zeros(r), np.full(r, 3), gen.integers(0, 9, size=(6, r)),
+                np.eye(r)[0] * 40, gen.integers(0, 10**6, size=(2, r)),
+            ])
+            for block in (mixed, np.zeros((4, r)), np.full((3, r), 7.0)):
+                got = plov_distribution(block, 0.1)
+                assert got.shape == block.shape
+                for row, want in zip(block, got):
+                    assert np.array_equal(plov_distribution(row, 0.1), want)
+
+    def test_a_degenerate_row_raises(self):
+        # Nearly flat: b is huge and p loses its unit sum to cancellation.
+        degenerate = np.array([1.0, 1.0, 1.0 + 1e-14])
+        with pytest.raises(ValueError, match="degenerate"):
+            plov_distribution(degenerate, 1.0)
+        block = np.vstack([[2.0, 1.0, 0.0], degenerate, np.zeros(3)])
+        with pytest.raises(ValueError, match="degenerate"):
+            plov_distribution(block, 1.0)
+
+    @pytest.mark.parametrize("case", PLOV_BLOCKS, ids=lambda c: f"{c[0]}x{c[2]}r{c[1]}p{c[3]}")
+    def test_rows_match_the_per_position_reference(self, case):
+        rows, r, m, p, gamma = case
+        x = np.random.default_rng(rows * m).integers(0, r, size=(rows, m))
+        cfg = EngineConfig(method="plov", p_obf=p, gamma=gamma)
+        z = x.copy()
+        touched = engines._obfuscate_rows(
+            z, r, cfg, [RandomSource(17, (i,)) for i in range(rows)]
+        )
+        for i in range(rows):
+            want_z, want_mask = reference_pass(make_trace(x[i], r), cfg, RandomSource(17, (i,)))
+            assert np.array_equal(touched[i], want_mask)
+            assert np.array_equal(z[i], want_z)
+
+    def test_blocks_cover_empty_and_unequal_rows(self):
+        zero = unequal = False
+        for rows, r, m, p, gamma in PLOV_BLOCKS:
+            k = [np.count_nonzero(RandomSource(17, (i,)).generator.random(m) < p)
+                 for i in range(rows)]
+            zero |= 0 in k and max(k) > 0
+            unequal |= len(set(k)) > 2
+        assert zero and unequal
+
+    def test_memory_stays_linear_in_rows_length_and_alphabet(self):
+        rows, r, m = 32, 2000, 1000
+        z = np.random.default_rng(5).integers(0, r, size=(rows, m))
+        cfg = EngineConfig(method="plov", p_obf=1.0)
+        sources = [RandomSource(5, (i,)) for i in range(rows)]
+        tracemalloc.start()
+        try:
+            engines._obfuscate_rows(z, r, cfg, sources)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A rows x k x r array of distributions would take 488 MiB here.
+        assert peak < 32 * 2**20
 
 
 def two_stage(a, b):

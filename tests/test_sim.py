@@ -233,7 +233,7 @@ class TestRace:
 
         for seed in range(300):
             chunk = 4
-            got = _scan_iid_stream(
+            got, _ = _scan_iid_stream(
                 RandomSource(seed).generator, np.array([0, 1, 0]), 2, chunk
             )
             replay = RandomSource(seed).generator
@@ -244,6 +244,31 @@ class TestRace:
                 if want is not None and want + 3 <= len(stream):
                     break
             assert got == want
+
+    def test_counters_match_a_recount_of_the_streams(self):
+        from oracles import naive_first_occurrence
+
+        # At (10, 3) a chunk holds 4 000 symbols, so a few of 150
+        # iterations need more than one.
+        r, l, iterations, seed = 10, 3, 150, 21
+        chunk = 4 * r**l
+        drawn = used = 0
+        for it in range(iterations):
+            gen = RandomSource(seed, (it,)).generator
+            q = [int(s) for s in gen.integers(0, r, size=l)]
+            gen.integers(r**l)  # the superstring's offset
+            stream: list[int] = []
+            first = None
+            while first is None:
+                stream.extend(int(s) for s in gen.integers(0, r, size=chunk))
+                first = naive_first_occurrence(stream, q)
+            drawn += len(stream)
+            used += first + l - 1
+        assert drawn > iterations * chunk
+        counters = run_first_occurrence_race(r, l, iterations, master_seed=seed).counters
+        assert counters == {
+            "samples": iterations, "iid_symbols_drawn": drawn, "iid_symbols_used": used,
+        }
 
     def test_order_one_superstring_mean(self):
         res = run_first_occurrence_race(2, 1, 4000, master_seed=6)
