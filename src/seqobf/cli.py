@@ -48,12 +48,9 @@ def _print_config(command: str, **kv) -> None:
 
 def _cmd_gen_superstring(args) -> int:
     kind = _KIND_ALIASES[args.kind]
+    draw = shortest_superstring if kind == "shortest" else concat_superstring
+    ss = draw(args.r, args.l, RandomSource(args.seed))
     _print_config("gen-superstring", r=args.r, l=args.l, kind=kind, seed=args.seed)
-    source = RandomSource(args.seed)
-    if kind == "shortest":
-        ss = shortest_superstring(args.r, args.l, source)
-    else:
-        ss = concat_superstring(args.r, args.l, source)
     print(" ".join(str(int(s)) for s in ss.symbols))
     return 0
 

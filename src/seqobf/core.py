@@ -6,8 +6,10 @@ RandomSource, whose draw position advances as it is consumed.
 
 Deriving a RandomSource hashes its identity with numpy's SeedSequence,
 which costs tens of microseconds.  ``_derive_keys`` reproduces that hash
-for many paths at once, and ``RandomSource._keyed`` builds the source from
-a key so derived, with the same stream.
+for many paths at once, and ``_keyed_generator`` builds the Generator of a
+key so derived: it draws what RandomSource(master_seed, path).generator
+draws.  The engines and protocols below the public API take such bare
+Generators.
 """
 from __future__ import annotations
 
@@ -129,15 +131,6 @@ class RandomSource:
     def generator(self) -> np.random.Generator:
         return self._generator
 
-    @classmethod
-    def _keyed(cls, master_seed: int, path: tuple[int, ...], key: np.ndarray) -> "RandomSource":
-        """RandomSource(master_seed, path), given its key from _derive_keys."""
-        source = cls.__new__(cls)
-        source.master_seed = int(master_seed)
-        source.path = path
-        source._generator = np.random.Generator(np.random.Philox(_KnownKey(key)))
-        return source
-
     def __repr__(self) -> str:
         return f"RandomSource(master_seed={self.master_seed}, path={self.path})"
 
@@ -152,6 +145,13 @@ class _KnownKey(np.random.bit_generator.ISeedSequence):
         if n_words != 2 or np.dtype(dtype) != np.uint64:
             raise ValueError("a known key serves only Philox's two 64-bit words")
         return self.key
+
+
+def _keyed_generator(key: np.ndarray) -> np.random.Generator:
+    """The generator of RandomSource(master_seed, path), given its key from
+    _derive_keys.  Philox(key=...) would first seed itself from OS entropy,
+    which costs more than the whole shim."""
+    return np.random.Generator(np.random.Philox(_KnownKey(key)))
 
 
 # The constants of numpy's SeedSequence (numpy/random/bit_generator.pyx).

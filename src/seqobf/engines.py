@@ -1,14 +1,15 @@
 """Obfuscation engines: per-trace symbol replacement mechanisms.
 
-Every engine runs in one frame, ``_obfuscate_rows``: it fills the rows of
-a 2-D array in place, one source per row.  For each pass it draws every
-row's Bernoulli(p) mask from that row's source and makes one call to the
-pass's replacement policy, which fills the masked positions of the whole
-row block.  Positions outside every mask always carry the original
-symbol.  ``obfuscate`` on one Trace is the one-row case.  ``_POLICIES``
-maps each single-pass method to its policy; two_stage is two passes of
-the frame.  plov steps all rows together; the other policies run a
-one-row policy on each row in turn.
+Every engine runs in one frame, ``_obfuscate_rows``: one pass over the
+rows of a 2-D array, in place, with one np.random.Generator per row.  It
+draws every row's Bernoulli(p) mask from that row's generator and makes
+one call to the method's replacement policy, which fills the masked
+positions of the whole row block.  Positions outside the mask keep the
+original symbol.  ``obfuscate`` on one Trace is the one-row case, drawing
+from its source's generator.  ``_POLICIES`` maps each single-pass method
+to its policy; two_stage is two frame calls inside ``obfuscate``.  plov
+steps all rows together; the other policies run a one-row policy on each
+row in turn.
 
 Data-independent methods draw replacements ahead of the data:
 
@@ -19,7 +20,7 @@ Data-independent methods draw replacements ahead of the data:
 * sl_sbu   — a shortest covering superstring consumed in order; symbol j
   of a draw is cycle[(offset + j) % r^l] for its one offset draw;
 * two_stage — an iid pass on source.derive(0), then an sl_sbu pass on
-  source.derive(1), over the first pass's output.
+  source.derive(1), over the first pass's output; the masks are OR'd.
 
 Data-dependent methods pick each replacement from the realized obfuscated
 prefix:
@@ -116,9 +117,8 @@ def _replacement_stream(
     return np.concatenate(parts)
 
 
-def lov_choose(observed: np.ndarray, source: RandomSource) -> int:
+def lov_choose(observed: np.ndarray, gen: np.random.Generator) -> int:
     """Uniform over symbols not yet observed; uniform over all once covered."""
-    gen = source.generator
     missing = np.flatnonzero(~observed)
     if missing.size == 0:
         return int(gen.integers(observed.size))
@@ -153,7 +153,7 @@ def plov_distribution(counts: np.ndarray, gamma: float) -> np.ndarray:
     return p
 
 
-def manp_choose(seen: np.ndarray, window: np.ndarray, source: RandomSource) -> int:
+def manp_choose(seen: np.ndarray, window: np.ndarray, gen: np.random.Generator) -> int:
     """The symbol completing the most unseen length-2 patterns.
 
     seen[a, i] is True when the pattern (a, i) has been observed in the
@@ -166,23 +166,20 @@ def manp_choose(seen: np.ndarray, window: np.ndarray, source: RandomSource) -> i
     in_window[window] = True
     scores = (~seen[in_window]).sum(0)
     best = np.flatnonzero(scores == scores.max())
-    return int(best[source.generator.integers(best.size)])
+    return int(best[gen.integers(best.size)])
 
 
-def _fill_iid(z, mask, alphabet_size, config, source) -> None:
-    z[mask] = source.generator.integers(0, alphabet_size, size=np.count_nonzero(mask))
+def _fill_iid(z, mask, alphabet_size, config, gen) -> None:
+    z[mask] = gen.integers(0, alphabet_size, size=np.count_nonzero(mask))
 
 
-def _fill_superstring(z, mask, alphabet_size, config, source) -> None:
+def _fill_superstring(z, mask, alphabet_size, config, gen) -> None:
     kind = "concatenation" if config.method == "sbu" else "shortest"
     _check_params(alphabet_size, config.order)
-    z[mask] = _replacement_stream(
-        source.generator, alphabet_size, config.order, kind, np.count_nonzero(mask)
-    )
+    z[mask] = _replacement_stream(gen, alphabet_size, config.order, kind, np.count_nonzero(mask))
 
 
-def _fill_lov(z, mask, alphabet_size, config, source) -> None:
-    gen = source.generator
+def _fill_lov(z, mask, alphabet_size, config, gen) -> None:
     observed = np.zeros(alphabet_size, dtype=bool)
     targets = np.flatnonzero(mask)
     prev = 0
@@ -193,11 +190,11 @@ def _fill_lov(z, mask, alphabet_size, config, source) -> None:
             # per remaining position.
             z[targets[j:]] = gen.integers(alphabet_size, size=targets.size - j)
             return
-        z[t] = lov_choose(observed, source)
+        z[t] = lov_choose(observed, gen)
         prev = t
 
 
-def _fill_plov(z, mask, alphabet_size, config, streams) -> None:
+def _fill_plov(z, mask, alphabet_size, config, gens) -> None:
     """plov on a row block: step j draws every row's j-th replacement at once."""
     r = alphabet_size
     k = np.count_nonzero(mask, axis=1)
@@ -213,7 +210,7 @@ def _fill_plov(z, mask, alphabet_size, config, streams) -> None:
     # them; u[rank i, j] belongs to its j-th replacement.
     step = np.arange(row.size) - np.repeat(np.cumsum(k) - k, k)
     u = np.zeros((k.size, steps))
-    u[rank[row], step] = np.concatenate([s.generator.random(n) for s, n in zip(streams, k)])
+    u[rank[row], step] = np.concatenate([gen.random(n) for gen, n in zip(gens, k)])
     # Each kept symbol joins the counts at the replacement it precedes; one
     # stable sort groups them by that step (after a row's last
     # replacement, never).
@@ -242,7 +239,7 @@ def _fill_plov(z, mask, alphabet_size, config, streams) -> None:
 _PAIR_BLOCK = 1 << 16
 
 
-def _fill_manp(z, mask, alphabet_size, config, source) -> None:
+def _fill_manp(z, mask, alphabet_size, config, gen) -> None:
     gap = config.gap
     seen = np.zeros((alphabet_size, alphabet_size), dtype=bool)
     # Offsets back to the window.  One that reaches before position 0 is
@@ -256,24 +253,24 @@ def _fill_manp(z, mask, alphabet_size, config, source) -> None:
         for lo in range(max(prev, 1), t, rows):
             v = np.arange(lo, min(lo + rows, t))[:, None]
             seen[z[np.maximum(v - d, 0)], z[v]] = True
-        z[t] = manp_choose(seen, z[max(0, t - gap):t], source)
+        z[t] = manp_choose(seen, z[max(0, t - gap):t], gen)
         prev = t
 
 
 def _row_by_row(fill):
-    """Lift a one-row policy (z, mask, alphabet_size, config, source) to a
-    row block: each row is filled alone from its own stream."""
+    """Lift a one-row policy (z, mask, alphabet_size, config, gen) to a row
+    block: each row is filled alone from its own generator."""
 
-    def fill_rows(z, mask, alphabet_size, config, streams) -> None:
-        for row, row_mask, stream in zip(z, mask, streams):
-            fill(row, row_mask, alphabet_size, config, stream)
+    def fill_rows(z, mask, alphabet_size, config, gens) -> None:
+        for row, row_mask, gen in zip(z, mask, gens):
+            fill(row, row_mask, alphabet_size, config, gen)
 
     return fill_rows
 
 
 # Replacement policy of each single-pass method.  A policy
-# (z, mask, alphabet_size, config, streams) fills the row block z in place
-# at the masked positions, row i drawing from streams[i] after its mask.
+# (z, mask, alphabet_size, config, gens) fills the row block z in place at
+# the masked positions, row i drawing from gens[i] after its mask.
 _POLICIES = {
     "iid": _row_by_row(_fill_iid),
     "sbu": _row_by_row(_fill_superstring),
@@ -285,32 +282,19 @@ _POLICIES = {
 
 
 def _obfuscate_rows(
-    z: np.ndarray, alphabet_size: int, config: EngineConfig, sources
+    z: np.ndarray, alphabet_size: int, config: EngineConfig, gens
 ) -> np.ndarray:
-    """Obfuscate each row of the 2-D array z in place, row i from sources[i].
+    """One pass of a single-pass method over the 2-D array z, in place.
 
-    Returns the mask of touched positions, shaped like z.  Each row draws
-    from its own source in the documented order, so a row comes out as it
-    would alone.
+    Row i draws from gens[i] in the documented order, so it comes out as
+    it would alone.  Returns the mask of replaced positions, shaped like z.
     """
-    if config.method == "two_stage":
-        a, b = config.stage_noise
-        passes = [
-            (EngineConfig(method="iid", p_obf=a), [s.derive(0) for s in sources]),
-            (EngineConfig(method="sl_sbu", p_obf=b, order=config.order),
-             [s.derive(1) for s in sources]),
-        ]
-    else:
-        passes = [(config, sources)]
     uniforms = np.empty(z.shape)
-    touched = np.zeros(z.shape, dtype=bool)
-    for stage, streams in passes:
-        for row, stream in zip(uniforms, streams):
-            stream.generator.random(out=row)
-        mask = uniforms < stage.p_obf
-        _POLICIES[stage.method](z, mask, alphabet_size, stage, streams)
-        touched |= mask
-    return touched
+    for row, gen in zip(uniforms, gens):
+        gen.random(out=row)
+    mask = uniforms < config.p_obf
+    _POLICIES[config.method](z, mask, alphabet_size, config, gens)
+    return mask
 
 
 def obfuscate(
@@ -328,7 +312,15 @@ def obfuscate(
     the first stage's output (see EngineConfig).
     """
     z = trace.symbols[None, :].copy()
-    touched = _obfuscate_rows(z, trace.alphabet.size, config, [source])
+    r = trace.alphabet.size
+    if config.method == "two_stage":
+        a, b = config.stage_noise
+        first = EngineConfig(method="iid", p_obf=a)
+        second = EngineConfig(method="sl_sbu", p_obf=b, order=config.order)
+        touched = _obfuscate_rows(z, r, first, [source.derive(0).generator])
+        touched |= _obfuscate_rows(z, r, second, [source.derive(1).generator])
+    else:
+        touched = _obfuscate_rows(z, r, config, [source.generator])
     out = Trace(z[0], trace.alphabet)
     return (out, touched[0]) if return_mask else out
 

@@ -19,9 +19,10 @@ Scenarios:
 Streams are keyed by (master seed, iteration, user, purpose), so results
 are identical for any worker count and adding iterations, users or methods
 never perturbs existing draws.  The fraction protocol derives the keys of
-a block of samples at once and runs the users as rows of bounded row
-blocks through the engines' frame and the detection body, so its memory
-does not grow with the user count.
+a block of samples at once, builds one bare Generator per key, and runs
+the users as rows of bounded row blocks through the engines' one-pass
+frame and the detection body, so its memory does not grow with the user
+count.  The race draws each iteration from one keyed Generator too.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Pattern, RandomSource, _derive_keys
+from .core import Pattern, RandomSource, _derive_keys, _keyed_generator
 from .detect import _contiguous_matches, _pattern_found
 from .engines import METHODS, EngineConfig, _obfuscate_rows
 from .superstring import _check_params, _shortest_first_index
@@ -74,6 +75,8 @@ class ExperimentSpec:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if self.scenario == "first_occurrence" and self.iterations < 2:
+            raise ValueError("the first_occurrence race needs iterations >= 2")
         if self.n_users < 2 and self.scenario == "fraction":
             raise ValueError("the fraction scenario needs at least 2 users")
         for m in self.methods:
@@ -196,15 +199,11 @@ def _fraction_iterations(
         keys = _derive_keys(spec.master_seed, paths.reshape(-1, 3)).reshape(paths.shape[:2] + (2,))
         for lo in range(0, s.size, _ROW_BLOCK):
             rows = slice(lo, lo + _ROW_BLOCK)
-            streams = [
-                [RandomSource._keyed(spec.master_seed, tuple(path), key)
-                 for path, key in zip(paths[rows, j].tolist(), keys[rows, j])]
-                for j in purposes
-            ]
-            x = np.stack([_base_symbols(spec, src.generator, pool) for src in streams[0]])
+            gens = [[_keyed_generator(key) for key in keys[rows, j]] for j in purposes]
+            x = np.stack([_base_symbols(spec, gen, pool) for gen in gens[0]])
             for j, config in enumerate(configs):
                 z = x.copy()
-                touched = _obfuscate_rows(z, r, config, streams[1 + j])
+                touched = _obfuscate_rows(z, r, config, gens[1 + j])
                 replaced[j] += np.count_nonzero(touched)
                 hits[j] += np.count_nonzero(_pattern_found(z, pattern.symbols, pattern.gap))
     return hits, replaced, (stop - start) * users
@@ -287,8 +286,11 @@ def run_first_occurrence_race(
     that the iid stream is strictly slower.  The counters are "samples"
     (iterations), "iid_symbols_drawn" and "iid_symbols_used": an iid
     stream is used up to the last symbol of the pattern's first occurrence.
+    Fewer than 2 iterations are refused: they give no standard error.
     """
     _check_params(alphabet_size, order)
+    if iterations < 2:
+        raise ValueError(f"the race needs iterations >= 2, got {iterations}")
     t0 = time.perf_counter()
     n = alphabet_size**order
     chunk = max(4 * n, 1024)
@@ -299,7 +301,7 @@ def run_first_occurrence_race(
         block = range(first, min(first + _KEY_BLOCK, iterations))
         keys = _derive_keys(master_seed, np.array(block)[:, None])
         for it, key in zip(block, keys):
-            gen = RandomSource._keyed(master_seed, (it,), key).generator
+            gen = _keyed_generator(key)
             q = gen.integers(0, alphabet_size, size=order)
             # The first superstring drawn holds every pattern, so its offset
             # draw settles the superstring side.

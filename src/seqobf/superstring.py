@@ -26,7 +26,8 @@ import numpy as np
 
 from .core import RandomSource
 
-# Refuse to materialize cycles longer than this many symbols.
+# Refuse to materialize cycles, or whole concatenation draws, longer than
+# this many symbols.
 SIZE_CAP = 2**24
 
 KINDS = ("concatenation", "shortest")
@@ -183,9 +184,14 @@ def concat_superstring(
 
     Block α occupies positions α*l+1 .. (α+1)*l for a uniformly random
     assignment of blocks to slots, so any fixed block is equally likely to
-    sit in each of the r^l slots.
+    sit in each of the r^l slots.  A draw longer than SIZE_CAP symbols is
+    refused.
     """
     _check_params(alphabet_size, order)
+    if order * alphabet_size**order > SIZE_CAP:
+        raise ValueError(
+            f"{order}*{alphabet_size}^{order} exceeds the size cap of {SIZE_CAP} symbols"
+        )
     symbols = _concat_array(alphabet_size, order, source.generator)
     return Superstring(symbols, alphabet_size, order, "concatenation")
 

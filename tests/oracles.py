@@ -119,8 +119,7 @@ def greedy_thin(timestamps, min_interval):
 # order, as the library's policy of the same method.
 
 
-def lov_policy_reference(z, mask, alphabet_size, config, source) -> None:
-    gen = source.generator
+def lov_policy_reference(z, mask, alphabet_size, config, gen) -> None:
     observed = np.zeros(alphabet_size, dtype=bool)
     for t in range(z.size):
         if mask[t]:
@@ -132,8 +131,7 @@ def lov_policy_reference(z, mask, alphabet_size, config, source) -> None:
         observed[z[t]] = True
 
 
-def plov_policy_reference(z, mask, alphabet_size, config, source) -> None:
-    gen = source.generator
+def plov_policy_reference(z, mask, alphabet_size, config, gen) -> None:
     counts = np.zeros(alphabet_size, dtype=np.int64)
     for t in range(z.size):
         if mask[t]:
@@ -141,8 +139,7 @@ def plov_policy_reference(z, mask, alphabet_size, config, source) -> None:
         counts[z[t]] += 1
 
 
-def manp_policy_reference(z, mask, alphabet_size, config, source) -> None:
-    gen = source.generator
+def manp_policy_reference(z, mask, alphabet_size, config, gen) -> None:
     stats = PatternStats(order=2, gap=config.gap)
     for t in range(z.size):
         if mask[t]:

@@ -42,6 +42,15 @@ class TestGenSuperstring:
         )
         assert data_lines(with_env) == data_lines(explicit)
 
+    def test_whole_concatenation_over_the_cap_is_refused(self, capsys):
+        # 20 * 2^20 symbols exceed the 2^24 cap, though 2^20 alone does not.
+        code, out, err = run_cli(
+            capsys, "gen-superstring", "--r", "2", "--l", "20", "--kind", "concat",
+        )
+        assert code == 2
+        assert "20*2^20 exceeds the size cap" in err
+        assert out == ""
+
 
 class TestUsageErrors:
     def test_no_arguments_prints_usage(self, capsys):
@@ -376,8 +385,11 @@ class TestSimulateAndIngest:
         ("[experiment]\nscenario = crowd_count\n"
          "[parameters]\nn_users = 50\n[crowd]\nmatch_probability = 1.5\nbeta = 0.5\n",
          "match_probability"),
+        ("[experiment]\nscenario = first_occurrence\niterations = 1\n"
+         "[parameters]\nr = 3\nl = 2\n",
+         "iterations >= 2"),
     ], ids=["zero_gap", "bounds_without_gap", "crowd_without_probability",
-            "crowd_probability_above_one"])
+            "crowd_probability_above_one", "race_of_one_iteration"])
     def test_bad_spec_is_refused_before_the_config_line(self, tmp_path, capsys,
                                                         text, message):
         spec = tmp_path / "exp.ini"

@@ -130,14 +130,14 @@ class TestCommonEngineContract:
 
 
 class TestRowsFrame:
-    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("method", [m for m in METHODS if m != "two_stage"])
     def test_each_row_comes_out_as_it_would_alone(self, method):
         gen = np.random.default_rng(8)
         x = gen.integers(0, 6, size=(5, 70))
         config = config_for(method, 0.3)
         z = x.copy()
         touched = engines._obfuscate_rows(
-            z, 6, config, [RandomSource(3, (i, 1)) for i in range(5)]
+            z, 6, config, [RandomSource(3, (i, 1)).generator for i in range(5)]
         )
         for i in range(5):
             alone, mask = obfuscate(
@@ -203,7 +203,7 @@ class TestLov:
         observed = np.zeros(4, dtype=bool)
         observed[[0, 1]] = True
         src = RandomSource(3)
-        picks = np.array([lov_choose(observed, src) for _ in range(10**5)])
+        picks = np.array([lov_choose(observed, src.generator) for _ in range(10**5)])
         assert set(picks) == {2, 3}
         assert abs((picks == 2).mean() - 0.5) < 0.01
 
@@ -211,19 +211,19 @@ class TestLov:
         observed = np.ones(5, dtype=bool)
         observed[3] = False
         src = RandomSource(4)
-        assert all(lov_choose(observed, src) == 3 for _ in range(50))
+        assert all(lov_choose(observed, src.generator) == 3 for _ in range(50))
 
     def test_uniform_once_everything_observed(self):
         observed = np.ones(4, dtype=bool)
         src = RandomSource(5)
-        picks = np.array([lov_choose(observed, src) for _ in range(10**5)])
+        picks = np.array([lov_choose(observed, src.generator) for _ in range(10**5)])
         for s in range(4):
             assert abs((picks == s).mean() - 0.25) < 0.01
 
     def test_empty_prefix_is_uniform_over_alphabet(self):
         observed = np.zeros(3, dtype=bool)
         src = RandomSource(6)
-        picks = np.array([lov_choose(observed, src) for _ in range(3 * 10**4)])
+        picks = np.array([lov_choose(observed, src.generator) for _ in range(3 * 10**4)])
         for s in range(3):
             assert abs((picks == s).mean() - 1 / 3) < 0.02
 
@@ -279,7 +279,7 @@ class TestManp:
     def test_empty_prefix_is_uniform(self):
         state = manp_state(PatternStats(order=2, gap=2), 3)
         src = RandomSource(8)
-        picks = np.array([manp_choose(*state, src) for _ in range(3 * 10**4)])
+        picks = np.array([manp_choose(*state, src.generator) for _ in range(3 * 10**4)])
         for s in range(3):
             assert abs((picks == s).mean() - 1 / 3) < 0.02
 
@@ -288,7 +288,7 @@ class TestManp:
         picks = []
         for _ in range(3 * 10**4):
             stats = PatternStats.from_symbols([0], order=2, gap=1)
-            picks.append(manp_choose(*manp_state(stats, 3), src))
+            picks.append(manp_choose(*manp_state(stats, 3), src.generator))
         picks = np.array(picks)
         for s in range(3):
             assert abs((picks == s).mean() - 1 / 3) < 0.02
@@ -300,7 +300,7 @@ class TestManp:
         seen = set()
         for _ in range(200):
             stats = PatternStats.from_symbols([0, 1], order=2, gap=2)
-            pick = manp_choose(*manp_state(stats, 3), src)
+            pick = manp_choose(*manp_state(stats, 3), src.generator)
             assert pick in (0, 2)
             seen.add(pick)
         assert seen == {0, 2}
@@ -333,9 +333,10 @@ DATADEP_CORPUS = [
 
 def reference_pass(trace, config, source):
     """One pass of the mask-then-replace frame run with a reference policy."""
-    mask = source.generator.random(trace.length) < config.p_obf
+    gen = source.generator
+    mask = gen.random(trace.length) < config.p_obf
     z = trace.symbols.copy()
-    REFERENCE_POLICIES[config.method](z, mask, trace.alphabet.size, config, source)
+    REFERENCE_POLICIES[config.method](z, mask, trace.alphabet.size, config, gen)
     return z, mask
 
 
@@ -417,7 +418,7 @@ class TestPlovBlock:
         cfg = EngineConfig(method="plov", p_obf=p, gamma=gamma)
         z = x.copy()
         touched = engines._obfuscate_rows(
-            z, r, cfg, [RandomSource(17, (i,)) for i in range(rows)]
+            z, r, cfg, [RandomSource(17, (i,)).generator for i in range(rows)]
         )
         for i in range(rows):
             want_z, want_mask = reference_pass(make_trace(x[i], r), cfg, RandomSource(17, (i,)))
@@ -437,10 +438,10 @@ class TestPlovBlock:
         rows, r, m = 32, 2000, 1000
         z = np.random.default_rng(5).integers(0, r, size=(rows, m))
         cfg = EngineConfig(method="plov", p_obf=1.0)
-        sources = [RandomSource(5, (i,)) for i in range(rows)]
+        gens = [RandomSource(5, (i,)).generator for i in range(rows)]
         tracemalloc.start()
         try:
-            engines._obfuscate_rows(z, r, cfg, sources)
+            engines._obfuscate_rows(z, r, cfg, gens)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -493,6 +494,24 @@ class TestTwoStage:
         out, mask_b = obfuscate(mid, second, src.derive(1), return_mask=True)
         assert combined == out
         assert np.array_equal(mask, mask_a | mask_b)
+
+    @pytest.mark.parametrize("a,b", [(0.3, 0.4), (0.0, 0.5), (0.6, 0.0), (1.0, 1.0)])
+    def test_equals_two_one_pass_frame_calls(self, a, b):
+        gen = np.random.default_rng(44)
+        t = random_trace(gen, 90, 6)
+        src = RandomSource(28, (2, 5))
+        combined, mask = obfuscate(
+            t, EngineConfig("two_stage", order=3, stage_noise=(a, b)), src, return_mask=True
+        )
+        z = t.symbols[None, :].copy()
+        mask_a = engines._obfuscate_rows(
+            z, 6, EngineConfig(method="iid", p_obf=a), [src.derive(0).generator]
+        )
+        mask_b = engines._obfuscate_rows(
+            z, 6, EngineConfig(method="sl_sbu", p_obf=b, order=3), [src.derive(1).generator]
+        )
+        assert np.array_equal(combined.symbols, z[0])
+        assert np.array_equal(mask, (mask_a | mask_b)[0])
 
 
 class TestLovBound:

@@ -59,6 +59,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="trace_length"):
             fraction_spec(trace_length=0)
 
+    def test_rejects_a_race_of_one_iteration(self):
+        with pytest.raises(ValueError, match="iterations >= 2"):
+            fraction_spec(scenario="first_occurrence", iterations=1)
+        fraction_spec(scenario="first_occurrence", iterations=2)
+
     def test_rejects_two_stage_without_stage_noise_keys(self):
         # A spec cannot set the per-stage levels, so two_stage would run
         # with no noise at all.
@@ -269,6 +274,12 @@ class TestRace:
         assert counters == {
             "samples": iterations, "iid_symbols_drawn": drawn, "iid_symbols_used": used,
         }
+
+    @pytest.mark.parametrize("iterations", [0, 1])
+    def test_fewer_than_two_iterations_are_refused(self, iterations):
+        # One iteration has no standard error and none has no mean.
+        with pytest.raises(ValueError, match="iterations >= 2"):
+            run_first_occurrence_race(3, 2, iterations)
 
     def test_order_one_superstring_mean(self):
         res = run_first_occurrence_race(2, 1, 4000, master_seed=6)

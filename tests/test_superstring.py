@@ -110,6 +110,12 @@ class TestConcatSuperstring:
         assert len(ss) == 18
         assert verify_superstring(ss.symbols, 3, 2)
 
+    def test_whole_draw_over_the_cap_is_refused(self):
+        # 2^20 passes the cap on r^l, but 20 * 2^20 symbols do not.
+        with pytest.raises(ValueError, match=r"20\*2\^20 exceeds the size cap"):
+            concat_superstring(2, 20, RandomSource(5))
+        assert len(concat_superstring(2, 16, RandomSource(5))) == 16 * 2**16
+
     def test_block_slot_assignment_is_uniform(self):
         r, l = 2, 3
         n_blocks = r**l
