@@ -1,7 +1,9 @@
 """Command-line entry point: one binary, one subcommand per operation.
 
 Every run prints its fully-resolved configuration as a leading ``#``
-comment line, so any output can be reproduced from the output alone.
+comment line, so any output can be reproduced from the output alone.  A
+command builds and runs first, then prints that line, then writes its
+output, so a usage error leaves stdout empty and writes no file.
 Tabular results are CSV with a header row.  Exit codes: 0 on success, 2 on
 usage errors (including contradictory parameters), 1 on runtime errors.
 """
@@ -67,12 +69,12 @@ def _cmd_obfuscate(args) -> int:
         gap=args.gap,
         stage_noise=(args.stage_a, args.stage_b),
     )
+    source = RandomSource(args.seed)
+    out = [obfuscate(trace, config, source.derive(u)) for u, trace in enumerate(traces)]
     _print_config(
         "obfuscate", **dataclasses.asdict(config), r=args.r, seed=args.seed,
         infile=args.infile, outfile=args.outfile,
     )
-    source = RandomSource(args.seed)
-    out = [obfuscate(trace, config, source.derive(u)) for u, trace in enumerate(traces)]
     ingest_mod.write_trace_file(args.outfile, out)
     print(f"wrote {len(out)} obfuscated traces to {args.outfile}")
     return 0
@@ -84,8 +86,6 @@ def _cmd_detect(args) -> int:
     if max(symbols) >= args.r:
         raise ValueError(f"pattern symbols must be below r={args.r}")
     traces = ingest_mod.read_trace_file(args.trace_file, args.r)
-    _print_config("detect", trace_file=args.trace_file,
-                  pattern=",".join(map(str, symbols)), h=args.gap, r=args.r)
     records = []
     for idx, trace in enumerate(traces):
         found = has_pattern(trace, pattern)
@@ -94,13 +94,13 @@ def _cmd_detect(args) -> int:
             {"trace": idx, "contains": found,
              "first_index": "" if first is None else first}
         )
+    _print_config("detect", trace_file=args.trace_file,
+                  pattern=",".join(map(str, symbols)), h=args.gap, r=args.r)
     sim_mod.write_csv(records, sys.stdout)
     return 0
 
 
 def _cmd_bounds(args) -> int:
-    _print_config("bounds", which=args.which, m=args.m, r=args.r, l=args.l,
-                  h=args.gap, p=args.p, n=args.n, beta=args.beta, theta=args.theta)
     if args.which == "schedule":
         if args.n is None or args.beta is None or args.theta is None:
             raise ValueError("schedule requires --n, --beta and --theta")
@@ -110,22 +110,23 @@ def _cmd_bounds(args) -> int:
                 beta=args.beta, theta=args.theta, trace_length=args.m,
             )
         )
-        sim_mod.write_csv([{
-            "n": args.n, "l": args.l, "beta": args.beta, "theta": args.theta,
-            "m": args.m, **dataclasses.asdict(sched),
-        }], sys.stdout)
-        return 0
-    if args.which == "lov":
-        value = lov_bound(args.m, args.r, args.p)
+        record = {"n": args.n, "l": args.l, "beta": args.beta, "theta": args.theta,
+                  "m": args.m, **dataclasses.asdict(sched)}
     else:
-        params = bounds_mod.BoundParams(
-            trace_length=args.m, alphabet_size=args.r, order=args.l,
-            gap=args.gap, p_obf=args.p,
-        )
-        fn = bounds_mod.bound_sbu if args.which == "sbu" else bounds_mod.bound_slsbu
-        value = fn(params)
-    sim_mod.write_csv([{"which": args.which, "m": args.m, "r": args.r, "l": args.l,
-                       "h": args.gap, "p": args.p, "value": value}], sys.stdout)
+        if args.which == "lov":
+            value = lov_bound(args.m, args.r, args.p)
+        else:
+            params = bounds_mod.BoundParams(
+                trace_length=args.m, alphabet_size=args.r, order=args.l,
+                gap=args.gap, p_obf=args.p,
+            )
+            fn = bounds_mod.bound_sbu if args.which == "sbu" else bounds_mod.bound_slsbu
+            value = fn(params)
+        record = {"which": args.which, "m": args.m, "r": args.r, "l": args.l,
+                  "h": args.gap, "p": args.p, "value": value}
+    _print_config("bounds", which=args.which, m=args.m, r=args.r, l=args.l,
+                  h=args.gap, p=args.p, n=args.n, beta=args.beta, theta=args.theta)
+    sim_mod.write_csv([record], sys.stdout)
     return 0
 
 
@@ -133,8 +134,8 @@ def _parse_p_grid(text: str) -> list[float]:
     text = text.strip()
     if ":" in text:
         start, step, stop = (float(x) for x in text.split(":"))
-        if step <= 0:
-            raise ValueError(f"bad noise grid {text!r}: step must be > 0")
+        if step <= 0 or start > stop:
+            raise ValueError(f"bad noise grid {text!r}: need step > 0 and start <= stop")
         values = np.arange(start, stop + step / 2, step)
         return [float(round(v, 12)) for v in values]
     return [float(x) for x in text.split(",")]
@@ -174,6 +175,8 @@ def load_spec(path) -> tuple[sim_mod.ExperimentSpec, list[float], int]:
         ),
         beta=float(lem["beta"]) if "beta" in lem else None,
     )
+    if len(p_grid) > 1 and spec.scenario != "fraction":
+        raise ValueError(f"a p_obf grid sweeps only the fraction scenario, not {spec.scenario}")
     workers = int(exp.get("workers", "1"))
     return spec, p_grid, workers
 
@@ -182,13 +185,13 @@ def _cmd_simulate(args) -> int:
     spec, p_grid, workers = load_spec(args.spec)
     if args.workers is not None:
         workers = args.workers
-    fields = {**dataclasses.asdict(spec), "p_obf": tuple(p_grid)}
-    _print_config("simulate", spec_file=args.spec, **fields,
-                  workers=workers, out=args.out)
-    if spec.scenario == "fraction" and len(p_grid) > 1:
+    if len(p_grid) > 1:
         result = sim_mod.sweep(spec, p_grid, workers=workers)
     else:
         result = sim_mod.run(spec, workers=workers)
+    fields = {**dataclasses.asdict(spec), "p_obf": tuple(p_grid)}
+    _print_config("simulate", spec_file=args.spec, **fields,
+                  workers=workers, out=args.out)
     sim_mod.write_csv(result.records, args.out)
     print(f"wrote {len(result.records)} records to {args.out} "
           f"in {result.wall_clock:.2f}s")
@@ -196,11 +199,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    _print_config("ingest", infile=args.infile, min_interval=args.min_interval,
-                  r=args.r, min_length=args.min_length, outfile=args.outfile)
     raws = ingest_mod.parse_csv(args.infile)
     raws = [ingest_mod.resample(raw, args.min_interval) for raw in raws]
     traces, mapping = ingest_mod.encode(raws, args.r, min_length=args.min_length)
+    _print_config("ingest", infile=args.infile, min_interval=args.min_interval,
+                  r=args.r, min_length=args.min_length, outfile=args.outfile)
     ingest_mod.write_trace_file(args.outfile, traces)
     print(f"encoded {len(traces)} traces over {len(mapping)} categories "
           f"to {args.outfile}")

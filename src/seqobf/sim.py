@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import Pattern, RandomSource, _derive_keys, _keyed_generator
 from .detect import _contiguous_matches, _pattern_found
-from .engines import METHODS, EngineConfig, _obfuscate_rows
+from .engines import EngineConfig, _obfuscate_rows
 from .superstring import _check_params, _shortest_first_index
 from . import bounds as bounds_mod
 from . import ingest as ingest_mod
@@ -75,46 +75,26 @@ class ExperimentSpec:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.scenario == "first_occurrence" and self.iterations < 2:
-            raise ValueError("the first_occurrence race needs iterations >= 2")
-        if self.n_users < 2 and self.scenario == "fraction":
-            raise ValueError("the fraction scenario needs at least 2 users")
-        for m in self.methods:
-            if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}")
-        if "manp" in self.methods and self.gap is None:
-            raise ValueError(
-                "manp needs a finite gap h: it scores symbols against the "
-                "trailing window of h predecessors"
-            )
-        if "two_stage" in self.methods:
-            raise ValueError(
-                "two_stage takes per-stage noise levels, which a spec cannot set; "
-                "use EngineConfig.stage_noise or obfuscate --stage-a/--stage-b"
-            )
         if self.trace_source not in ("synthetic_iid", "ingested"):
             raise ValueError(f"unknown trace source {self.trace_source!r}")
         if self.trace_source == "ingested" and not self.trace_file:
             raise ValueError("ingested trace source requires trace_file")
-        if self.scenario == "fraction" and self.trace_length < 1:
-            raise ValueError(f"trace_length must be >= 1, got {self.trace_length}")
-        if self.scenario == "fraction" and self.alphabet_size - self.order < 1:
-            raise ValueError(
-                "unique-pattern protocol needs alphabet_size - order >= 1"
-            )
         if not 0.0 <= self.p_obf <= 1.0:
             raise ValueError(f"p_obf must be in [0, 1], got {self.p_obf}")
         if self.gap is not None and self.gap < 1:
             raise ValueError(f"gap must be >= 1 or None, got {self.gap}")
-        if self.scenario == "bounds_table":
-            if self.gap is None:
-                raise ValueError("bounds_table needs a finite gap h")
-            _bound_params(self)
         if self.scenario == "crowd_count" and not (
             self.beta is not None and self.match_probability is not None
             and 0.0 <= self.match_probability <= 1.0
         ):
             raise ValueError("crowd_count requires beta and a match_probability in [0, 1]")
+        # Every other rule is the runner's own, checked by the code it runs.
+        if self.scenario == "fraction":
+            _fraction_plan(self)
+        elif self.scenario == "first_occurrence":
+            _check_race(self.alphabet_size, self.order, self.iterations)
+        elif self.scenario == "bounds_table":
+            _bound_params(self)
 
 
 @dataclass(frozen=True)
@@ -134,19 +114,44 @@ class ExperimentResult:
 
 
 def _bound_params(spec: ExperimentSpec) -> bounds_mod.BoundParams:
+    if spec.gap is None:
+        raise ValueError("bounds_table needs a finite gap h")
     return bounds_mod.BoundParams(
         spec.trace_length, spec.alphabet_size, spec.order, spec.gap, spec.p_obf
     )
 
 
-def _engine_config(spec: ExperimentSpec, method: str) -> EngineConfig:
-    return EngineConfig(
-        method=method,
-        p_obf=spec.p_obf,
-        order=spec.order,
-        gamma=spec.gamma,
-        gap=spec.gap if method == "manp" else None,
-    )
+def _fraction_plan(spec: ExperimentSpec) -> tuple[Pattern, list[EngineConfig]]:
+    """The reserved pattern and one engine config per method of a fraction run.
+
+    The one builder of both, so a spec is refused when it is built for
+    exactly what its run would refuse.
+    """
+    r, l = spec.alphabet_size, spec.order
+    if spec.n_users < 2:
+        raise ValueError("the fraction scenario needs at least 2 users")
+    if spec.trace_length < 1:
+        raise ValueError(f"trace_length must be >= 1, got {spec.trace_length}")
+    if not 1 <= l < r:
+        raise ValueError(f"unique-pattern protocol needs 1 <= l < r, got r={r}, l={l}")
+    if "manp" in spec.methods and spec.gap is None:
+        raise ValueError(
+            "manp needs a finite gap h: it scores symbols against the "
+            "trailing window of h predecessors"
+        )
+    if "two_stage" in spec.methods:
+        raise ValueError(
+            "two_stage takes per-stage noise levels, which a spec cannot set; "
+            "use EngineConfig.stage_noise or obfuscate --stage-a/--stage-b"
+        )
+    if {"sbu", "sl_sbu"} & set(spec.methods):
+        _check_params(r, l)
+    configs = [
+        EngineConfig(method=method, p_obf=spec.p_obf, order=l, gamma=spec.gamma,
+                     gap=spec.gap if method == "manp" else None)
+        for method in spec.methods
+    ]
+    return Pattern(tuple(range(r - l, r)), gap=spec.gap), configs
 
 
 def _load_trace_pool(spec: ExperimentSpec) -> list[np.ndarray]:
@@ -183,8 +188,7 @@ def _fraction_iterations(
     again as Traces.
     """
     r = spec.alphabet_size
-    pattern = Pattern(tuple(range(r - spec.order, r)), gap=spec.gap)
-    configs = [_engine_config(spec, method) for method in spec.methods]
+    pattern, configs = _fraction_plan(spec)
     pool = _load_trace_pool(spec) if spec.trace_source == "ingested" else None
     hits = np.zeros(len(configs), dtype=np.int64)
     replaced = np.zeros(len(configs), dtype=np.int64)
@@ -209,10 +213,16 @@ def _fraction_iterations(
     return hits, replaced, (stop - start) * users
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
 def run_fraction(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     """The unique-pattern fraction protocol; one record per method."""
     if spec.scenario != "fraction":
         raise ValueError(f"run_fraction got scenario {spec.scenario!r}")
+    _check_workers(workers)
     t0 = time.perf_counter()
     if workers > 1 and spec.iterations > 1:
         edges = np.linspace(0, spec.iterations, workers + 1, dtype=int)
@@ -271,6 +281,12 @@ def _scan_iid_stream(
         carry = buffer[n_starts:]
 
 
+def _check_race(alphabet_size: int, order: int, iterations: int) -> None:
+    _check_params(alphabet_size, order)
+    if iterations < 2:
+        raise ValueError(f"the race needs iterations >= 2, got {iterations}")
+
+
 def run_first_occurrence_race(
     alphabet_size: int,
     order: int,
@@ -288,9 +304,7 @@ def run_first_occurrence_race(
     stream is used up to the last symbol of the pattern's first occurrence.
     Fewer than 2 iterations are refused: they give no standard error.
     """
-    _check_params(alphabet_size, order)
-    if iterations < 2:
-        raise ValueError(f"the race needs iterations >= 2, got {iterations}")
+    _check_race(alphabet_size, order, iterations)
     t0 = time.perf_counter()
     n = alphabet_size**order
     chunk = max(4 * n, 1024)
@@ -394,6 +408,7 @@ def sweep(
 
 def run(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     """Dispatch a spec to its scenario runner."""
+    _check_workers(workers)
     if spec.scenario == "fraction":
         return run_fraction(spec, workers=workers)
     if spec.scenario == "first_occurrence":

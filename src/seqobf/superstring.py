@@ -19,8 +19,8 @@ from the offset draw alone.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +31,13 @@ from .core import RandomSource
 SIZE_CAP = 2**24
 
 KINDS = ("concatenation", "shortest")
+
+# Bytes that the cached cycle and start tables may hold together; the least
+# recently used table goes first.  Both tables of the largest r^l that
+# SIZE_CAP admits (128 MiB each) fit, so a race at any admitted (r, l)
+# builds its tables once.
+_TABLE_CACHE_BYTES = 2**28
+_tables: OrderedDict = OrderedDict()
 
 
 def _check_params(alphabet_size: int, order: int) -> None:
@@ -75,7 +82,24 @@ class Superstring:
         return int(self.symbols.size)
 
 
-@lru_cache(maxsize=64)
+def _cached_table(build):
+    """Cache the read-only table build(r, l) within _TABLE_CACHE_BYTES."""
+
+    def table(alphabet_size: int, order: int) -> np.ndarray:
+        key = (build.__name__, alphabet_size, order)
+        if key in _tables:
+            _tables.move_to_end(key)
+            return _tables[key]
+        out = _tables[key] = build(alphabet_size, order)
+        out.flags.writeable = False
+        while sum(t.nbytes for t in _tables.values()) > _TABLE_CACHE_BYTES:
+            _tables.popitem(last=False)
+        return out
+
+    return table
+
+
+@_cached_table
 def _canonical_cycle(alphabet_size: int, order: int) -> np.ndarray:
     """One fixed de Bruijn cycle per (r, l), via concatenated Lyndon words."""
     k, n = alphabet_size, order
@@ -94,19 +118,16 @@ def _canonical_cycle(alphabet_size: int, order: int) -> np.ndarray:
                 extend(t + 1, t)
 
     extend(1, 1)
-    out = np.array(seq, dtype=np.int64)
-    out.flags.writeable = False
-    return out
+    return np.array(seq, dtype=np.int64)
 
 
-@lru_cache(maxsize=64)
+@_cached_table
 def _cycle_starts(alphabet_size: int, order: int) -> np.ndarray:
     """start[c]: where the string of code c begins in the canonical cycle."""
     cycle = _canonical_cycle(alphabet_size, order)
     wrapped = np.concatenate([cycle, cycle[: order - 1]])
     start = np.empty(cycle.size, dtype=np.int64)
     start[_window_codes(wrapped, alphabet_size, order)] = np.arange(cycle.size)
-    start.flags.writeable = False
     return start
 
 

@@ -401,3 +401,57 @@ class TestSimulateAndIngest:
         assert message in err
         assert out == ""
         assert not out_csv.exists()
+
+
+_FRACTION = ("[experiment]\nscenario = fraction\niterations = 2\n"
+             "[parameters]\nm = 30\nr = 6\nl = 2\nh = 3\nn_users = 4\n")
+
+
+def _simulate(spec, *flags, **files):
+    return ({"exp.ini": spec, **files},
+            ["simulate", "--spec", "{dir}/exp.ini", "--out", "{dir}/out.csv", *flags])
+
+
+_REFUSED = {
+    "race_over_the_size_cap": _simulate(
+        "[experiment]\nscenario = first_occurrence\niterations = 3\n"
+        "[parameters]\nr = 40\nl = 5\n"),
+    "race_over_one_symbol": _simulate(
+        "[experiment]\nscenario = first_occurrence\niterations = 3\n"
+        "[parameters]\nr = 1\nl = 2\n"),
+    "sl_sbu_over_the_size_cap": _simulate(
+        _FRACTION.replace("r = 6", "r = 5000").replace("[p", "methods = sl_sbu\n[p")),
+    "plov_without_tilt": _simulate(
+        _FRACTION.replace("[p", "methods = plov\nworkers = 2\n[p") + "gamma = 0\n"),
+    "empty_pattern": _simulate(_FRACTION.replace("l = 2", "l = 0")),
+    "no_ingested_trace_long_enough": _simulate(
+        _FRACTION + "[source]\nkind = ingested\ntrace_file = {dir}/traces.txt\n",
+        **{"traces.txt": "0 1 2 3\n"}),
+    "noise_grid_on_bounds_table": _simulate(
+        "[experiment]\nscenario = bounds_table\n"
+        "[parameters]\nm = 60\nr = 6\nl = 2\nh = 3\np_obf = 0.05,0.1,0.2\n"),
+    "noise_grid_start_above_stop": _simulate(_FRACTION + "p_obf = 0.5:0.1:0.2\n"),
+    "no_workers": _simulate(_FRACTION, "--workers", "0"),
+    "bounds_trace_too_short": ({}, ["bounds", "--which", "sbu", "--m", "5", "--h", "10"]),
+    "schedule_beta_above_one": ({}, ["bounds", "--which", "schedule", "--m", "100",
+                                     "--n", "100", "--beta", "1.5", "--theta", "0.1"]),
+    "sl_sbu_obfuscate_over_the_size_cap": (
+        {"in.txt": "0 1 2 0 1 2\n"},
+        ["obfuscate", "--method", "sl_sbu", "--r", "5000",
+         "--in", "{dir}/in.txt", "--out", "{dir}/out.txt"]),
+    "ingest_without_an_interval": (
+        {"raw.csv": "user_id,timestamp,category\nu1,0,a\nu1,700,b\nu2,0,c\n"},
+        ["ingest", "--in", "{dir}/raw.csv", "--min-interval", "0", "--r", "3",
+         "--out", "{dir}/out.txt"]),
+}
+
+
+@pytest.mark.parametrize("files,argv", list(_REFUSED.values()), ids=list(_REFUSED))
+def test_a_usage_error_prints_nothing_and_writes_no_file(tmp_path, capsys, files, argv):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text.format(dir=tmp_path))
+    code, out, err = run_cli(capsys, *(arg.format(dir=tmp_path) for arg in argv))
+    assert code == 2
+    assert err.startswith("seqobf: ")
+    assert out == ""
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)

@@ -92,6 +92,18 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="match_probability"):
             fraction_spec(scenario="crowd_count", **crowd)
 
+    @pytest.mark.parametrize("overrides,message", [
+        (dict(scenario="first_occurrence", alphabet_size=40, order=5), "size cap"),
+        (dict(scenario="first_occurrence", alphabet_size=1), "alphabet size must be >= 2"),
+        (dict(methods=("sl_sbu",), alphabet_size=5000), "size cap"),
+        (dict(methods=("plov",), gamma=0.0), "gamma must be > 0"),
+        (dict(order=0), "1 <= l < r"),
+    ], ids=["race_over_the_size_cap", "race_over_one_symbol", "sl_sbu_over_the_size_cap",
+            "plov_without_tilt", "empty_pattern"])
+    def test_refuses_what_its_runner_would_refuse(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            fraction_spec(**overrides)
+
 
 class TestRunFraction:
     def test_zero_noise_never_finds_the_reserved_pattern(self):
@@ -332,6 +344,15 @@ class TestSweepAndDispatch:
     def test_empty_method_grid_gives_empty_records(self):
         res = sweep(fraction_spec(methods=(), iterations=2), [0.1, 0.2])
         assert res.records == ()
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_fewer_than_one_worker_is_refused(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_fraction(fraction_spec(iterations=2), workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            sweep(fraction_spec(iterations=2), [0.1], workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run(fraction_spec(scenario="first_occurrence", iterations=2), workers=workers)
 
     def test_sweep_produces_one_record_per_cell(self):
         res = sweep(fraction_spec(iterations=4), [0.1, 0.3])

@@ -1,5 +1,6 @@
 """Covering-superstring construction and verification."""
 import tracemalloc
+from collections import OrderedDict
 from itertools import product
 
 import numpy as np
@@ -7,10 +8,14 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import stats as sstats
 
+from seqobf import superstring
 from seqobf.core import RandomSource
+from seqobf.sim import run_first_occurrence_race
 from seqobf.superstring import (
     Superstring,
+    _canonical_cycle,
     _concat_array,
+    _cycle_starts,
     _shortest_array,
     _shortest_first_index,
     concat_superstring,
@@ -224,6 +229,28 @@ class TestShortestFirstIndex:
             replay = np.random.default_rng(seed)
             _shortest_array(4, 3, replay)
             assert gen.integers(2**62) == replay.integers(2**62)
+
+
+class TestTableCache:
+    def test_the_least_recently_used_table_goes_first(self, monkeypatch):
+        monkeypatch.setattr(superstring, "_tables", OrderedDict())
+        first, second = _canonical_cycle(3, 2), _canonical_cycle(2, 3)
+        monkeypatch.setattr(superstring, "_TABLE_CACHE_BYTES", first.nbytes + second.nbytes)
+        assert _canonical_cycle(3, 2) is first
+        _canonical_cycle(4, 1)
+        assert _canonical_cycle(3, 2) is first
+        rebuilt = _canonical_cycle(2, 3)
+        assert rebuilt is not second
+        assert np.array_equal(rebuilt, second)
+
+    def test_alternating_races_reuse_their_tables(self, monkeypatch):
+        monkeypatch.setattr(superstring, "_tables", OrderedDict())
+        configs = [(10, 2), (20, 2), (10, 3)]
+        tables = {c: _cycle_starts(*c) for c in configs}
+        for _ in range(2):
+            for r, l in configs:
+                run_first_occurrence_race(r, l, 2)
+                assert _cycle_starts(r, l) is tables[r, l]
 
 
 def test_concatenation_keeps_no_block_table():
