@@ -199,6 +199,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
+    # resample runs once per user, so a file with no rows would never check it.
+    ingest_mod._check_interval(args.min_interval)
     raws = ingest_mod.parse_csv(args.infile)
     raws = [ingest_mod.resample(raw, args.min_interval) for raw in raws]
     traces, mapping = ingest_mod.encode(raws, args.r, min_length=args.min_length)

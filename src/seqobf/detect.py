@@ -54,14 +54,19 @@ def has_pattern(trace: Trace, pattern: Pattern) -> bool:
 
 
 def _contiguous_matches(symbols: np.ndarray, pattern_symbols) -> np.ndarray:
-    """Boolean array over start offsets: exact contiguous match at each."""
+    """Boolean array over start offsets along the last axis: exact
+    contiguous match at each.
+
+    pattern_symbols is one pattern, or one per leading index of symbols
+    (shape symbols.shape[:-1] + (l,)), as a race's block scans its rows.
+    """
     q = np.asarray(pattern_symbols, dtype=np.int64)
-    n = symbols.size - q.size + 1
+    n = symbols.shape[-1] - q.shape[-1] + 1
     if n <= 0:
-        return np.empty(0, dtype=bool)
-    hit = np.ones(n, dtype=bool)
-    for j, s in enumerate(q):
-        hit &= symbols[j : j + n] == s
+        return np.zeros(symbols.shape[:-1] + (0,), dtype=bool)
+    hit = symbols[..., :n] == q[..., :1]
+    for j in range(1, q.shape[-1]):
+        hit &= symbols[..., j : j + n] == q[..., j : j + 1]
     return hit
 
 

@@ -85,14 +85,18 @@ def parse_csv(path) -> list[RawTrace]:
     return out
 
 
+def _check_interval(min_interval: float) -> None:
+    if min_interval <= 0:
+        raise ValueError(f"min_interval must be > 0, got {min_interval}")
+
+
 def resample(raw: RawTrace, min_interval: float) -> RawTrace:
     """Greedy left-to-right thinning to a minimum inter-event interval.
 
     The first event is always kept; each later event is kept iff it falls
     at least min_interval seconds after the last kept one.
     """
-    if min_interval <= 0:
-        raise ValueError(f"min_interval must be > 0, got {min_interval}")
+    _check_interval(min_interval)
     kept: list[tuple[float, str]] = []
     for event in raw.events:
         if not kept or event[0] - kept[-1][0] >= min_interval:

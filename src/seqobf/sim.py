@@ -22,7 +22,8 @@ never perturbs existing draws.  The fraction protocol derives the keys of
 a block of samples at once, builds one bare Generator per key, and runs
 the users as rows of bounded row blocks through the engines' one-pass
 frame and the detection body, so its memory does not grow with the user
-count.  The race draws each iteration from one keyed Generator too.
+count.  The race draws each iteration from one keyed Generator too, and
+scans a block of iterations' first chunks, one row each, in one match.
 """
 from __future__ import annotations
 
@@ -48,6 +49,10 @@ SCENARIOS = ("fraction", "first_occurrence", "bounds_table", "crowd_count")
 # users obfuscated and scanned together as the rows of one array.
 _KEY_BLOCK = 1024
 _ROW_BLOCK = 32
+# Symbols a race scans at once: up to _KEY_BLOCK iterations' first chunks as
+# the rows of one array, 2 MiB of int64, so its memory does not grow with
+# the iteration count.
+_RACE_SCAN_SYMBOLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -144,6 +149,11 @@ def _fraction_plan(spec: ExperimentSpec) -> tuple[Pattern, list[EngineConfig]]:
             "two_stage takes per-stage noise levels, which a spec cannot set; "
             "use EngineConfig.stage_noise or obfuscate --stage-a/--stage-b"
         )
+    if spec.trace_source == "ingested" and r - l < 2:
+        raise ValueError(
+            f"an ingested pool is read over the reduced alphabet of r - l symbols, "
+            f"which needs r - l >= 2, got r={r}, l={l}"
+        )
     if {"sbu", "sl_sbu"} & set(spec.methods):
         _check_params(r, l)
     configs = [
@@ -176,7 +186,7 @@ def _base_symbols(
 
 
 def _fraction_iterations(
-    spec: ExperimentSpec, start: int, stop: int
+    spec: ExperimentSpec, start: int, stop: int, pool: list[np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Pattern hits and replacements per method over iterations [start, stop).
 
@@ -185,11 +195,11 @@ def _fraction_iterations(
     iteration s // (n - 1).  Its base trace comes from stream (it, u, 0)
     and method j obfuscates it with stream (it, u, 1 + j).  The base draws
     lie in the reduced alphabet by construction, so they are not checked
-    again as Traces.
+    again as Traces.  pool holds an ingested spec's traces, as
+    _load_trace_pool reads them; it is None for synthetic traces.
     """
     r = spec.alphabet_size
     pattern, configs = _fraction_plan(spec)
-    pool = _load_trace_pool(spec) if spec.trace_source == "ingested" else None
     hits = np.zeros(len(configs), dtype=np.int64)
     replaced = np.zeros(len(configs), dtype=np.int64)
     users = spec.n_users - 1
@@ -224,13 +234,15 @@ def run_fraction(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
         raise ValueError(f"run_fraction got scenario {spec.scenario!r}")
     _check_workers(workers)
     t0 = time.perf_counter()
+    # The file is read once, so a bad one is reported before any worker starts.
+    pool = _load_trace_pool(spec) if spec.trace_source == "ingested" else None
     if workers > 1 and spec.iterations > 1:
         edges = np.linspace(0, spec.iterations, workers + 1, dtype=int)
-        chunks = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if a < b]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_fraction_iterations, *zip(*[(spec, a, b) for a, b in chunks])))
+        chunks = [(spec, int(a), int(b), pool) for a, b in zip(edges[:-1], edges[1:]) if a < b]
+        with ProcessPoolExecutor(max_workers=workers) as executor:
+            parts = list(executor.map(_fraction_iterations, *zip(*chunks)))
     else:
-        parts = [_fraction_iterations(spec, 0, spec.iterations)]
+        parts = [_fraction_iterations(spec, 0, spec.iterations, pool)]
     hits = sum(h for h, _, _ in parts)
     replaced = sum(k for _, k, _ in parts)
     samples = sum(n for _, _, n in parts)
@@ -260,17 +272,20 @@ def run_fraction(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
 
 
 def _scan_iid_stream(
-    gen: np.random.Generator, pattern: np.ndarray, alphabet_size: int, chunk: int
+    gen: np.random.Generator, pattern: np.ndarray, alphabet_size: int, chunk: int,
+    *, carry: np.ndarray | None = None, consumed: int = 0,
 ) -> tuple[int, int]:
-    """1-based index of the pattern's first occurrence in a fresh iid stream,
+    """1-based index of the pattern's first occurrence in an iid stream,
     and the number of symbols drawn to find it.
 
     The stream is materialized chunk by chunk, carrying the last l-1
     symbols across the boundary so occurrences spanning chunks are seen.
+    A stream already scanned up to some point resumes from its carry and
+    the count of start offsets it has ruled out; by default it is fresh.
     """
     order = pattern.size
-    consumed = 0
-    carry = np.empty(0, dtype=np.int64)
+    if carry is None:
+        carry = np.empty(0, dtype=np.int64)
     while True:
         buffer = np.concatenate([carry, gen.integers(0, alphabet_size, size=chunk)])
         hit = _contiguous_matches(buffer, pattern)
@@ -303,24 +318,45 @@ def run_first_occurrence_race(
     (iterations), "iid_symbols_drawn" and "iid_symbols_used": an iid
     stream is used up to the last symbol of the pattern's first occurrence.
     Fewer than 2 iterations are refused: they give no standard error.
+
+    Iterations run as the rows of blocks of at most _RACE_SCAN_SYMBOLS
+    symbols: each row draws its pattern, its offset and a first chunk of
+    about 2 r^l iid symbols, one scan matches every row against its own
+    pattern, and rows that miss go on drawing where they stopped.  A draw
+    gives the same symbols however it is split into calls, so the chunk
+    size changes only the count of symbols drawn.
     """
     _check_race(alphabet_size, order, iterations)
     t0 = time.perf_counter()
-    n = alphabet_size**order
-    chunk = max(4 * n, 1024)
+    # The first occurrence comes at about r^l, so about e^-2 of the rows
+    # need a second chunk.
+    chunk = min(max(2 * alphabet_size**order, 64), _RACE_SCAN_SYMBOLS)
+    rows = min(_KEY_BLOCK, _RACE_SCAN_SYMBOLS // chunk, iterations)
+    starts = chunk - order + 1
+    patterns = np.empty((rows, order), dtype=np.int64)
+    buffer = np.empty((rows, chunk), dtype=np.int64)
     first_iid = np.empty(iterations, dtype=np.float64)
     first_super = np.empty(iterations, dtype=np.float64)
     drawn = 0
-    for first in range(0, iterations, _KEY_BLOCK):
-        block = range(first, min(first + _KEY_BLOCK, iterations))
-        keys = _derive_keys(master_seed, np.array(block)[:, None])
-        for it, key in zip(block, keys):
-            gen = _keyed_generator(key)
-            q = gen.integers(0, alphabet_size, size=order)
+    for first in range(0, iterations, rows):
+        block = np.arange(first, min(first + rows, iterations))
+        gens = [_keyed_generator(key) for key in _derive_keys(master_seed, block[:, None])]
+        q, x = patterns[: block.size], buffer[: block.size]
+        for i, gen in enumerate(gens):
+            q[i] = gen.integers(0, alphabet_size, size=order)
             # The first superstring drawn holds every pattern, so its offset
             # draw settles the superstring side.
-            first_super[it] = _shortest_first_index(alphabet_size, order, gen, q)
-            first_iid[it], n_drawn = _scan_iid_stream(gen, q, alphabet_size, chunk)
+            first_super[first + i] = _shortest_first_index(alphabet_size, order, gen, q[i])
+            x[i] = gen.integers(0, alphabet_size, size=chunk)
+        hit = _contiguous_matches(x, q)
+        at = hit.argmax(axis=1)
+        found = hit[np.arange(block.size), at]
+        first_iid[block] = at + 1
+        drawn += chunk * int(np.count_nonzero(found))
+        for i in np.flatnonzero(~found):
+            first_iid[first + i], n_drawn = _scan_iid_stream(
+                gens[i], q[i], alphabet_size, chunk, carry=x[i, starts:], consumed=starts
+            )
             drawn += n_drawn
     record = {
         "scenario": "first_occurrence",

@@ -443,6 +443,10 @@ _REFUSED = {
         {"raw.csv": "user_id,timestamp,category\nu1,0,a\nu1,700,b\nu2,0,c\n"},
         ["ingest", "--in", "{dir}/raw.csv", "--min-interval", "0", "--r", "3",
          "--out", "{dir}/out.txt"]),
+    "ingest_without_an_interval_or_rows": (
+        {"raw.csv": "user_id,timestamp,category\n"},
+        ["ingest", "--in", "{dir}/raw.csv", "--min-interval", "0", "--r", "3",
+         "--out", "{dir}/out.txt"]),
 }
 
 
@@ -455,3 +459,12 @@ def test_a_usage_error_prints_nothing_and_writes_no_file(tmp_path, capsys, files
     assert err.startswith("seqobf: ")
     assert out == ""
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)
+
+
+def test_a_bad_interval_is_reported_even_with_no_rows(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("user_id,timestamp,category\n")
+    code, out, err = run_cli(capsys, "ingest", "--in", str(raw), "--min-interval", "0",
+                             "--r", "3", "--out", str(tmp_path / "out.txt"))
+    assert code == 2
+    assert "min_interval must be > 0" in err

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqobf.core import Alphabet, Pattern, RandomSource, Trace
-from seqobf.detect import PatternStats, _pattern_found, first_occurrence, has_pattern
+from seqobf.detect import (
+    PatternStats, _contiguous_matches, _pattern_found, first_occurrence, has_pattern,
+)
 from seqobf.superstring import _shortest_array
 from oracles import (
     brute_force_has_pattern,
@@ -134,6 +136,19 @@ class TestFirstOccurrence:
             pattern = tuple(int(s) for s in gen.integers(0, 3, size=l))
             got = first_occurrence(make_trace(trace, 3), Pattern(pattern, gap=1))
             assert got == naive_first_occurrence(trace, pattern)
+
+    def test_a_block_scan_matches_each_row_against_its_own_pattern(self):
+        gen = np.random.default_rng(406)
+        for _ in range(300):
+            m = int(gen.integers(1, 31))
+            l = int(gen.integers(1, 4))
+            block = gen.integers(0, 3, size=(6, m))
+            patterns = gen.integers(0, 3, size=(6, l))
+            hit = _contiguous_matches(block, patterns)
+            assert hit.shape == (6, max(m - l + 1, 0))
+            for row, pattern, got in zip(block, patterns, hit):
+                want = naive_first_occurrence(row, pattern)
+                assert (int(np.argmax(got)) + 1 if got.any() else None) == want
 
     def test_mean_index_in_rotated_covering_streams(self):
         # A uniformly rotated covering stream puts any fixed pattern at a

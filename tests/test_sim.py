@@ -8,7 +8,7 @@ from scipy import stats as sstats
 
 from seqobf.core import Alphabet, RandomSource, Trace
 from seqobf.engines import lov_bound
-from seqobf.ingest import write_trace_file
+from seqobf.ingest import read_trace_file, write_trace_file
 from seqobf.sim import (
     _KEY_BLOCK,
     _ROW_BLOCK,
@@ -50,6 +50,14 @@ class TestSpecValidation:
     def test_ingested_source_needs_a_file(self):
         with pytest.raises(ValueError):
             fraction_spec(trace_source="ingested")
+
+    def test_rejects_an_ingested_pool_over_one_symbol(self):
+        # The pool is read over the reduced alphabet of r - l symbols.
+        with pytest.raises(ValueError, match="r - l >= 2"):
+            fraction_spec(alphabet_size=3, order=2, trace_source="ingested",
+                          trace_file="pool.txt")
+        fraction_spec(alphabet_size=4, order=2, trace_source="ingested",
+                      trace_file="pool.txt")
 
     def test_rejects_manp_without_a_finite_gap(self):
         with pytest.raises(ValueError, match="manp needs a finite gap"):
@@ -193,6 +201,35 @@ class TestFractionMatchesReference:
         assert_matches_reference(spec, workers)
 
     @pytest.mark.parametrize("workers", (1, 3))
+    def test_an_ingested_file_is_read_once_per_run(self, tmp_path, monkeypatch, workers):
+        gen = np.random.default_rng(13)
+        path = tmp_path / "pool.txt"
+        write_trace_file(path, [Trace(gen.integers(0, 6, size=40), Alphabet(6))] * 3)
+        # Reads are logged to a file, which worker processes can append to.
+        log = tmp_path / "reads.log"
+
+        def logged_read(*args):
+            with open(log, "a") as fh:
+                fh.write("read\n")
+            return read_trace_file(*args)
+
+        monkeypatch.setattr("seqobf.ingest.read_trace_file", logged_read)
+        spec = fraction_spec(trace_length=30, n_users=4, iterations=6,
+                             trace_source="ingested", trace_file=str(path))
+        run_fraction(spec, workers=workers)
+        assert log.read_text().splitlines() == ["read"]
+
+    def test_an_unreadable_file_is_reported_before_any_worker_starts(self, tmp_path,
+                                                                      monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr("seqobf.sim.ProcessPoolExecutor", no_pool)
+        spec = fraction_spec(trace_source="ingested", trace_file=str(tmp_path / "missing.txt"))
+        with pytest.raises(FileNotFoundError):
+            run_fraction(spec, workers=3)
+
+    @pytest.mark.parametrize("workers", (1, 3))
     def test_across_row_and_key_block_edges(self, workers):
         # 35 users give 34 rows per iteration, one past a row block; 31
         # iterations give 1054 samples, past the first key block.
@@ -265,10 +302,10 @@ class TestRace:
     def test_counters_match_a_recount_of_the_streams(self):
         from oracles import naive_first_occurrence
 
-        # At (10, 3) a chunk holds 4 000 symbols, so a few of 150
+        # At (10, 3) a chunk holds 2 000 symbols, so about e^-2 of 150
         # iterations need more than one.
         r, l, iterations, seed = 10, 3, 150, 21
-        chunk = 4 * r**l
+        chunk = max(2 * r**l, 64)
         drawn = used = 0
         for it in range(iterations):
             gen = RandomSource(seed, (it,)).generator
@@ -286,6 +323,51 @@ class TestRace:
         assert counters == {
             "samples": iterations, "iid_symbols_drawn": drawn, "iid_symbols_used": used,
         }
+
+    @pytest.mark.parametrize("r", [2, 3, 10, 20, 2**16, 2**24])
+    def test_a_draw_gives_the_same_symbols_however_it_is_split(self, r):
+        # The race draws an iid stream in chunks of any size it likes and
+        # keeps records bit for bit only because of this.
+        l = 2 if r < 2**16 else 1
+        splits = np.random.default_rng(r)
+        for it in range(40):
+            n = int(splits.integers(1, 5000))
+            cuts = np.sort(splits.choice(np.arange(1, n + 1), size=min(n, 6), replace=False))
+            streams = []
+            for parts in ([n], np.diff(np.concatenate([[0], cuts, [n]]))):
+                gen = RandomSource(it, (r,)).generator
+                gen.integers(0, r, size=l)  # the pattern
+                gen.integers(r**l)  # the superstring's offset
+                streams.append(np.concatenate(
+                    [gen.integers(0, r, size=int(k)) for k in parts if k]))
+            np.testing.assert_array_equal(streams[1], streams[0])
+
+    def test_memory_is_bounded_by_the_scan_budget(self):
+        from seqobf.sim import _RACE_SCAN_SYMBOLS
+
+        run_first_occurrence_race(10, 3, 2)  # builds the cycle table
+        peaks = []
+        for iterations in (200, 3000):
+            tracemalloc.start()
+            try:
+                run_first_occurrence_race(10, 3, iterations, master_seed=4)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # Only the two per-iteration results grow, by 16 bytes an iteration.
+        assert peaks[1] < 1.25 * peaks[0]
+        assert peaks[1] < 8 * _RACE_SCAN_SYMBOLS + 3 * 2**19
+        # Where r^l is over the budget, a chunk is the budget.  A row that
+        # misses holds its first chunk, its last buffer, a new chunk and
+        # their concatenation at most.
+        run_first_occurrence_race(2, 20, 2)
+        tracemalloc.start()
+        try:
+            run_first_occurrence_race(2, 20, 2, master_seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8 * _RACE_SCAN_SYMBOLS
 
     @pytest.mark.parametrize("iterations", [0, 1])
     def test_fewer_than_two_iterations_are_refused(self, iterations):
