@@ -9,7 +9,9 @@ which costs tens of microseconds.  ``_derive_keys`` reproduces that hash
 for many paths at once, and ``_keyed_generator`` builds the Generator of a
 key so derived: it draws what RandomSource(master_seed, path).generator
 draws.  The engines and protocols below the public API take such bare
-Generators.
+Generators.  Building one costs several microseconds, so a protocol keeps
+a pool of them and ``_keyed_generators`` re-keys it for each block of keys,
+building only the generators that the pool lacks.
 """
 from __future__ import annotations
 
@@ -152,6 +154,22 @@ def _keyed_generator(key: np.ndarray) -> np.random.Generator:
     _derive_keys.  Philox(key=...) would first seed itself from OS entropy,
     which costs more than the whole shim."""
     return np.random.Generator(np.random.Philox(_KnownKey(key)))
+
+
+def _keyed_generators(keys: np.ndarray, pool: list) -> list:
+    """The generators of the (n, 2) keys, drawing as _keyed_generator's would.
+
+    Pool's first n generators are re-keyed to the state a fresh Philox holds
+    (the key, counter 0, an empty buffer), which costs a fraction of a build;
+    those missing are built and appended.  The generators returned belong to
+    the pool, so they go stale when it is re-keyed."""
+    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for gen, key in zip(pool, keys[: len(pool)].tolist()):
+        state["state"]["key"] = key
+        gen.bit_generator.state = state
+    pool.extend(_keyed_generator(key) for key in keys[len(pool):])
+    return pool[: len(keys)]
 
 
 # The constants of numpy's SeedSequence (numpy/random/bit_generator.pyx).

@@ -4,7 +4,8 @@ A pattern q1..ql is present in a trace when there are indices
 i1 < i2 < ... < il with trace[ij] = qj and i(j+1) - ij <= gap for all j.
 Detection runs a dynamic program over pattern positions with a sliding
 reachability window, O(m*l) time, along the last axis of an array: one
-cumulative sum per pattern element decides a whole block of traces, and
+cumulative sum per pattern element, into one buffer that the levels share,
+decides a whole block of traces in O(rows*(m + min(gap, m))) memory, and
 has_pattern is the one-trace case.  The exhaustive reference scans used
 to validate it live in the test suite.
 """
@@ -18,25 +19,21 @@ import numpy as np
 from .core import Pattern, Trace
 
 
-def _window_any(mask: np.ndarray, gap: int | None) -> np.ndarray:
-    """out[..., t] = True iff mask[..., s] is set for some s in [t-gap, t-1]
-    (or [0, t-1]), along the last axis."""
-    m = mask.shape[-1]
-    # cs[..., t] counts the set entries in [0, t-1]; then in [t-gap, t-1].
-    cs = np.zeros(mask.shape, dtype=np.int64)
-    np.cumsum(mask[..., :-1], axis=-1, out=cs[..., 1:])
-    if gap is not None and gap < m:
-        cs[..., gap:] -= cs[..., : m - gap]
-    return cs > 0
-
-
 def _pattern_found(symbols: np.ndarray, pattern_symbols, gap: int | None) -> np.ndarray:
     """Whether the pattern occurs along the last axis, for each leading index."""
+    m = symbols.shape[-1]
+    g = m if gap is None else min(gap, m)
     reach = symbols == pattern_symbols[0]
+    # counts[..., g + 1 + t] counts the reached positions in [0, t], and the
+    # g + 1 zeros before them make counts[..., g + t] - counts[..., t] the
+    # count in [t - g, t - 1]: whether position t is within the gap of one.
+    counts = np.zeros(symbols.shape[:-1] + (m + g + 1,), dtype=np.int64)
     for q in pattern_symbols[1:]:
         if not reach.any():
             break
-        reach = (symbols == q) & _window_any(reach, gap)
+        np.cumsum(reach, axis=-1, out=counts[..., g + 1:])
+        reach = counts[..., g : g + m] > counts[..., :m]
+        reach &= symbols == q
     return reach.any(axis=-1)
 
 

@@ -7,9 +7,10 @@ one call to the method's replacement policy, which fills the masked
 positions of the whole row block.  Positions outside the mask keep the
 original symbol.  ``obfuscate`` on one Trace is the one-row case, drawing
 from its source's generator.  ``_POLICIES`` maps each single-pass method
-to its policy; two_stage is two frame calls inside ``obfuscate``.  plov
-steps all rows together; the other policies run a one-row policy on each
-row in turn.
+to its policy; two_stage is two frame calls inside ``obfuscate``.  iid,
+sbu and sl_sbu draw each row's replacements from its own generator and
+fill the block with one assignment; plov steps all rows together; lov and
+manp run a one-row policy on each row in turn.
 
 Data-independent methods draw replacements ahead of the data:
 
@@ -169,14 +170,17 @@ def manp_choose(seen: np.ndarray, window: np.ndarray, gen: np.random.Generator) 
     return int(best[gen.integers(best.size)])
 
 
-def _fill_iid(z, mask, alphabet_size, config, gen) -> None:
-    z[mask] = gen.integers(0, alphabet_size, size=np.count_nonzero(mask))
+def _fill_iid(z, mask, alphabet_size, config, gens) -> None:
+    z[mask] = np.concatenate([gen.integers(0, alphabet_size, size=np.count_nonzero(row))
+                              for row, gen in zip(mask, gens)])
 
 
-def _fill_superstring(z, mask, alphabet_size, config, gen) -> None:
+def _fill_superstring(z, mask, alphabet_size, config, gens) -> None:
     kind = "concatenation" if config.method == "sbu" else "shortest"
     _check_params(alphabet_size, config.order)
-    z[mask] = _replacement_stream(gen, alphabet_size, config.order, kind, np.count_nonzero(mask))
+    z[mask] = np.concatenate([_replacement_stream(gen, alphabet_size, config.order, kind,
+                                                  np.count_nonzero(row))
+                              for row, gen in zip(mask, gens)])
 
 
 def _fill_lov(z, mask, alphabet_size, config, gen) -> None:
@@ -272,9 +276,9 @@ def _row_by_row(fill):
 # (z, mask, alphabet_size, config, gens) fills the row block z in place at
 # the masked positions, row i drawing from gens[i] after its mask.
 _POLICIES = {
-    "iid": _row_by_row(_fill_iid),
-    "sbu": _row_by_row(_fill_superstring),
-    "sl_sbu": _row_by_row(_fill_superstring),
+    "iid": _fill_iid,
+    "sbu": _fill_superstring,
+    "sl_sbu": _fill_superstring,
     "lov": _row_by_row(_fill_lov),
     "plov": _fill_plov,
     "manp": _row_by_row(_fill_manp),

@@ -11,14 +11,22 @@ whitespace-separated symbol integers.
 from __future__ import annotations
 
 import csv
+import operator
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .core import Alphabet, Trace
 
 REQUIRED_COLUMNS = ("user_id", "timestamp", "category")
+
+
+def _in_order(events) -> bool:
+    """Whether no event's timestamp is below its predecessor's."""
+    ts = list(map(operator.itemgetter(0), events))
+    return not any(map(operator.lt, islice(ts, 1, None), ts))
 
 
 @dataclass(frozen=True)
@@ -29,8 +37,7 @@ class RawTrace:
     events: tuple[tuple[float, str], ...]
 
     def __post_init__(self) -> None:
-        ts = [t for t, _ in self.events]
-        if any(b < a for a, b in zip(ts, ts[1:])):
+        if not _in_order(self.events):
             raise ValueError(f"events of user {self.user_id!r} are out of order")
 
     def __len__(self) -> int:
@@ -74,8 +81,7 @@ def parse_csv(path) -> list[RawTrace]:
     out: list[RawTrace] = []
     for user_id in per_user:
         events = per_user[user_id]
-        ts = [t for t, _ in events]
-        if any(b < a for a, b in zip(ts, ts[1:])):
+        if not _in_order(events):
             warnings.warn(
                 f"events of user {user_id!r} arrived out of order; sorting",
                 stacklevel=2,
@@ -138,7 +144,7 @@ def write_trace_file(path, traces: list[Trace]) -> None:
     """One line per trace, whitespace-separated symbol integers."""
     with open(path, "w") as fh:
         for trace in traces:
-            fh.write(" ".join(str(int(s)) for s in trace.symbols))
+            fh.write(" ".join(map(str, trace.symbols.tolist())))
             fh.write("\n")
 
 

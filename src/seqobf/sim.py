@@ -19,11 +19,12 @@ Scenarios:
 Streams are keyed by (master seed, iteration, user, purpose), so results
 are identical for any worker count and adding iterations, users or methods
 never perturbs existing draws.  The fraction protocol derives the keys of
-a block of samples at once, builds one bare Generator per key, and runs
-the users as rows of bounded row blocks through the engines' one-pass
-frame and the detection body, so its memory does not grow with the user
-count.  The race draws each iteration from one keyed Generator too, and
-scans a block of iterations' first chunks, one row each, in one match.
+a block of samples at once, re-keys a pool of bare Generators per purpose
+to them, and runs the users as rows of bounded row blocks through the
+engines' one-pass frame and the detection body, so its memory does not
+grow with the user count.  The race draws each iteration from a keyed
+Generator of its own pool too, and scans a block of iterations' first
+chunks, one row each, in one match.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Pattern, RandomSource, _derive_keys, _keyed_generator
+from .core import Pattern, RandomSource, _derive_keys, _keyed_generators
 from .detect import _contiguous_matches, _pattern_found
 from .engines import EngineConfig, _obfuscate_rows
 from .superstring import _check_params, _shortest_first_index
@@ -204,6 +205,7 @@ def _fraction_iterations(
     replaced = np.zeros(len(configs), dtype=np.int64)
     users = spec.n_users - 1
     purposes = np.arange(1 + len(configs))
+    gen_pools: list[list] = [[] for _ in purposes]
     for first in range(start * users, stop * users, _KEY_BLOCK):
         s = np.arange(first, min(first + _KEY_BLOCK, stop * users))
         paths = np.empty((s.size, purposes.size, 3), dtype=np.int64)
@@ -213,7 +215,7 @@ def _fraction_iterations(
         keys = _derive_keys(spec.master_seed, paths.reshape(-1, 3)).reshape(paths.shape[:2] + (2,))
         for lo in range(0, s.size, _ROW_BLOCK):
             rows = slice(lo, lo + _ROW_BLOCK)
-            gens = [[_keyed_generator(key) for key in keys[rows, j]] for j in purposes]
+            gens = [_keyed_generators(keys[rows, j], gen_pools[j]) for j in purposes]
             x = np.stack([_base_symbols(spec, gen, pool) for gen in gens[0]])
             for j, config in enumerate(configs):
                 z = x.copy()
@@ -230,12 +232,23 @@ def _check_workers(workers: int) -> None:
 
 def run_fraction(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     """The unique-pattern fraction protocol; one record per method."""
+    return _run_fraction(spec, workers, time.perf_counter(), _fraction_pool(spec, workers))
+
+
+def _fraction_pool(spec: ExperimentSpec, workers: int) -> list[np.ndarray] | None:
+    """The ingested pool of a fraction run, or None for synthetic traces.
+
+    A run or a sweep reads its file here once, before any worker starts."""
     if spec.scenario != "fraction":
         raise ValueError(f"run_fraction got scenario {spec.scenario!r}")
     _check_workers(workers)
-    t0 = time.perf_counter()
-    # The file is read once, so a bad one is reported before any worker starts.
-    pool = _load_trace_pool(spec) if spec.trace_source == "ingested" else None
+    return _load_trace_pool(spec) if spec.trace_source == "ingested" else None
+
+
+def _run_fraction(
+    spec: ExperimentSpec, workers: int, t0: float, pool: list[np.ndarray] | None
+) -> ExperimentResult:
+    """run_fraction over a pool already read, timed from t0."""
     if workers > 1 and spec.iterations > 1:
         edges = np.linspace(0, spec.iterations, workers + 1, dtype=int)
         chunks = [(spec, int(a), int(b), pool) for a, b in zip(edges[:-1], edges[1:]) if a < b]
@@ -338,9 +351,10 @@ def run_first_occurrence_race(
     first_iid = np.empty(iterations, dtype=np.float64)
     first_super = np.empty(iterations, dtype=np.float64)
     drawn = 0
+    gen_pool: list = []
     for first in range(0, iterations, rows):
         block = np.arange(first, min(first + rows, iterations))
-        gens = [_keyed_generator(key) for key in _derive_keys(master_seed, block[:, None])]
+        gens = _keyed_generators(_derive_keys(master_seed, block[:, None]), gen_pool)
         q, x = patterns[: block.size], buffer[: block.size]
         for i, gen in enumerate(gens):
             q[i] = gen.integers(0, alphabet_size, size=order)
@@ -429,13 +443,15 @@ def sweep(
 
     Every cell reuses the same master seed, so the replacement masks are
     coupled monotonically across the grid and ordering comparisons between
-    noise levels carry less Monte Carlo noise.
+    noise levels carry less Monte Carlo noise.  An ingested file is read
+    once for the whole grid.
     """
     t0 = time.perf_counter()
+    pool = _fraction_pool(spec, workers)
     records: list[dict] = []
     counters: dict[str, int] = {}
     for p in p_values:
-        cell = run_fraction(replace(spec, p_obf=float(p)), workers=workers)
+        cell = _run_fraction(replace(spec, p_obf=float(p)), workers, time.perf_counter(), pool)
         records.extend(cell.records)
         for name, count in cell.counters.items():
             counters[name] = counters.get(name, 0) + count

@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
-from seqobf.core import Alphabet, Pattern, RandomSource, Trace, _derive_keys, _keyed_generator
+from seqobf.core import (
+    Alphabet, Pattern, RandomSource, Trace, _derive_keys, _keyed_generator, _keyed_generators,
+)
 
 
 def make_trace(symbols, r):
@@ -116,3 +118,35 @@ class TestDeriveKeys:
         plain = RandomSource(2**40 + 7, path).generator
         assert np.array_equal(keyed.random(1000), plain.random(1000))
         assert np.array_equal(keyed.integers(0, 20, size=1000), plain.integers(0, 20, size=1000))
+
+
+def draw_everything(gen):
+    return (gen.integers(0, 5, size=7).tolist(), gen.random(3).tolist(),
+            gen.permutation(9).tolist(), gen.integers(0, 2**40, size=2).tolist())
+
+
+class TestKeyedGenerators:
+    def test_a_re_keyed_generator_draws_as_a_fresh_one(self):
+        keys = _derive_keys(2**40 + 7, np.arange(6)[:, None])
+        pool = _keyed_generators(keys[:3], [])
+        for gen in pool:
+            # An odd count of small-bound integers leaves half a 64-bit word
+            # buffered, which the re-key must drop.
+            gen.integers(0, 5, size=3)
+            gen.random()
+            gen.permutation(11)
+            assert gen.bit_generator.state["has_uint32"] == 1
+        for gen, key in zip(_keyed_generators(keys[3:], pool), keys[3:]):
+            assert draw_everything(gen) == draw_everything(_keyed_generator(key))
+
+    def test_the_pool_grows_only_past_its_largest_block(self):
+        keys = _derive_keys(3, np.arange(40)[:, None])
+        pool: list = []
+        first = _keyed_generators(keys[:5], pool)
+        assert len(pool) == 5
+        again = _keyed_generators(keys[5:8], pool)
+        assert len(pool) == 5 and all(a is b for a, b in zip(again, first))
+        grown = _keyed_generators(keys[8:20], pool)
+        assert len(pool) == 12 and all(a is b for a, b in zip(grown, first))
+        for gen, key in zip(grown, keys[8:20]):
+            assert draw_everything(gen) == draw_everything(_keyed_generator(key))

@@ -1,4 +1,6 @@
 """Gap-constrained detection, first occurrence, and pattern statistics."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,11 +52,11 @@ class TestHasPattern:
 
     def test_a_block_of_traces_is_decided_row_by_row(self):
         gen = np.random.default_rng(405)
-        for _ in range(300):
+        for _ in range(600):
             m = int(gen.integers(1, 31))
-            gap = [1, 2, 5, None][int(gen.integers(4))]
+            gap = [1, 2, 5, max(m - 1, 1), m, m + 5, None][int(gen.integers(7))]
             block = gen.integers(0, 3, size=(6, m))
-            pattern = tuple(int(s) for s in gen.integers(0, 3, size=int(gen.integers(1, 4))))
+            pattern = tuple(int(s) for s in gen.integers(0, 3, size=int(gen.integers(1, 5))))
             found = _pattern_found(block, pattern, gap)
             assert found.shape == (6,)
             for row, got in zip(block, found):
@@ -109,6 +111,23 @@ class TestHasPattern:
     def test_single_symbol_pattern_is_membership(self, trace, symbol):
         t = make_trace(trace, 4)
         assert has_pattern(t, Pattern((symbol,), gap=1)) == (symbol in trace)
+
+
+def test_detection_memory_is_linear_in_the_block():
+    # Every level of an all-zero pattern stays reached on an all-zero block.
+    # With an unbounded gap the one counts buffer takes 16 bytes per symbol
+    # and the cumulative sum's cast of the reached mask 8 more; an
+    # (l, rows, m) array of levels would take at least l more.
+    rows, m, order = 32, 20_000, 16
+    block = np.zeros((rows, m), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        found = _pattern_found(block, (0,) * order, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found.all()
+    assert peak < 32 * rows * m
 
 
 class TestFirstOccurrence:

@@ -1,6 +1,7 @@
 """Experiment harness: protocols, determinism, and statistical sanity."""
 import io
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -200,13 +201,15 @@ class TestFractionMatchesReference:
                              trace_file=str(path))
         assert_matches_reference(spec, workers)
 
-    @pytest.mark.parametrize("workers", (1, 3))
-    def test_an_ingested_file_is_read_once_per_run(self, tmp_path, monkeypatch, workers):
+    @staticmethod
+    def logged_pool(tmp_path, monkeypatch):
+        """An ingested spec, and a log that gains a line per read of its file."""
         gen = np.random.default_rng(13)
         path = tmp_path / "pool.txt"
         write_trace_file(path, [Trace(gen.integers(0, 6, size=40), Alphabet(6))] * 3)
         # Reads are logged to a file, which worker processes can append to.
         log = tmp_path / "reads.log"
+        log.touch()
 
         def logged_read(*args):
             with open(log, "a") as fh:
@@ -216,8 +219,26 @@ class TestFractionMatchesReference:
         monkeypatch.setattr("seqobf.ingest.read_trace_file", logged_read)
         spec = fraction_spec(trace_length=30, n_users=4, iterations=6,
                              trace_source="ingested", trace_file=str(path))
+        return spec, log
+
+    @pytest.mark.parametrize("workers", (1, 3))
+    def test_an_ingested_file_is_read_once_per_run(self, tmp_path, monkeypatch, workers):
+        spec, log = self.logged_pool(tmp_path, monkeypatch)
         run_fraction(spec, workers=workers)
         assert log.read_text().splitlines() == ["read"]
+
+    @pytest.mark.parametrize("workers", (1, 3))
+    def test_a_sweep_reads_an_ingested_file_once(self, tmp_path, monkeypatch, workers):
+        spec, log = self.logged_pool(tmp_path, monkeypatch)
+        grid = (0.1, 0.3, 0.6)
+        cells = [run_fraction(replace(spec, p_obf=p), workers=workers) for p in grid]
+        log.write_text("")
+        result = sweep(spec, grid, workers=workers)
+        assert log.read_text().splitlines() == ["read"]
+        swept, one_by_one = io.StringIO(), io.StringIO()
+        write_csv(result.records, swept)
+        write_csv([rec for cell in cells for rec in cell.records], one_by_one)
+        assert swept.getvalue() == one_by_one.getvalue()
 
     def test_an_unreadable_file_is_reported_before_any_worker_starts(self, tmp_path,
                                                                       monkeypatch):
@@ -237,6 +258,13 @@ class TestFractionMatchesReference:
                              iterations=31, master_seed=5)
         assert (spec.n_users - 1) * spec.iterations > _KEY_BLOCK
         assert_matches_reference(spec, workers)
+
+    def test_every_method_across_row_and_key_block_edges(self):
+        # Each purpose's generator pool is re-keyed for 32 row blocks, then
+        # for the second key block's one short row block.
+        spec = fraction_spec(trace_length=12, p_obf=0.4, gap=3, methods=SPEC_METHODS,
+                             n_users=_ROW_BLOCK + 3, iterations=31, master_seed=6)
+        assert_matches_reference(spec, 1)
 
 
 class TestFractionCounters:
