@@ -106,7 +106,7 @@ def _cmd_bounds(args) -> int:
             raise ValueError("schedule requires --n, --beta and --theta")
         sched = bounds_mod.schedule(
             bounds_mod.ScheduleParams(
-                n_users=args.n, order=args.l, gap=args.gap or 1,
+                n_users=args.n, order=args.l, gap=args.gap,
                 beta=args.beta, theta=args.theta, trace_length=args.m,
             )
         )

@@ -28,10 +28,13 @@ def _pattern_found(symbols: np.ndarray, pattern_symbols, gap: int | None) -> np.
     # g + 1 zeros before them make counts[..., g + t] - counts[..., t] the
     # count in [t - g, t - 1]: whether position t is within the gap of one.
     counts = np.zeros(symbols.shape[:-1] + (m + g + 1,), dtype=np.int64)
+    tail = counts[..., g + 1:]
     for q in pattern_symbols[1:]:
         if not reach.any():
             break
-        np.cumsum(reach, axis=-1, out=counts[..., g + 1:])
+        # In place: a cumsum of the bool reach casts it to an int64 temporary.
+        tail[...] = reach
+        np.cumsum(tail, axis=-1, out=tail)
         reach = counts[..., g : g + m] > counts[..., :m]
         reach &= symbols == q
     return reach.any(axis=-1)

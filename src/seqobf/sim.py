@@ -22,9 +22,10 @@ never perturbs existing draws.  The fraction protocol derives the keys of
 a block of samples at once, re-keys a pool of bare Generators per purpose
 to them, and runs the users as rows of bounded row blocks through the
 engines' one-pass frame and the detection body, so its memory does not
-grow with the user count.  The race draws each iteration from a keyed
-Generator of its own pool too, and scans a block of iterations' first
-chunks, one row each, in one match.
+grow with the user count.  A run at one noise level is a sweep of one
+cell.  The race draws each iteration from a keyed Generator of its own
+pool too, and runs a block of iterations as rows that draw in lockstep
+rounds, each round scanned in one match.
 """
 from __future__ import annotations
 
@@ -145,6 +146,8 @@ def _fraction_plan(spec: ExperimentSpec) -> tuple[Pattern, list[EngineConfig]]:
             "manp needs a finite gap h: it scores symbols against the "
             "trailing window of h predecessors"
         )
+    if len(set(spec.methods)) < len(spec.methods):
+        raise ValueError(f"methods must be distinct, got {spec.methods}")
     if "two_stage" in spec.methods:
         raise ValueError(
             "two_stage takes per-stage noise levels, which a spec cannot set; "
@@ -170,9 +173,7 @@ def _load_trace_pool(spec: ExperimentSpec) -> list[np.ndarray]:
     traces = ingest_mod.read_trace_file(spec.trace_file, reduced)
     pool = [t.symbols for t in traces if t.length >= spec.trace_length]
     if not pool:
-        raise ValueError(
-            f"no ingested trace is at least {spec.trace_length} symbols long"
-        )
+        raise ValueError(f"no ingested trace is at least {spec.trace_length} symbols long")
     return pool
 
 
@@ -231,82 +232,38 @@ def _check_workers(workers: int) -> None:
 
 
 def run_fraction(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
-    """The unique-pattern fraction protocol; one record per method."""
-    return _run_fraction(spec, workers, time.perf_counter(), _fraction_pool(spec, workers))
+    """The unique-pattern fraction protocol: a sweep of the spec's own noise level."""
+    return sweep(spec, [spec.p_obf], workers)
 
 
-def _fraction_pool(spec: ExperimentSpec, workers: int) -> list[np.ndarray] | None:
-    """The ingested pool of a fraction run, or None for synthetic traces.
+def _scan_iid_rows(
+    gens: Sequence[np.random.Generator], patterns: np.ndarray, alphabet_size: int, chunk: int
+) -> tuple[np.ndarray, int]:
+    """1-based index of each row pattern's first occurrence in the iid
+    stream of the row's Generator, and the number of symbols drawn.
 
-    A run or a sweep reads its file here once, before any worker starts."""
-    if spec.scenario != "fraction":
-        raise ValueError(f"run_fraction got scenario {spec.scenario!r}")
-    _check_workers(workers)
-    return _load_trace_pool(spec) if spec.trace_source == "ingested" else None
-
-
-def _run_fraction(
-    spec: ExperimentSpec, workers: int, t0: float, pool: list[np.ndarray] | None
-) -> ExperimentResult:
-    """run_fraction over a pool already read, timed from t0."""
-    if workers > 1 and spec.iterations > 1:
-        edges = np.linspace(0, spec.iterations, workers + 1, dtype=int)
-        chunks = [(spec, int(a), int(b), pool) for a, b in zip(edges[:-1], edges[1:]) if a < b]
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            parts = list(executor.map(_fraction_iterations, *zip(*chunks)))
-    else:
-        parts = [_fraction_iterations(spec, 0, spec.iterations, pool)]
-    hits = sum(h for h, _, _ in parts)
-    replaced = sum(k for _, k, _ in parts)
-    samples = sum(n for _, _, n in parts)
-    counters = {"samples": samples}
-    records = []
-    for method, h, k in zip(spec.methods, hits, replaced):
-        for name, count in ((f"hits.{method}", h), (f"replacements.{method}", k)):
-            counters[name] = counters.get(name, 0) + int(count)
-        estimate = h / samples
-        records.append(
-            {
-                "scenario": spec.scenario,
-                "method": method,
-                "m": spec.trace_length,
-                "r": spec.alphabet_size,
-                "l": spec.order,
-                "h": spec.gap,
-                "p_obf": spec.p_obf,
-                "iterations": spec.iterations,
-                "n_users": spec.n_users,
-                "samples": samples,
-                "estimate": float(estimate),
-                "std_error": float(np.sqrt(max(estimate * (1 - estimate), 0.0) / samples)),
-            }
-        )
-    return ExperimentResult(tuple(records), time.perf_counter() - t0, counters)
-
-
-def _scan_iid_stream(
-    gen: np.random.Generator, pattern: np.ndarray, alphabet_size: int, chunk: int,
-    *, carry: np.ndarray | None = None, consumed: int = 0,
-) -> tuple[int, int]:
-    """1-based index of the pattern's first occurrence in an iid stream,
-    and the number of symbols drawn to find it.
-
-    The stream is materialized chunk by chunk, carrying the last l-1
-    symbols across the boundary so occurrences spanning chunks are seen.
-    A stream already scanned up to some point resumes from its carry and
-    the count of start offsets it has ruled out; by default it is fresh.
+    Each round, every row still searching draws chunk symbols after the
+    last l-1 symbols it drew, so occurrences spanning rounds are seen, and
+    one match scans them all.  The rows advance in lockstep, so one count
+    holds the start offsets ruled out so far.
     """
-    order = pattern.size
-    if carry is None:
-        carry = np.empty(0, dtype=np.int64)
-    while True:
-        buffer = np.concatenate([carry, gen.integers(0, alphabet_size, size=chunk)])
-        hit = _contiguous_matches(buffer, pattern)
-        if hit.any():
-            return consumed + int(np.argmax(hit)) + 1, consumed + buffer.size
-        n_starts = buffer.size - order + 1
-        consumed += n_starts
-        carry = buffer[n_starts:]
+    first = np.empty(len(gens), dtype=np.int64)
+    live = np.arange(len(gens))
+    carry = np.empty((live.size, 0), dtype=np.int64)
+    consumed = drawn = 0
+    while live.size:
+        x = np.empty((live.size, carry.shape[1] + chunk), dtype=np.int64)
+        x[:, : carry.shape[1]] = carry
+        for i, row in enumerate(live.tolist()):
+            x[i, carry.shape[1]:] = gens[row].integers(0, alphabet_size, size=chunk)
+        drawn += chunk * live.size
+        hit = _contiguous_matches(x, patterns[live])
+        at = hit.argmax(axis=1)
+        found = hit[np.arange(live.size), at]
+        first[live[found]] = consumed + at[found] + 1
+        consumed += hit.shape[1]
+        carry, live = x[~found, hit.shape[1]:], live[~found]
+    return first, drawn
 
 
 def _check_race(alphabet_size: int, order: int, iterations: int) -> None:
@@ -333,21 +290,18 @@ def run_first_occurrence_race(
     Fewer than 2 iterations are refused: they give no standard error.
 
     Iterations run as the rows of blocks of at most _RACE_SCAN_SYMBOLS
-    symbols: each row draws its pattern, its offset and a first chunk of
-    about 2 r^l iid symbols, one scan matches every row against its own
-    pattern, and rows that miss go on drawing where they stopped.  A draw
+    symbols: each row draws its pattern and its offset, and then rounds of
+    about 2 r^l iid symbols, until its pattern is found; one scan per round
+    matches every row still searching against its own pattern.  A draw
     gives the same symbols however it is split into calls, so the chunk
     size changes only the count of symbols drawn.
     """
     _check_race(alphabet_size, order, iterations)
     t0 = time.perf_counter()
     # The first occurrence comes at about r^l, so about e^-2 of the rows
-    # need a second chunk.
+    # need a second round.
     chunk = min(max(2 * alphabet_size**order, 64), _RACE_SCAN_SYMBOLS)
     rows = min(_KEY_BLOCK, _RACE_SCAN_SYMBOLS // chunk, iterations)
-    starts = chunk - order + 1
-    patterns = np.empty((rows, order), dtype=np.int64)
-    buffer = np.empty((rows, chunk), dtype=np.int64)
     first_iid = np.empty(iterations, dtype=np.float64)
     first_super = np.empty(iterations, dtype=np.float64)
     drawn = 0
@@ -355,23 +309,14 @@ def run_first_occurrence_race(
     for first in range(0, iterations, rows):
         block = np.arange(first, min(first + rows, iterations))
         gens = _keyed_generators(_derive_keys(master_seed, block[:, None]), gen_pool)
-        q, x = patterns[: block.size], buffer[: block.size]
+        patterns = np.empty((block.size, order), dtype=np.int64)
         for i, gen in enumerate(gens):
-            q[i] = gen.integers(0, alphabet_size, size=order)
+            patterns[i] = gen.integers(0, alphabet_size, size=order)
             # The first superstring drawn holds every pattern, so its offset
             # draw settles the superstring side.
-            first_super[first + i] = _shortest_first_index(alphabet_size, order, gen, q[i])
-            x[i] = gen.integers(0, alphabet_size, size=chunk)
-        hit = _contiguous_matches(x, q)
-        at = hit.argmax(axis=1)
-        found = hit[np.arange(block.size), at]
-        first_iid[block] = at + 1
-        drawn += chunk * int(np.count_nonzero(found))
-        for i in np.flatnonzero(~found):
-            first_iid[first + i], n_drawn = _scan_iid_stream(
-                gens[i], q[i], alphabet_size, chunk, carry=x[i, starts:], consumed=starts
-            )
-            drawn += n_drawn
+            first_super[first + i] = _shortest_first_index(alphabet_size, order, gen, patterns[i])
+        first_iid[block], n_drawn = _scan_iid_rows(gens, patterns, alphabet_size, chunk)
+        drawn += n_drawn
     record = {
         "scenario": "first_occurrence",
         "r": alphabet_size,
@@ -444,17 +389,49 @@ def sweep(
     Every cell reuses the same master seed, so the replacement masks are
     coupled monotonically across the grid and ordering comparisons between
     noise levels carry less Monte Carlo noise.  An ingested file is read
-    once for the whole grid.
+    once, before any worker starts.  A cell's iterations are split into
+    one contiguous span per worker; the records and counters are the same
+    for any worker count.
     """
     t0 = time.perf_counter()
-    pool = _fraction_pool(spec, workers)
+    if spec.scenario != "fraction":
+        raise ValueError(f"run_fraction got scenario {spec.scenario!r}")
+    _check_workers(workers)
+    pool = _load_trace_pool(spec) if spec.trace_source == "ingested" else None
+    edges = [spec.iterations * k // workers for k in range(workers + 1)]
+    spans = [(a, b) for a, b in zip(edges[:-1], edges[1:]) if a < b]
     records: list[dict] = []
     counters: dict[str, int] = {}
     for p in p_values:
-        cell = _run_fraction(replace(spec, p_obf=float(p)), workers, time.perf_counter(), pool)
-        records.extend(cell.records)
-        for name, count in cell.counters.items():
-            counters[name] = counters.get(name, 0) + count
+        cell = replace(spec, p_obf=float(p))
+        if len(spans) == 1:
+            parts = [_fraction_iterations(cell, *spans[0], pool)]
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as executor:
+                parts = list(executor.map(
+                    _fraction_iterations, *zip(*[(cell, a, b, pool) for a, b in spans])))
+        hits, replaced, samples = (sum(part) for part in zip(*parts))
+        counters["samples"] = counters.get("samples", 0) + samples
+        for method, h, k in zip(spec.methods, hits, replaced):
+            for name, count in ((f"hits.{method}", h), (f"replacements.{method}", k)):
+                counters[name] = counters.get(name, 0) + int(count)
+            estimate = h / samples
+            records.append(
+                {
+                    "scenario": spec.scenario,
+                    "method": method,
+                    "m": spec.trace_length,
+                    "r": spec.alphabet_size,
+                    "l": spec.order,
+                    "h": spec.gap,
+                    "p_obf": cell.p_obf,
+                    "iterations": spec.iterations,
+                    "n_users": spec.n_users,
+                    "samples": samples,
+                    "estimate": float(estimate),
+                    "std_error": float(np.sqrt(max(estimate * (1 - estimate), 0.0) / samples)),
+                }
+            )
     return ExperimentResult(tuple(records), time.perf_counter() - t0, counters)
 
 

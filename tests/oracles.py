@@ -2,14 +2,16 @@
 
 Everything here is deliberately naive: exhaustive enumeration, quadratic
 scans, exact rational or high-precision arithmetic.  None of it shares code
-with the library, except in two places.  The reference policies of the
+with the library, except in three places.  The reference policies of the
 data-dependent engines: the manp policy scores candidates with
 ``PatternStats``, which is checked against ``brute_force_pattern_counts``,
 and the plov policy takes its distribution from ``plov_distribution``,
-which is checked against the 50-digit ``plov_reference``.  And the
+which is checked against the 50-digit ``plov_reference``.  The
 reference fraction loop, which runs one user at a time through the
 library's per-trace ``RandomSource``, ``Trace``, ``obfuscate`` and
-``has_pattern``; each of those is checked on its own.
+``has_pattern``; each of those is checked on its own.  And the reference
+race, which draws from the per-iteration ``RandomSource`` and rotates the
+library's ``de_bruijn`` cycle, which is checked on its own.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from seqobf.core import Alphabet, Pattern, RandomSource, Trace
 from seqobf.detect import PatternStats, has_pattern
 from seqobf.engines import EngineConfig, obfuscate, plov_distribution
 from seqobf.ingest import read_trace_file
+from seqobf.superstring import de_bruijn
 
 
 def brute_force_has_pattern(symbols, pattern, gap) -> bool:
@@ -199,3 +202,39 @@ def fraction_counts_reference(spec, start: int, stop: int):
                 replaced[j] += int(mask.sum())
             samples += 1
     return hits, replaced, samples
+
+
+def race_records_reference(r: int, l: int, iterations: int, seed: int) -> tuple[dict]:
+    """The race's record, one iteration at a time over whole streams.
+
+    Iteration it draws from RandomSource(seed, (it,)) its pattern, the
+    rotation offset of a de Bruijn cycle whose first l-1 symbols are
+    repeated at the end, and then iid symbols until the pattern occurs.
+    """
+    cycle = de_bruijn(r, l)
+    first_iid = np.empty(iterations, dtype=np.float64)
+    first_super = np.empty(iterations, dtype=np.float64)
+    for it in range(iterations):
+        gen = RandomSource(seed, (it,)).generator
+        pattern = gen.integers(0, r, size=l).tolist()
+        offset = int(gen.integers(cycle.size))
+        superstring = cycle[(offset + np.arange(cycle.size + l - 1)) % cycle.size]
+        first_super[it] = naive_first_occurrence(superstring.tolist(), pattern)
+        stream: list[int] = []
+        first = None
+        while first is None:
+            stream.extend(gen.integers(0, r, size=r**l).tolist())
+            first = naive_first_occurrence(stream, pattern)
+        first_iid[it] = first
+    n = iterations
+    return ({
+        "scenario": "first_occurrence",
+        "r": r,
+        "l": l,
+        "iterations": n,
+        "mean_first_iid": float(first_iid.mean()),
+        "se_first_iid": float(first_iid.std(ddof=1) / np.sqrt(n)),
+        "mean_first_superstring": float(first_super.mean()),
+        "se_first_superstring": float(first_super.std(ddof=1) / np.sqrt(n)),
+        "prob_iid_later": float((first_iid > first_super).mean()),
+    },)

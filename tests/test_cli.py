@@ -432,9 +432,12 @@ _REFUSED = {
         "[parameters]\nm = 60\nr = 6\nl = 2\nh = 3\np_obf = 0.05,0.1,0.2\n"),
     "noise_grid_start_above_stop": _simulate(_FRACTION + "p_obf = 0.5:0.1:0.2\n"),
     "no_workers": _simulate(_FRACTION, "--workers", "0"),
+    "duplicate_methods": _simulate(_FRACTION.replace("[p", "methods = iid, iid\n[p")),
     "bounds_trace_too_short": ({}, ["bounds", "--which", "sbu", "--m", "5", "--h", "10"]),
     "schedule_beta_above_one": ({}, ["bounds", "--which", "schedule", "--m", "100",
                                      "--n", "100", "--beta", "1.5", "--theta", "0.1"]),
+    "schedule_gap_below_one": ({}, ["bounds", "--which", "schedule", "--m", "100", "--h", "0",
+                                    "--n", "100", "--beta", "0.5", "--theta", "0.1"]),
     "sl_sbu_obfuscate_over_the_size_cap": (
         {"in.txt": "0 1 2 0 1 2\n"},
         ["obfuscate", "--method", "sl_sbu", "--r", "5000",

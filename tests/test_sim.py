@@ -107,8 +107,9 @@ class TestSpecValidation:
         (dict(methods=("sl_sbu",), alphabet_size=5000), "size cap"),
         (dict(methods=("plov",), gamma=0.0), "gamma must be > 0"),
         (dict(order=0), "1 <= l < r"),
+        (dict(methods=("iid", "iid")), "methods must be distinct"),
     ], ids=["race_over_the_size_cap", "race_over_one_symbol", "sl_sbu_over_the_size_cap",
-            "plov_without_tilt", "empty_pattern"])
+            "plov_without_tilt", "empty_pattern", "duplicate_methods"])
     def test_refuses_what_its_runner_would_refuse(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             fraction_spec(**overrides)
@@ -308,24 +309,36 @@ def test_memory_of_an_iteration_is_bounded_by_its_row_blocks():
 
 class TestRace:
     def test_chunked_scan_matches_whole_stream_scan(self):
-        # Tiny chunks force occurrences to span chunk boundaries; replaying
-        # the same draws into one long buffer must give the same index.
-        from seqobf.sim import _scan_iid_stream
+        # Tiny chunks force occurrences to span rounds, and the rows finish
+        # in different rounds; replaying each row's draws into one long
+        # stream must give the same index and the same count of draws.
+        from seqobf.sim import _scan_iid_rows
         from oracles import naive_first_occurrence
 
-        for seed in range(300):
-            chunk = 4
-            got, _ = _scan_iid_stream(
-                RandomSource(seed).generator, np.array([0, 1, 0]), 2, chunk
-            )
+        rows, chunk, pattern = 300, 4, (0, 1, 0)
+        gens = [RandomSource(seed).generator for seed in range(rows)]
+        got, drawn = _scan_iid_rows(gens, np.tile(pattern, (rows, 1)), 2, chunk)
+        lengths = []
+        for seed in range(rows):
             replay = RandomSource(seed).generator
             stream: list[int] = []
-            while True:
+            want = None
+            while want is None:
                 stream.extend(replay.integers(0, 2, size=chunk))
-                want = naive_first_occurrence(stream, (0, 1, 0))
-                if want is not None and want + 3 <= len(stream):
-                    break
-            assert got == want
+                want = naive_first_occurrence(stream, pattern)
+            assert got[seed] == want
+            lengths.append(len(stream))
+        assert drawn == sum(lengths)
+        assert len(set(lengths)) > 2
+
+    @pytest.mark.parametrize("r,l,iterations", [(2, 1, 1100), (3, 2, 400), (10, 2, 300),
+                                                (10, 3, 150)])
+    def test_records_match_a_whole_stream_reference(self, r, l, iterations):
+        # (2, 1) x 1 100 runs two blocks of 1 024 rows.
+        from oracles import race_records_reference
+
+        got = run_first_occurrence_race(r, l, iterations, master_seed=31).records
+        assert got == race_records_reference(r, l, iterations, seed=31)
 
     def test_counters_match_a_recount_of_the_streams(self):
         from oracles import naive_first_occurrence
@@ -463,6 +476,11 @@ class TestSweepAndDispatch:
             sweep(fraction_spec(iterations=2), [0.1], workers=workers)
         with pytest.raises(ValueError, match="workers must be >= 1"):
             run(fraction_spec(scenario="first_occurrence", iterations=2), workers=workers)
+
+    @pytest.mark.parametrize("runner", [run_fraction, lambda spec: sweep(spec, [0.1])])
+    def test_a_non_fraction_spec_is_refused(self, runner):
+        with pytest.raises(ValueError, match="run_fraction got scenario 'first_occurrence'"):
+            runner(fraction_spec(scenario="first_occurrence", iterations=2))
 
     def test_sweep_produces_one_record_per_cell(self):
         res = sweep(fraction_spec(iterations=4), [0.1, 0.3])
