@@ -41,6 +41,20 @@ uniform and come from one batched integer draw, which yields the same
 values as one scalar draw per position.  plov draws each row's uniforms
 in one call the same way, and at step j picks the j-th replacement of
 every row that has one, from that row's counts of its prefix.
+
+The fraction protocol asks only whether each output row holds a pattern,
+so it passes the frame a settled test: does a row's filled prefix, the
+positions before its next replacement, already hold it?  manp runs the
+test after each pick, on the row's prefix through that pick, and stops
+filling the row once it is true; the row's later masked positions keep
+their input symbols.  Two facts keep the protocol's answer exact.
+Positions before a row's next replacement never change again, so what
+the test found there is in the full output whatever the later symbols
+are.  And each row draws from its own generator, so a draw that is never
+made changes no other draw; the mask is drawn in full first, so it is
+the same either way.  lov's position-by-position part already ends at
+coverage, and plov steps a whole block in lockstep, so both ignore the
+test, as do the data-independent methods.  obfuscate never passes one.
 """
 from __future__ import annotations
 
@@ -53,6 +67,11 @@ from .core import RandomSource, Trace
 from .superstring import _check_params, _concat_array, _shortest_array
 
 METHODS = ("iid", "sbu", "sl_sbu", "two_stage", "lov", "plov", "manp")
+
+
+def _check_noise(p_obf: float) -> None:
+    if not 0.0 <= p_obf <= 1.0:
+        raise ValueError(f"p_obf must be in [0, 1], got {p_obf}")
 
 
 @dataclass(frozen=True)
@@ -80,8 +99,7 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not 0.0 <= self.p_obf <= 1.0:
-            raise ValueError(f"p_obf must be in [0, 1], got {self.p_obf}")
+        _check_noise(self.p_obf)
         if self.method in ("sbu", "sl_sbu", "two_stage") and self.order < 1:
             raise ValueError(f"order must be >= 1, got {self.order}")
         if self.method == "plov" and self.gamma <= 0.0:
@@ -170,12 +188,12 @@ def manp_choose(seen: np.ndarray, window: np.ndarray, gen: np.random.Generator) 
     return int(best[gen.integers(best.size)])
 
 
-def _fill_iid(z, mask, alphabet_size, config, gens) -> None:
+def _fill_iid(z, mask, alphabet_size, config, gens, settled) -> None:
     z[mask] = np.concatenate([gen.integers(0, alphabet_size, size=np.count_nonzero(row))
                               for row, gen in zip(mask, gens)])
 
 
-def _fill_superstring(z, mask, alphabet_size, config, gens) -> None:
+def _fill_superstring(z, mask, alphabet_size, config, gens, settled) -> None:
     kind = "concatenation" if config.method == "sbu" else "shortest"
     _check_params(alphabet_size, config.order)
     z[mask] = np.concatenate([_replacement_stream(gen, alphabet_size, config.order, kind,
@@ -183,7 +201,7 @@ def _fill_superstring(z, mask, alphabet_size, config, gens) -> None:
                               for row, gen in zip(mask, gens)])
 
 
-def _fill_lov(z, mask, alphabet_size, config, gen) -> None:
+def _fill_lov(z, mask, alphabet_size, config, gen, settled) -> None:
     observed = np.zeros(alphabet_size, dtype=bool)
     targets = np.flatnonzero(mask)
     prev = 0
@@ -198,7 +216,7 @@ def _fill_lov(z, mask, alphabet_size, config, gen) -> None:
         prev = t
 
 
-def _fill_plov(z, mask, alphabet_size, config, gens) -> None:
+def _fill_plov(z, mask, alphabet_size, config, gens, settled) -> None:
     """plov on a row block: step j draws every row's j-th replacement at once."""
     r = alphabet_size
     k = np.count_nonzero(mask, axis=1)
@@ -243,7 +261,7 @@ def _fill_plov(z, mask, alphabet_size, config, gens) -> None:
 _PAIR_BLOCK = 1 << 16
 
 
-def _fill_manp(z, mask, alphabet_size, config, gen) -> None:
+def _fill_manp(z, mask, alphabet_size, config, gen, settled) -> None:
     gap = config.gap
     seen = np.zeros((alphabet_size, alphabet_size), dtype=bool)
     # Offsets back to the window.  One that reaches before position 0 is
@@ -258,23 +276,27 @@ def _fill_manp(z, mask, alphabet_size, config, gen) -> None:
             v = np.arange(lo, min(lo + rows, t))[:, None]
             seen[z[np.maximum(v - d, 0)], z[v]] = True
         z[t] = manp_choose(seen, z[max(0, t - gap):t], gen)
+        if settled is not None and settled(z[: t + 1]):
+            return
         prev = t
 
 
 def _row_by_row(fill):
-    """Lift a one-row policy (z, mask, alphabet_size, config, gen) to a row
-    block: each row is filled alone from its own generator."""
+    """Lift a one-row policy (z, mask, alphabet_size, config, gen, settled)
+    to a row block: each row is filled alone from its own generator."""
 
-    def fill_rows(z, mask, alphabet_size, config, gens) -> None:
+    def fill_rows(z, mask, alphabet_size, config, gens, settled) -> None:
         for row, row_mask, gen in zip(z, mask, gens):
-            fill(row, row_mask, alphabet_size, config, gen)
+            fill(row, row_mask, alphabet_size, config, gen, settled)
 
     return fill_rows
 
 
 # Replacement policy of each single-pass method.  A policy
-# (z, mask, alphabet_size, config, gens) fills the row block z in place at
-# the masked positions, row i drawing from gens[i] after its mask.
+# (z, mask, alphabet_size, config, gens, settled) fills the row block z in
+# place at the masked positions, row i drawing from gens[i] after its mask.
+# settled is None or a test of a row's filled prefix (see _obfuscate_rows);
+# only manp uses it.
 _POLICIES = {
     "iid": _fill_iid,
     "sbu": _fill_superstring,
@@ -286,18 +308,21 @@ _POLICIES = {
 
 
 def _obfuscate_rows(
-    z: np.ndarray, alphabet_size: int, config: EngineConfig, gens
+    z: np.ndarray, alphabet_size: int, config: EngineConfig, gens, settled=None
 ) -> np.ndarray:
     """One pass of a single-pass method over the 2-D array z, in place.
 
     Row i draws from gens[i] in the documented order, so it comes out as
     it would alone.  Returns the mask of replaced positions, shaped like z.
+    settled, if given, tests a row's prefix that no later replacement
+    changes: manp calls it on each row's prefix through its latest pick
+    and stops filling the row once it is true (see the module docstring).
     """
     uniforms = np.empty(z.shape)
     for row, gen in zip(uniforms, gens):
         gen.random(out=row)
     mask = uniforms < config.p_obf
-    _POLICIES[config.method](z, mask, alphabet_size, config, gens)
+    _POLICIES[config.method](z, mask, alphabet_size, config, gens, settled)
     return mask
 
 
@@ -341,8 +366,7 @@ def lov_bound(trace_length: int, alphabet_size: int, p_obf: float) -> float:
         raise ValueError("trace_length must be >= 1")
     if alphabet_size < 2:
         raise ValueError("alphabet_size must be >= 2")
-    if not 0.0 <= p_obf <= 1.0:
-        raise ValueError(f"p_obf must be in [0, 1], got {p_obf}")
+    _check_noise(p_obf)
     m, r = trace_length, alphabet_size
     ks = np.arange(min(r, m + 1))
     head = sstats.binom.pmf(ks, m, p_obf) * ks / r

@@ -23,9 +23,20 @@ a block of samples at once, re-keys a pool of bare Generators per purpose
 to them, and runs the users as rows of bounded row blocks through the
 engines' one-pass frame and the detection body, so its memory does not
 grow with the user count.  A run at one noise level is a sweep of one
-cell.  The race draws each iteration from a keyed Generator of its own
-pool too, and runs a block of iterations as rows that draw in lockstep
-rounds, each round scanned in one match.
+cell, and a sweep builds its pattern and engine configs once.
+
+A fraction sample's outcome is fixed once its row's filled prefix, the
+positions before the row's next replacement, holds the pattern, so manp
+stops filling such a row (see seqobf.engines).  Records and counters stay
+those of a full fill: positions before the next replacement never change
+again, so a pattern found there is in the final trace whatever the base
+symbols are; and each (iteration, user, purpose) stream belongs to one
+row and one method, so a draw that is never made changes no other draw,
+and the masks are drawn in full first.
+
+The race draws each iteration from a keyed Generator of its own pool
+too, and runs a block of iterations as rows that draw in lockstep rounds,
+each round scanned in one match.
 """
 from __future__ import annotations
 
@@ -40,7 +51,7 @@ import numpy as np
 
 from .core import Pattern, RandomSource, _derive_keys, _keyed_generators
 from .detect import _contiguous_matches, _pattern_found
-from .engines import EngineConfig, _obfuscate_rows
+from .engines import EngineConfig, _check_noise, _obfuscate_rows
 from .superstring import _check_params, _shortest_first_index
 from . import bounds as bounds_mod
 from . import ingest as ingest_mod
@@ -86,8 +97,7 @@ class ExperimentSpec:
             raise ValueError(f"unknown trace source {self.trace_source!r}")
         if self.trace_source == "ingested" and not self.trace_file:
             raise ValueError("ingested trace source requires trace_file")
-        if not 0.0 <= self.p_obf <= 1.0:
-            raise ValueError(f"p_obf must be in [0, 1], got {self.p_obf}")
+        _check_noise(self.p_obf)
         if self.gap is not None and self.gap < 1:
             raise ValueError(f"gap must be >= 1 or None, got {self.gap}")
         if self.scenario == "crowd_count" and not (
@@ -188,7 +198,12 @@ def _base_symbols(
 
 
 def _fraction_iterations(
-    spec: ExperimentSpec, start: int, stop: int, pool: list[np.ndarray] | None = None
+    spec: ExperimentSpec,
+    pattern: Pattern,
+    configs: Sequence[EngineConfig],
+    start: int,
+    stop: int,
+    pool: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Pattern hits and replacements per method over iterations [start, stop).
 
@@ -197,11 +212,24 @@ def _fraction_iterations(
     iteration s // (n - 1).  Its base trace comes from stream (it, u, 0)
     and method j obfuscates it with stream (it, u, 1 + j).  The base draws
     lie in the reduced alphabet by construction, so they are not checked
-    again as Traces.  pool holds an ingested spec's traces, as
-    _load_trace_pool reads them; it is None for synthetic traces.
+    again as Traces.  pattern and configs are the cell's plan, as
+    _fraction_plan builds it at the cell's noise level.  pool holds an
+    ingested spec's traces, as _load_trace_pool reads them; it is None for
+    synthetic traces.  The engines may stop filling a row once the
+    settled test below finds the pattern (see the module docstring).
     """
     r = spec.alphabet_size
-    pattern, configs = _fraction_plan(spec)
+    q, gap = pattern.symbols, pattern.gap
+
+    def settled(prefix: np.ndarray) -> bool:
+        # Reserved symbols come only from replacements, so a first occurrence
+        # ends at the latest one, within (l - 1) * gap positions of it.
+        if prefix[-1] != q[-1]:
+            return False
+        if gap is not None:
+            prefix = prefix[-(len(q) - 1) * gap - 1:]
+        return bool(_pattern_found(prefix, q, gap))
+
     hits = np.zeros(len(configs), dtype=np.int64)
     replaced = np.zeros(len(configs), dtype=np.int64)
     users = spec.n_users - 1
@@ -220,9 +248,9 @@ def _fraction_iterations(
             x = np.stack([_base_symbols(spec, gen, pool) for gen in gens[0]])
             for j, config in enumerate(configs):
                 z = x.copy()
-                touched = _obfuscate_rows(z, r, config, gens[1 + j])
+                touched = _obfuscate_rows(z, r, config, gens[1 + j], settled)
                 replaced[j] += np.count_nonzero(touched)
-                hits[j] += np.count_nonzero(_pattern_found(z, pattern.symbols, pattern.gap))
+                hits[j] += np.count_nonzero(_pattern_found(z, q, gap))
     return hits, replaced, (stop - start) * users
 
 
@@ -397,19 +425,24 @@ def sweep(
     if spec.scenario != "fraction":
         raise ValueError(f"run_fraction got scenario {spec.scenario!r}")
     _check_workers(workers)
+    grid = [float(p) for p in p_values]
+    for p in grid:
+        _check_noise(p)
+    pattern, configs = _fraction_plan(spec)
     pool = _load_trace_pool(spec) if spec.trace_source == "ingested" else None
     edges = [spec.iterations * k // workers for k in range(workers + 1)]
     spans = [(a, b) for a, b in zip(edges[:-1], edges[1:]) if a < b]
     records: list[dict] = []
     counters: dict[str, int] = {}
-    for p in p_values:
-        cell = replace(spec, p_obf=float(p))
+    for p in grid:
+        cell = [replace(config, p_obf=p) for config in configs]
         if len(spans) == 1:
-            parts = [_fraction_iterations(cell, *spans[0], pool)]
+            parts = [_fraction_iterations(spec, pattern, cell, *spans[0], pool)]
         else:
             with ProcessPoolExecutor(max_workers=workers) as executor:
                 parts = list(executor.map(
-                    _fraction_iterations, *zip(*[(cell, a, b, pool) for a, b in spans])))
+                    _fraction_iterations, *zip(*[(spec, pattern, cell, a, b, pool)
+                                                 for a, b in spans])))
         hits, replaced, samples = (sum(part) for part in zip(*parts))
         counters["samples"] = counters.get("samples", 0) + samples
         for method, h, k in zip(spec.methods, hits, replaced):
@@ -424,7 +457,7 @@ def sweep(
                     "r": spec.alphabet_size,
                     "l": spec.order,
                     "h": spec.gap,
-                    "p_obf": cell.p_obf,
+                    "p_obf": p,
                     "iterations": spec.iterations,
                     "n_users": spec.n_users,
                     "samples": samples,

@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
+from seqobf import engines
 from seqobf.core import Alphabet, RandomSource, Trace
-from seqobf.engines import lov_bound
+from seqobf.engines import EngineConfig, lov_bound, obfuscate
 from seqobf.ingest import read_trace_file, write_trace_file
 from seqobf.sim import (
     _KEY_BLOCK,
     _ROW_BLOCK,
     ExperimentSpec,
     _fraction_iterations,
+    _fraction_plan,
     run,
     run_first_occurrence_race,
     run_fraction,
@@ -22,7 +24,7 @@ from seqobf.sim import (
     sweep,
     write_csv,
 )
-from oracles import fraction_counts_reference
+from oracles import fraction_counts_reference, manp_policy_reference
 
 
 def fraction_spec(**overrides):
@@ -268,6 +270,69 @@ class TestFractionMatchesReference:
         assert_matches_reference(spec, 1)
 
 
+# (l, gap, p) for the data-dependent methods against the one-user loop.
+# manp needs a finite gap.  At p = 0.5 most rows hold the pattern long
+# before their last replacement; at p = 0.05 and l = 3 most never do.
+SETTLE_CASES = [(l, gap, p) for l in (1, 2, 3) for gap in (1, 3, None) for p in (0.05, 0.5)]
+
+
+def settle_spec(l, gap, p):
+    methods = ("lov", "plov", "manp") if gap is not None else ("lov", "plov")
+    return fraction_spec(alphabet_size=l + 5, order=l, gap=gap, trace_length=200, p_obf=p,
+                         methods=methods, n_users=4, iterations=3, master_seed=9000 + 10 * l)
+
+
+class TestDataDependentRowsStopOnceSettled:
+    """manp stops filling a row once its filled prefix holds the pattern;
+    records and counters stay those of filling every row to its end."""
+
+    @pytest.mark.parametrize("workers", (1, 3))
+    @pytest.mark.parametrize("case", SETTLE_CASES, ids=lambda c: "l{}-gap{}-p{}".format(*c))
+    def test_matches_the_one_user_reference(self, case, workers):
+        assert_matches_reference(settle_spec(*case), workers)
+
+    def test_the_cases_hold_rows_that_settle_and_rows_that_never_do(self):
+        hit = missed = 0
+        for case in SETTLE_CASES:
+            counters = run_fraction(settle_spec(*case)).counters
+            if case[1] is not None:
+                hit += counters["hits.manp"]
+                missed += counters["samples"] - counters["hits.manp"]
+        assert hit > 0 and missed > 0
+
+    def test_a_settled_row_makes_fewer_picks_than_it_draws(self, monkeypatch):
+        spec = fraction_spec(alphabet_size=6, order=1, gap=3, trace_length=200, p_obf=0.5,
+                             methods=("manp",), n_users=5, iterations=4, master_seed=31)
+        picks = []
+
+        def counted(*args):
+            picks.append(None)
+            return choose(*args)
+
+        choose = engines.manp_choose
+        monkeypatch.setattr(engines, "manp_choose", counted)
+        counters = run_fraction(spec).counters
+        assert counters["hits.manp"] == counters["samples"]
+        assert 0 < len(picks) < counters["replacements.manp"] / 4
+        # The public engine fills the same rows to their end, as the
+        # per-position reference does.
+        picks.clear()
+        root = RandomSource(spec.master_seed)
+        cfg = EngineConfig("manp", p_obf=spec.p_obf, gap=spec.gap)
+        for it in range(spec.iterations):
+            for u in range(1, spec.n_users):
+                x = root.derive(it, u, 0).generator.integers(0, 5, size=spec.trace_length)
+                z, mask = obfuscate(Trace(x, Alphabet(6)), cfg, root.derive(it, u, 1),
+                                    return_mask=True)
+                gen = root.derive(it, u, 1).generator
+                want_mask = gen.random(x.size) < spec.p_obf
+                want = x.copy()
+                manp_policy_reference(want, want_mask, 6, cfg, gen)
+                assert np.array_equal(mask, want_mask)
+                assert np.array_equal(z.symbols, want)
+        assert len(picks) == counters["replacements.manp"]
+
+
 class TestFractionCounters:
     def test_full_noise_replaces_every_position(self):
         spec = fraction_spec(p_obf=1.0, iterations=3, trace_length=50)
@@ -299,7 +364,7 @@ def test_memory_of_an_iteration_is_bounded_by_its_row_blocks():
                          p_obf=0.1, methods=("iid",), n_users=5000, iterations=1)
     tracemalloc.start()
     try:
-        _fraction_iterations(spec, 0, 1)
+        _fraction_iterations(spec, *_fraction_plan(spec), 0, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -481,6 +546,33 @@ class TestSweepAndDispatch:
     def test_a_non_fraction_spec_is_refused(self, runner):
         with pytest.raises(ValueError, match="run_fraction got scenario 'first_occurrence'"):
             runner(fraction_spec(scenario="first_occurrence", iterations=2))
+
+    def test_a_sweep_builds_its_plan_once(self, monkeypatch):
+        spec = fraction_spec(methods=("iid", "manp"), iterations=2)
+        built = []
+
+        def counted(cell):
+            built.append(cell)
+            return plan(cell)
+
+        plan = _fraction_plan
+        monkeypatch.setattr("seqobf.sim._fraction_plan", counted)
+        res = sweep(spec, [0.1, 0.3, 0.6])
+        assert len(built) == 1
+        assert [rec["p_obf"] for rec in res.records] == [0.1, 0.1, 0.3, 0.3, 0.6, 0.6]
+
+    @pytest.mark.parametrize("workers", (1, 3))
+    def test_a_grid_value_outside_the_unit_interval_is_refused_before_any_run(
+            self, monkeypatch, workers):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a cell was run")
+
+        monkeypatch.setattr("seqobf.sim.ProcessPoolExecutor", no_run)
+        monkeypatch.setattr("seqobf.sim._fraction_iterations", no_run)
+        for methods in (("iid",), ()):
+            spec = fraction_spec(methods=methods, iterations=3)
+            with pytest.raises(ValueError, match=r"p_obf must be in \[0, 1\], got 1.5"):
+                sweep(spec, [0.1, 1.5], workers=workers)
 
     def test_sweep_produces_one_record_per_cell(self):
         res = sweep(fraction_spec(iterations=4), [0.1, 0.3])
