@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _check_noise
 from .superstring import _check_params
 
 
@@ -45,8 +46,7 @@ class BoundParams:
             raise ValueError("order must be >= 1")
         if self.gap < 1:
             raise ValueError("gap must be >= 1")
-        if not 0.0 <= self.p_obf <= 1.0:
-            raise ValueError(f"p_obf must be in [0, 1], got {self.p_obf}")
+        _check_noise(self.p_obf)
         if self.effective_trials <= 0:
             raise ValueError(
                 f"m - h*(l-1) = {self.effective_trials} <= 0: "

@@ -9,12 +9,18 @@ which costs tens of microseconds.  ``_derive_keys`` reproduces that hash
 for many paths at once, and ``_keyed_generator`` builds the Generator of a
 key so derived: it draws what RandomSource(master_seed, path).generator
 draws.  The engines and protocols below the public API take such bare
-Generators.  Building one costs several microseconds, so a protocol keeps
-a pool of them and ``_keyed_generators`` re-keys it for each block of keys,
-building only the generators that the pool lacks.
+Generators.  Building one costs several microseconds, and re-keying one
+built before about a fifth of that, so ``_generator_pool`` keeps a pool of
+them per thread and purpose, and ``_keyed_generators`` re-keys a pool for
+each block of keys, building only the generators that it lacks.  A pool
+belongs to the thread that asked for it and lives across calls, as long as
+its thread does, at about 800 bytes per generator.  It is not re-entrant:
+re-keying it for a block makes the generators of its last block stale, so
+a caller holds one block of a purpose at a time.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +43,12 @@ class Alphabet:
                 f"symbols outside alphabet 0..{self.size - 1}: "
                 f"range [{symbols.min()}, {symbols.max()}]"
             )
+
+
+def _check_noise(p_obf: float) -> None:
+    """The one range rule for a replacement probability."""
+    if not 0.0 <= p_obf <= 1.0:
+        raise ValueError(f"p_obf must be in [0, 1], got {p_obf}")
 
 
 def _as_symbol_array(symbols) -> np.ndarray:
@@ -154,6 +166,19 @@ def _keyed_generator(key: np.ndarray) -> np.random.Generator:
     _derive_keys.  Philox(key=...) would first seed itself from OS entropy,
     which costs more than the whole shim."""
     return np.random.Generator(np.random.Philox(_KnownKey(key)))
+
+
+class _Pools(threading.local):
+    def __init__(self) -> None:
+        self.by_purpose: dict = {}
+
+
+_pools = _Pools()
+
+
+def _generator_pool(purpose) -> list:
+    """This thread's pool of keyed generators for purpose, a hashable tag."""
+    return _pools.by_purpose.setdefault(purpose, [])
 
 
 def _keyed_generators(keys: np.ndarray, pool: list) -> list:

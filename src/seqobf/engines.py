@@ -63,15 +63,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as sstats
 
-from .core import RandomSource, Trace
+from .core import RandomSource, Trace, _check_noise
 from .superstring import _check_params, _concat_array, _shortest_array
 
 METHODS = ("iid", "sbu", "sl_sbu", "two_stage", "lov", "plov", "manp")
-
-
-def _check_noise(p_obf: float) -> None:
-    if not 0.0 <= p_obf <= 1.0:
-        raise ValueError(f"p_obf must be in [0, 1], got {p_obf}")
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,14 @@ Scenarios:
 Streams are keyed by (master seed, iteration, user, purpose), so results
 are identical for any worker count and adding iterations, users or methods
 never perturbs existing draws.  The fraction protocol derives the keys of
-a block of samples at once, re-keys a pool of bare Generators per purpose
-to them, and runs the users as rows of bounded row blocks through the
-engines' one-pass frame and the detection body, so its memory does not
-grow with the user count.  A run at one noise level is a sweep of one
-cell, and a sweep builds its pattern and engine configs once.
+a block of samples at once, re-keys its thread's pool of bare Generators
+per purpose to them, and runs the users as rows of bounded row blocks
+through the engines' one-pass frame and the detection body, so its memory
+does not grow with the user count.  A pool belongs to one thread and lives
+across calls, so a run builds only the generators that its thread has not
+built before; it is not re-entrant (see seqobf.core).  A run at one noise
+level is a sweep of one cell, and a sweep builds its pattern and engine
+configs once.
 
 A fraction sample's outcome is fixed once its row's filled prefix, the
 positions before the row's next replacement, holds the pattern, so manp
@@ -34,9 +37,12 @@ symbols are; and each (iteration, user, purpose) stream belongs to one
 row and one method, so a draw that is never made changes no other draw,
 and the masks are drawn in full first.
 
-The race draws each iteration from a keyed Generator of its own pool
-too, and runs a block of iterations as rows that draw in lockstep rounds,
-each round scanned in one match.
+The race draws each iteration from a keyed Generator of its thread's race
+pool too, at most _KEY_BLOCK of them.  Each iteration draws its pattern
+as l scalar draws, which give the symbols one sized draw would, and builds
+its base-r code as it draws; one gather then gives the superstring indices
+of a whole block.  A block of iterations runs as rows that draw in
+lockstep rounds, each round scanned in one match.
 """
 from __future__ import annotations
 
@@ -49,9 +55,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Pattern, RandomSource, _derive_keys, _keyed_generators
+from .core import (Pattern, RandomSource, _check_noise, _derive_keys, _generator_pool,
+                   _keyed_generators)
 from .detect import _contiguous_matches, _pattern_found
-from .engines import EngineConfig, _check_noise, _obfuscate_rows
+from .engines import EngineConfig, _obfuscate_rows
 from .superstring import _check_params, _shortest_first_index
 from . import bounds as bounds_mod
 from . import ingest as ingest_mod
@@ -66,6 +73,9 @@ _ROW_BLOCK = 32
 # the rows of one array, 2 MiB of int64, so its memory does not grow with
 # the iteration count.
 _RACE_SCAN_SYMBOLS = 1 << 18
+# The race's generator pool; the fraction protocol's pools are tagged by
+# their stream purpose, 0 for the base draw and 1 + j for method j.
+_RACE = "race"
 
 
 @dataclass(frozen=True)
@@ -234,7 +244,6 @@ def _fraction_iterations(
     replaced = np.zeros(len(configs), dtype=np.int64)
     users = spec.n_users - 1
     purposes = np.arange(1 + len(configs))
-    gen_pools: list[list] = [[] for _ in purposes]
     for first in range(start * users, stop * users, _KEY_BLOCK):
         s = np.arange(first, min(first + _KEY_BLOCK, stop * users))
         paths = np.empty((s.size, purposes.size, 3), dtype=np.int64)
@@ -244,7 +253,7 @@ def _fraction_iterations(
         keys = _derive_keys(spec.master_seed, paths.reshape(-1, 3)).reshape(paths.shape[:2] + (2,))
         for lo in range(0, s.size, _ROW_BLOCK):
             rows = slice(lo, lo + _ROW_BLOCK)
-            gens = [_keyed_generators(keys[rows, j], gen_pools[j]) for j in purposes]
+            gens = [_keyed_generators(keys[rows, j], _generator_pool(j)) for j in purposes]
             x = np.stack([_base_symbols(spec, gen, pool) for gen in gens[0]])
             for j, config in enumerate(configs):
                 z = x.copy()
@@ -318,11 +327,11 @@ def run_first_occurrence_race(
     Fewer than 2 iterations are refused: they give no standard error.
 
     Iterations run as the rows of blocks of at most _RACE_SCAN_SYMBOLS
-    symbols: each row draws its pattern and its offset, and then rounds of
-    about 2 r^l iid symbols, until its pattern is found; one scan per round
-    matches every row still searching against its own pattern.  A draw
-    gives the same symbols however it is split into calls, so the chunk
-    size changes only the count of symbols drawn.
+    symbols: each row draws its pattern, one symbol per call, and its
+    offset, and then rounds of about 2 r^l iid symbols, until its pattern
+    is found; one scan per round matches every row still searching against
+    its own pattern.  A draw gives the same symbols however it is split
+    into calls, so the chunk size changes only the count of symbols drawn.
     """
     _check_race(alphabet_size, order, iterations)
     t0 = time.perf_counter()
@@ -333,16 +342,21 @@ def run_first_occurrence_race(
     first_iid = np.empty(iterations, dtype=np.float64)
     first_super = np.empty(iterations, dtype=np.float64)
     drawn = 0
-    gen_pool: list = []
     for first in range(0, iterations, rows):
         block = np.arange(first, min(first + rows, iterations))
-        gens = _keyed_generators(_derive_keys(master_seed, block[:, None]), gen_pool)
+        gens = _keyed_generators(_derive_keys(master_seed, block[:, None]),
+                                 _generator_pool(_RACE))
         patterns = np.empty((block.size, order), dtype=np.int64)
+        codes = np.empty(block.size, dtype=np.int64)
         for i, gen in enumerate(gens):
-            patterns[i] = gen.integers(0, alphabet_size, size=order)
-            # The first superstring drawn holds every pattern, so its offset
-            # draw settles the superstring side.
-            first_super[first + i] = _shortest_first_index(alphabet_size, order, gen, patterns[i])
+            code = 0
+            for j in range(order):
+                patterns[i, j] = symbol = int(gen.integers(alphabet_size))
+                code = code * alphabet_size + symbol
+            codes[i] = code
+        # The first superstring drawn holds every pattern, so its offset
+        # draw settles the superstring side.
+        first_super[block] = _shortest_first_index(alphabet_size, order, gens, codes)
         first_iid[block], n_drawn = _scan_iid_rows(gens, patterns, alphabet_size, chunk)
         drawn += n_drawn
     record = {

@@ -14,7 +14,7 @@ draws, any fixed block is equally likely to sit at any position.
 Block c is the l base-r digits of code c, so concatenation draws compute
 their blocks and keep no table.  A shortest draw holds each string once
 among its first r^l positions; ``_shortest_first_index`` gets that index
-from the offset draw alone.
+from the offset draw alone, for a block of draws at once.
 """
 from __future__ import annotations
 
@@ -170,18 +170,17 @@ def _concat_array(
 
 
 def _shortest_first_index(
-    alphabet_size: int, order: int, gen: np.random.Generator, pattern: np.ndarray
-) -> int:
-    """1-based first index of pattern in the draw ``_shortest_array`` makes.
+    alphabet_size: int, order: int, gens: list[np.random.Generator], codes: np.ndarray
+) -> np.ndarray:
+    """1-based first index of the string of codes[i] in the draw that
+    ``_shortest_array`` makes from gens[i], for a block of generators.
 
-    Only its offset draw is made.  Symbol j is cycle[(offset + j) % r^l],
-    so the string at cycle position s starts at j = (s - offset) mod r^l."""
+    Only each generator's offset draw is made.  Symbol j is
+    cycle[(offset + j) % r^l], so the string at cycle position s starts at
+    j = (s - offset) mod r^l; one gather gives the whole block."""
     start = _cycle_starts(alphabet_size, order)
-    offset = int(gen.integers(start.size))
-    code = 0
-    for symbol in pattern.tolist():
-        code = code * alphabet_size + symbol
-    return (int(start[code]) - offset) % start.size + 1
+    offsets = np.fromiter((gen.integers(start.size) for gen in gens), np.int64, len(gens))
+    return (start[codes] - offsets) % start.size + 1
 
 
 def shortest_superstring(

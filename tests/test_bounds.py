@@ -49,6 +49,11 @@ class TestBoundValues:
         with pytest.raises(ValueError):
             params(20, 4, 3, 10, 0.1)
 
+    @pytest.mark.parametrize("p", [-0.1, 1.5])
+    def test_rejects_noise_outside_the_unit_interval(self, p):
+        with pytest.raises(ValueError, match=rf"^p_obf must be in \[0, 1\], got {p}$"):
+            params(1000, 20, 2, 10, p)
+
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
             params(100, 4, 2, 3, 1.5)

@@ -1,18 +1,22 @@
 """Experiment harness: protocols, determinism, and statistical sanity."""
 import io
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from seqobf import engines
+from seqobf import core, engines
 from seqobf.core import Alphabet, RandomSource, Trace
 from seqobf.engines import EngineConfig, lov_bound, obfuscate
 from seqobf.ingest import read_trace_file, write_trace_file
 from seqobf.sim import (
     _KEY_BLOCK,
+    _RACE,
     _ROW_BLOCK,
     ExperimentSpec,
     _fraction_iterations,
@@ -432,21 +436,28 @@ class TestRace:
 
     @pytest.mark.parametrize("r", [2, 3, 10, 20, 2**16, 2**24])
     def test_a_draw_gives_the_same_symbols_however_it_is_split(self, r):
-        # The race draws an iid stream in chunks of any size it likes and
-        # keeps records bit for bit only because of this.
+        # The race draws its pattern as l scalar calls and an iid stream in
+        # chunks of any size it likes, and keeps records bit for bit only
+        # because of this.
         l = 2 if r < 2**16 else 1
         splits = np.random.default_rng(r)
         for it in range(40):
             n = int(splits.integers(1, 5000))
             cuts = np.sort(splits.choice(np.arange(1, n + 1), size=min(n, 6), replace=False))
-            streams = []
-            for parts in ([n], np.diff(np.concatenate([[0], cuts, [n]]))):
+            patterns, streams = [], []
+            for scalar, parts in product((False, True),
+                                         ([n], np.diff(np.concatenate([[0], cuts, [n]])))):
                 gen = RandomSource(it, (r,)).generator
-                gen.integers(0, r, size=l)  # the pattern
+                if scalar:
+                    patterns.append([gen.integers(r) for _ in range(l)])
+                else:
+                    patterns.append(gen.integers(0, r, size=l))
                 gen.integers(r**l)  # the superstring's offset
                 streams.append(np.concatenate(
                     [gen.integers(0, r, size=int(k)) for k in parts if k]))
-            np.testing.assert_array_equal(streams[1], streams[0])
+            for pattern, stream in zip(patterns[1:], streams[1:]):
+                np.testing.assert_array_equal(pattern, patterns[0])
+                np.testing.assert_array_equal(stream, streams[0])
 
     def test_memory_is_bounded_by_the_scan_budget(self):
         from seqobf.sim import _RACE_SCAN_SYMBOLS
@@ -499,6 +510,52 @@ class TestRace:
         )
         assert rec["mean_first_iid"] >= n * 0.9
         assert 0.5 < rec["prob_iid_later"] < 0.75
+
+
+class TestGeneratorPools:
+    """Keyed generator pools live per thread and across calls: a run draws
+    the same whether its thread's pools are new or warm, and while another
+    thread runs at the same time."""
+
+    POOL_SPEC = dict(alphabet_size=6, trace_length=40, p_obf=0.3, gap=3,
+                     methods=SPEC_METHODS, n_users=6, iterations=4, master_seed=12)
+
+    @classmethod
+    def runs(cls):
+        race = run_first_occurrence_race(10, 2, 300, master_seed=3)
+        fraction = run_fraction(fraction_spec(**cls.POOL_SPEC))
+        sizes = {purpose: len(pool) for purpose, pool in core._pools.by_purpose.items()}
+        return [(res.records, res.counters) for res in (race, fraction)], sizes
+
+    def in_threads(self, count):
+        barrier = threading.Barrier(count)
+
+        def start_together():
+            barrier.wait()
+            return self.runs()
+
+        with ThreadPoolExecutor(max_workers=count) as executor:
+            return [f.result() for f in [executor.submit(start_together)
+                                         for _ in range(count)]]
+
+    def test_cold_warm_and_concurrent_runs_are_equal(self):
+        (cold, sizes), = self.in_threads(1)
+        # The race runs one block of 300 rows, the fraction run 20 samples.
+        assert sizes[_RACE] == 300 and sizes[0] == 20
+        # A 1 024-row race and a fraction run of other row blocks leave
+        # this thread's pools larger than the runs above use.
+        run_first_occurrence_race(2, 1, 1100, master_seed=8)
+        run_fraction(fraction_spec(n_users=_ROW_BLOCK + 3, iterations=2, methods=SPEC_METHODS,
+                                   trace_length=30))
+        warm, sizes = self.runs()
+        assert sizes[_RACE] == _KEY_BLOCK and sizes[0] == _ROW_BLOCK
+        for purpose, size in sizes.items():
+            assert size <= (_KEY_BLOCK if purpose == _RACE else _ROW_BLOCK), purpose
+        assert warm == cold
+        # New threads start with pools of their own, not this thread's.
+        for runs, sizes in self.in_threads(2):
+            assert runs == cold
+            assert sizes[_RACE] == 300 and sizes[0] == 20
 
 
 class TestCrowdCount:

@@ -173,7 +173,8 @@ class TestPartialDraws:
 class _FixedOffset:
     """Stands in for a Generator: integers(n) returns the offset set last."""
 
-    offset = 0
+    def __init__(self, offset=0):
+        self.offset = offset
 
     def integers(self, n):
         assert 0 <= self.offset < n
@@ -190,33 +191,31 @@ class TestShortestFirstIndex:
 
     @pytest.mark.parametrize("r,l", _pairs(100))
     def test_every_pattern_at_every_offset(self, r, l):
-        patterns = list(np.array(list(product(range(r), repeat=l))))
+        patterns = np.array(list(product(range(r), repeat=l)))
         powers = r ** np.arange(l - 1, -1, -1)
         gen = _FixedOffset()
         for offset in range(r**l):
             gen.offset = offset
             codes = sliding_window_view(_shortest_array(r, l, gen), l) @ powers
             _, first = np.unique(codes, return_index=True)
-            got = [_shortest_first_index(r, l, gen, q) for q in patterns]
+            got = _shortest_first_index(r, l, [gen] * len(patterns), patterns @ powers)
             assert np.array_equal(got, first + 1)
 
     def test_every_offset_and_every_pattern_up_to_a_thousand(self):
         # Each offset is paired with one pattern, each pattern with one
         # offset, at every (r, l) with l > 1 and r^l <= 1000.  Order 1,
         # whose cycle is 0..r-1, is sampled above r = 100: its 900 sizes
-        # would take most of the time.
-        gen = _FixedOffset()
+        # would take most of the time.  patterns[c] is the string of code c.
         orders_one = [(r, 1) for r in (101, 256, 500, 999, 1000)]
         for r, l in [(r, l) for r, l in _pairs(1000) if l > 1] + orders_one:
             n = r**l
             patterns = np.array(list(product(range(r), repeat=l)))
             targets = np.random.default_rng(n + l).permutation(n)
             draws = np.empty((n, n + l - 1), dtype=np.int64)
-            got = np.empty(n, dtype=np.int64)
-            for offset, code in enumerate(targets.tolist()):
-                gen.offset = offset
+            gens = [_FixedOffset(offset) for offset in range(n)]
+            for offset, gen in enumerate(gens):
                 draws[offset] = _shortest_array(r, l, gen)
-                got[offset] = _shortest_first_index(r, l, gen, patterns[code])
+            got = _shortest_first_index(r, l, gens, targets)
             windows = sliding_window_view(draws, l, axis=1)
             hit = (windows == patterns[targets][:, None]).all(2)
             assert hit.any(axis=1).all()
@@ -225,7 +224,7 @@ class TestShortestFirstIndex:
     def test_leaves_the_stream_where_a_whole_draw_does(self):
         for seed in range(20):
             gen = np.random.default_rng(seed)
-            _shortest_first_index(4, 3, gen, np.array([1, 0, 3]))
+            _shortest_first_index(4, 3, [gen], np.array([1 * 16 + 0 * 4 + 3]))
             replay = np.random.default_rng(seed)
             _shortest_array(4, 3, replay)
             assert gen.integers(2**62) == replay.integers(2**62)
