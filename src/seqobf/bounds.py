@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_noise
+from .core import Alphabet, _check_noise
 from .superstring import _check_params
 
 
@@ -40,8 +40,7 @@ class BoundParams:
     def __post_init__(self) -> None:
         if self.trace_length < 1:
             raise ValueError("trace_length must be >= 1")
-        if self.alphabet_size < 2:
-            raise ValueError("alphabet_size must be >= 2")
+        Alphabet(self.alphabet_size)
         if self.order < 1:
             raise ValueError("order must be >= 1")
         if self.gap < 1:

@@ -141,17 +141,35 @@ def _parse_p_grid(text: str) -> list[float]:
     return [float(x) for x in text.split(",")]
 
 
+# The keys that a spec file may set, by section.
+_SPEC_KEYS = {
+    "experiment": ("scenario", "methods", "iterations", "seed", "workers"),
+    "parameters": ("m", "r", "l", "h", "p_obf", "n_users", "gamma"),
+    "source": ("trace_file",),
+    "crowd": ("match_probability", "beta"),
+}
+
+
 def load_spec(path) -> tuple[sim_mod.ExperimentSpec, list[float], int]:
-    """Parse an INI experiment spec; returns (spec, p grid, workers)."""
+    """Parse an INI experiment spec; returns (spec, p grid, workers).
+
+    A section or key that no spec reads is refused, so that no setting is
+    silently ignored.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     if not parser.read(path):
         raise OSError(f"cannot read spec file {path}")
     if "experiment" not in parser or "parameters" not in parser:
         raise ValueError(f"{path}: spec needs [experiment] and [parameters] sections")
+    unknown = [f"[{name}]" for name in parser.sections() if name not in _SPEC_KEYS]
+    unknown += [f"[{name}] {key}" for name, keys in _SPEC_KEYS.items() if name in parser
+                for key in parser[name] if key not in keys]
+    if unknown:
+        hint = ("; trace_file alone picks the source: set it to read an ingested "
+                "pool, leave it out for synthetic traces" if "[source] kind" in unknown else "")
+        raise ValueError(f"{path}: unknown spec sections or keys: {', '.join(unknown)}{hint}")
     exp = parser["experiment"]
     par = parser["parameters"]
-    src = parser["source"] if "source" in parser else {}
-    lem = parser["crowd"] if "crowd" in parser else {}
     methods = tuple(
         m.strip() for m in exp.get("methods", "iid, sl_sbu").split(",") if m.strip()
     )
@@ -167,13 +185,10 @@ def load_spec(path) -> tuple[sim_mod.ExperimentSpec, list[float], int]:
         n_users=int(par.get("n_users", "100")),
         iterations=int(exp.get("iterations", "100")),
         master_seed=int(exp.get("seed", str(_default_seed()))),
-        trace_source=src.get("kind", "synthetic_iid"),
-        trace_file=src.get("trace_file", None),
+        trace_file=parser.get("source", "trace_file", fallback=None),
         gamma=float(par.get("gamma", "0.1")),
-        match_probability=(
-            float(lem["match_probability"]) if "match_probability" in lem else None
-        ),
-        beta=float(lem["beta"]) if "beta" in lem else None,
+        match_probability=parser.getfloat("crowd", "match_probability", fallback=None),
+        beta=parser.getfloat("crowd", "beta", fallback=None),
     )
     if len(p_grid) > 1 and spec.scenario != "fraction":
         raise ValueError(f"a p_obf grid sweeps only the fraction scenario, not {spec.scenario}")

@@ -6,17 +6,16 @@ RandomSource, whose draw position advances as it is consumed.
 
 Deriving a RandomSource hashes its identity with numpy's SeedSequence,
 which costs tens of microseconds.  ``_derive_keys`` reproduces that hash
-for many paths at once, and ``_keyed_generator`` builds the Generator of a
-key so derived: it draws what RandomSource(master_seed, path).generator
-draws.  The engines and protocols below the public API take such bare
-Generators.  Building one costs several microseconds, and re-keying one
-built before about a fifth of that, so ``_generator_pool`` keeps a pool of
-them per thread and purpose, and ``_keyed_generators`` re-keys a pool for
-each block of keys, building only the generators that it lacks.  A pool
-belongs to the thread that asked for it and lives across calls, as long as
-its thread does, at about 800 bytes per generator.  It is not re-entrant:
-re-keying it for a block makes the generators of its last block stale, so
-a caller holds one block of a purpose at a time.
+for many paths at once, and ``_keyed_generator`` builds from such a key a
+Generator that draws what RandomSource(master_seed, path).generator draws;
+the engines and protocols below the public API take such bare Generators.
+Re-keying a built generator costs about a fifth of a build, so
+``_generator_pool`` keeps a pool of them per thread and purpose, and
+``_keyed_generators`` re-keys a pool for each block of keys, building only
+the generators it lacks.  A pool lives as long as its thread, at about 800
+bytes per generator.  It is not re-entrant: re-keying it makes the
+generators of its last block stale, so a caller holds one block of a
+purpose at a time.
 """
 from __future__ import annotations
 
@@ -125,8 +124,7 @@ class RandomSource:
     A source is identified by (master_seed, path).  The same identity yields
     the same draw sequence on every run and platform; distinct paths yield
     statistically independent streams.  ``derive`` appends indices to the
-    path, so e.g. one stream per (iteration, user) never perturbs any other
-    stream when more users or iterations are added.
+    path.
 
     A source must only be drawn from by one owner at a time.
     """
@@ -162,9 +160,8 @@ class _KnownKey(np.random.bit_generator.ISeedSequence):
 
 
 def _keyed_generator(key: np.ndarray) -> np.random.Generator:
-    """The generator of RandomSource(master_seed, path), given its key from
-    _derive_keys.  Philox(key=...) would first seed itself from OS entropy,
-    which costs more than the whole shim."""
+    """The generator of a key from _derive_keys.  Philox(key=...) would first
+    seed itself from OS entropy, which costs more than the whole shim."""
     return np.random.Generator(np.random.Philox(_KnownKey(key)))
 
 
@@ -185,9 +182,8 @@ def _keyed_generators(keys: np.ndarray, pool: list) -> list:
     """The generators of the (n, 2) keys, drawing as _keyed_generator's would.
 
     Pool's first n generators are re-keyed to the state a fresh Philox holds
-    (the key, counter 0, an empty buffer), which costs a fraction of a build;
-    those missing are built and appended.  The generators returned belong to
-    the pool, so they go stale when it is re-keyed."""
+    (the key, counter 0, an empty buffer); those missing are built and
+    appended."""
     state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
              "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for gen, key in zip(pool, keys[: len(pool)].tolist()):

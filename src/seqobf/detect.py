@@ -6,8 +6,7 @@ Detection runs a dynamic program over pattern positions with a sliding
 reachability window, O(m*l) time, along the last axis of an array: one
 cumulative sum per pattern element, into one buffer that the levels share,
 decides a whole block of traces in O(rows*(m + min(gap, m))) memory, and
-has_pattern is the one-trace case.  The exhaustive reference scans used
-to validate it live in the test suite.
+has_pattern is the one-trace case.
 """
 from __future__ import annotations
 
@@ -40,16 +39,18 @@ def _pattern_found(symbols: np.ndarray, pattern_symbols, gap: int | None) -> np.
     return reach.any(axis=-1)
 
 
+def _check_alphabet(trace: Trace, pattern: Pattern) -> None:
+    if max(pattern.symbols) >= trace.alphabet.size:
+        raise ValueError(f"pattern symbols exceed alphabet 0..{trace.alphabet.size - 1}")
+
+
 def has_pattern(trace: Trace, pattern: Pattern) -> bool:
     """True iff the pattern occurs in the trace under its gap constraint.
 
     A trace shorter than the pattern cannot contain it, so the answer is
     False, as first_occurrence gives None.
     """
-    if max(pattern.symbols) >= trace.alphabet.size:
-        raise ValueError(
-            f"pattern symbols exceed alphabet 0..{trace.alphabet.size - 1}"
-        )
+    _check_alphabet(trace, pattern)
     return bool(_pattern_found(trace.symbols, pattern.symbols, pattern.gap))
 
 
@@ -77,10 +78,7 @@ def first_occurrence(trace: Trace, pattern: Pattern) -> int | None:
     """
     if pattern.gap != 1:
         raise ValueError("first_occurrence is defined for gap=1 patterns only")
-    if max(pattern.symbols) >= trace.alphabet.size:
-        raise ValueError(
-            f"pattern symbols exceed alphabet 0..{trace.alphabet.size - 1}"
-        )
+    _check_alphabet(trace, pattern)
     hit = _contiguous_matches(trace.symbols, pattern.symbols)
     idx = int(np.argmax(hit)) if hit.any() else None
     return None if idx is None else idx + 1
@@ -97,8 +95,6 @@ class PatternStats:
 
     This is the documented statistic and the test oracle for manp, whose
     engine keeps its own pair-seen matrix; no engine uses PatternStats.
-
-    A PatternStats instance is single-owner: update it from one place only.
     """
 
     def __init__(self, order: int, gap: int | None):

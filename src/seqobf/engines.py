@@ -2,59 +2,37 @@
 
 Every engine runs in one frame, ``_obfuscate_rows``: one pass over the
 rows of a 2-D array, in place, with one np.random.Generator per row.  It
-draws every row's Bernoulli(p) mask from that row's generator and makes
-one call to the method's replacement policy, which fills the masked
-positions of the whole row block.  Positions outside the mask keep the
-original symbol.  ``obfuscate`` on one Trace is the one-row case, drawing
-from its source's generator.  ``_POLICIES`` maps each single-pass method
-to its policy; two_stage is two frame calls inside ``obfuscate``.  iid,
-sbu and sl_sbu draw each row's replacements from its own generator and
-fill the block with one assignment; plov steps all rows together; lov and
-manp run a one-row policy on each row in turn.
+draws every row's Bernoulli(p) mask and then calls the method's policy in
+``_POLICIES`` once, which fills the masked positions of the whole row
+block; the other positions keep their symbols.  ``obfuscate`` on one
+Trace is the one-row case.
 
-Data-independent methods draw replacements ahead of the data:
+Data-independent methods draw replacements ahead of the data, and fill a
+row block with one assignment:
 
 * iid      — fresh uniform symbols;
 * sbu      — a concatenation-form covering superstring consumed in order;
-  the whole block permutation is drawn, but only the blocks used are
-  gathered;
-* sl_sbu   — a shortest covering superstring consumed in order; symbol j
-  of a draw is cycle[(offset + j) % r^l] for its one offset draw;
-* two_stage — an iid pass on source.derive(0), then an sl_sbu pass on
-  source.derive(1), over the first pass's output; the masks are OR'd.
+* sl_sbu   — a shortest covering superstring consumed in order;
+* two_stage — an iid pass, then an sl_sbu pass over its output (see
+  EngineConfig).
 
 Data-dependent methods pick each replacement from the realized obfuscated
-prefix:
+prefix; lov and manp fill one row at a time, and plov steps a whole block:
 
 * lov  — uniform over symbols not yet present in the prefix;
 * plov — weighted toward less-frequent symbols via a tilted histogram;
 * manp — the symbol completing the most previously-unseen length-2
   patterns with a predecessor in the trailing window.
 
-For reproducibility each pass consumes its stream in a fixed order: the
-whole replacement mask first (one uniform per position), then replacement
-draws in stream order.  The data-dependent policies make one draw per
-masked position, in index order, and loop in Python only over the masked
-positions; between two of them they advance the prefix state in bulk.
-Once lov's prefix holds every symbol, its remaining replacements are
-uniform and come from one batched integer draw, which yields the same
-values as one scalar draw per position.  plov draws each row's uniforms
-in one call the same way, and at step j picks the j-th replacement of
-every row that has one, from that row's counts of its prefix.
-
-The fraction protocol asks only whether each output row holds a pattern,
-so it passes the frame a settled test: does a row's filled prefix, the
-positions before its next replacement, already hold it?  manp runs the
-test after each pick, on the row's prefix through that pick, and stops
-filling the row once it is true; the row's later masked positions keep
-their input symbols.  Two facts keep the protocol's answer exact.
-Positions before a row's next replacement never change again, so what
-the test found there is in the full output whatever the later symbols
-are.  And each row draws from its own generator, so a draw that is never
-made changes no other draw; the mask is drawn in full first, so it is
-the same either way.  lov's position-by-position part already ends at
-coverage, and plov steps a whole block in lockstep, so both ignore the
-test, as do the data-independent methods.  obfuscate never passes one.
+For reproducibility each pass consumes a row's stream in a fixed order:
+the whole replacement mask first (one uniform per position), then
+replacement draws in stream order.  The data-dependent policies make one
+draw per masked position, in index order, and loop in Python only over
+the masked positions; between two of them they advance the prefix state
+in bulk.  Once lov's prefix holds every symbol, its remaining
+replacements are uniform and come from one batched integer draw, which
+yields the same values as one scalar draw per position.  plov draws each
+row's uniforms in one call the same way.
 """
 from __future__ import annotations
 
@@ -63,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as sstats
 
-from .core import RandomSource, Trace, _check_noise
+from .core import Alphabet, RandomSource, Trace, _check_noise
 from .superstring import _check_params, _concat_array, _shortest_array
 
 METHODS = ("iid", "sbu", "sl_sbu", "two_stage", "lov", "plov", "manp")
@@ -80,8 +58,8 @@ class EngineConfig:
     A position is touched with probability a + b - a*b.  A two_stage
     config with p_obf > 0 and no stage noise is rejected, since none of
     that noise would be applied.
-    order is the covering-superstring order for sbu/sl_sbu/two_stage; gamma
-    is the plov tilt exponent; gap is the manp predecessor-window width.
+    order is the superstring order of sbu/sl_sbu/two_stage, checked by
+    obfuscate; gamma is the plov tilt; gap is the manp window width.
     """
 
     method: str
@@ -95,12 +73,11 @@ class EngineConfig:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         _check_noise(self.p_obf)
-        if self.method in ("sbu", "sl_sbu", "two_stage") and self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
         if self.method == "plov" and self.gamma <= 0.0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
         if self.method == "manp" and (self.gap is None or self.gap < 1):
-            raise ValueError("manp requires a predecessor window gap >= 1")
+            raise ValueError(f"manp needs a finite gap h >= 1: it scores symbols against "
+                             f"the trailing window of h predecessors, got {self.gap}")
         if self.method == "two_stage":
             a, b = self.stage_noise
             if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
@@ -190,7 +167,6 @@ def _fill_iid(z, mask, alphabet_size, config, gens, settled) -> None:
 
 def _fill_superstring(z, mask, alphabet_size, config, gens, settled) -> None:
     kind = "concatenation" if config.method == "sbu" else "shortest"
-    _check_params(alphabet_size, config.order)
     z[mask] = np.concatenate([_replacement_stream(gen, alphabet_size, config.order, kind,
                                                   np.count_nonzero(row))
                               for row, gen in zip(mask, gens)])
@@ -287,11 +263,8 @@ def _row_by_row(fill):
     return fill_rows
 
 
-# Replacement policy of each single-pass method.  A policy
-# (z, mask, alphabet_size, config, gens, settled) fills the row block z in
-# place at the masked positions, row i drawing from gens[i] after its mask.
-# settled is None or a test of a row's filled prefix (see _obfuscate_rows);
-# only manp uses it.
+# Replacement policy of each single-pass method, called as
+# policy(z, mask, alphabet_size, config, gens, settled); only manp reads settled.
 _POLICIES = {
     "iid": _fill_iid,
     "sbu": _fill_superstring,
@@ -307,11 +280,10 @@ def _obfuscate_rows(
 ) -> np.ndarray:
     """One pass of a single-pass method over the 2-D array z, in place.
 
-    Row i draws from gens[i] in the documented order, so it comes out as
-    it would alone.  Returns the mask of replaced positions, shaped like z.
-    settled, if given, tests a row's prefix that no later replacement
-    changes: manp calls it on each row's prefix through its latest pick
-    and stops filling the row once it is true (see the module docstring).
+    Row i draws from gens[i], so it comes out as it would alone.  Returns
+    the mask of replaced positions.  settled, if given, tests a row's
+    filled prefix (see sim._fraction_iterations).  The caller checks the
+    superstring size cap.
     """
     uniforms = np.empty(z.shape)
     for row, gen in zip(uniforms, gens):
@@ -331,12 +303,13 @@ def obfuscate(
     """Apply one obfuscation method to a trace.
 
     Returns the obfuscated Trace, or (Trace, mask) with return_mask=True,
-    where mask marks the replaced positions.  For two_stage it marks the
-    positions that either stage touched, and the second stage runs over
-    the first stage's output (see EngineConfig).
+    where mask marks the positions that a pass (either, for two_stage)
+    replaced.
     """
     z = trace.symbols[None, :].copy()
     r = trace.alphabet.size
+    if config.method in ("sbu", "sl_sbu", "two_stage"):
+        _check_params(r, config.order)
     if config.method == "two_stage":
         a, b = config.stage_noise
         first = EngineConfig(method="iid", p_obf=a)
@@ -359,8 +332,7 @@ def lov_bound(trace_length: int, alphabet_size: int, p_obf: float) -> float:
     """
     if trace_length < 1:
         raise ValueError("trace_length must be >= 1")
-    if alphabet_size < 2:
-        raise ValueError("alphabet_size must be >= 2")
+    Alphabet(alphabet_size)
     _check_noise(p_obf)
     m, r = trace_length, alphabet_size
     ks = np.arange(min(r, m + 1))

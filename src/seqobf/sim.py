@@ -9,40 +9,20 @@ Scenarios:
   contains the pattern.
 * first_occurrence — the race between a pure iid noise stream and a pure
   shortest-superstring noise stream to the first contiguous occurrence of
-  a random pattern.  The superstring's index follows from its rotation
-  offset, so only the iid stream is built and scanned.
+  a random pattern.
 * crowd_count — binomial sanity counts for the number of users sharing a
   pattern at a given per-user match probability.
 * bounds_table — deterministic evaluation of both closed-form bounds at
   the spec's parameters.
 
-Streams are keyed by (master seed, iteration, user, purpose), so results
-are identical for any worker count and adding iterations, users or methods
-never perturbs existing draws.  The fraction protocol derives the keys of
-a block of samples at once, re-keys its thread's pool of bare Generators
-per purpose to them, and runs the users as rows of bounded row blocks
-through the engines' one-pass frame and the detection body, so its memory
-does not grow with the user count.  A pool belongs to one thread and lives
-across calls, so a run builds only the generators that its thread has not
-built before; it is not re-entrant (see seqobf.core).  A run at one noise
-level is a sweep of one cell, and a sweep builds its pattern and engine
-configs once.
-
-A fraction sample's outcome is fixed once its row's filled prefix, the
-positions before the row's next replacement, holds the pattern, so manp
-stops filling such a row (see seqobf.engines).  Records and counters stay
-those of a full fill: positions before the next replacement never change
-again, so a pattern found there is in the final trace whatever the base
-symbols are; and each (iteration, user, purpose) stream belongs to one
-row and one method, so a draw that is never made changes no other draw,
-and the masks are drawn in full first.
-
-The race draws each iteration from a keyed Generator of its thread's race
-pool too, at most _KEY_BLOCK of them.  Each iteration draws its pattern
-as l scalar draws, which give the symbols one sized draw would, and builds
-its base-r code as it draws; one gather then gives the superstring indices
-of a whole block.  A block of iterations runs as rows that draw in
-lockstep rounds, each round scanned in one match.
+Streams are keyed by (master seed, path), so results are identical for any
+worker count and adding iterations, users or methods never perturbs
+existing draws.  Fraction sample (iteration it, user u) draws its base
+trace from path (it, u, 0), and method j obfuscates it from path
+(it, u, 1 + j); the last index is the stream's purpose.  Race iteration it
+draws its pattern, its superstring offset and its iid stream, in that
+order, from path (it,).  Both protocols draw from keyed generators of their
+thread's pools (see seqobf.core).
 """
 from __future__ import annotations
 
@@ -69,18 +49,17 @@ SCENARIOS = ("fraction", "first_occurrence", "bounds_table", "crowd_count")
 # users obfuscated and scanned together as the rows of one array.
 _KEY_BLOCK = 1024
 _ROW_BLOCK = 32
-# Symbols a race scans at once: up to _KEY_BLOCK iterations' first chunks as
-# the rows of one array, 2 MiB of int64, so its memory does not grow with
-# the iteration count.
+# Symbols a race scans at once, as the rows of one array: 2 MiB of int64,
+# whatever the iteration count.
 _RACE_SCAN_SYMBOLS = 1 << 18
-# The race's generator pool; the fraction protocol's pools are tagged by
-# their stream purpose, 0 for the base draw and 1 + j for method j.
+# The race's generator pool tag; a fraction run tags its pools by purpose.
 _RACE = "race"
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Declarative description of one experiment run."""
+    """Declarative description of one experiment run.  A fraction run draws
+    its traces from the pool in trace_file if it is set, else synthetic ones."""
 
     scenario: str
     alphabet_size: int
@@ -92,7 +71,6 @@ class ExperimentSpec:
     n_users: int = 100
     iterations: int = 1000
     master_seed: int = 0
-    trace_source: str = "synthetic_iid"
     trace_file: str | None = None
     gamma: float = 0.1
     match_probability: float | None = None
@@ -103,10 +81,6 @@ class ExperimentSpec:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.trace_source not in ("synthetic_iid", "ingested"):
-            raise ValueError(f"unknown trace source {self.trace_source!r}")
-        if self.trace_source == "ingested" and not self.trace_file:
-            raise ValueError("ingested trace source requires trace_file")
         _check_noise(self.p_obf)
         if self.gap is not None and self.gap < 1:
             raise ValueError(f"gap must be >= 1 or None, got {self.gap}")
@@ -149,11 +123,9 @@ def _bound_params(spec: ExperimentSpec) -> bounds_mod.BoundParams:
 
 
 def _fraction_plan(spec: ExperimentSpec) -> tuple[Pattern, list[EngineConfig]]:
-    """The reserved pattern and one engine config per method of a fraction run.
-
-    The one builder of both, so a spec is refused when it is built for
-    exactly what its run would refuse.
-    """
+    """The reserved pattern and one engine config per method of a fraction
+    run: the one builder of both, so a spec is refused when it is built for
+    exactly what its run would refuse."""
     r, l = spec.alphabet_size, spec.order
     if spec.n_users < 2:
         raise ValueError("the fraction scenario needs at least 2 users")
@@ -161,11 +133,6 @@ def _fraction_plan(spec: ExperimentSpec) -> tuple[Pattern, list[EngineConfig]]:
         raise ValueError(f"trace_length must be >= 1, got {spec.trace_length}")
     if not 1 <= l < r:
         raise ValueError(f"unique-pattern protocol needs 1 <= l < r, got r={r}, l={l}")
-    if "manp" in spec.methods and spec.gap is None:
-        raise ValueError(
-            "manp needs a finite gap h: it scores symbols against the "
-            "trailing window of h predecessors"
-        )
     if len(set(spec.methods)) < len(spec.methods):
         raise ValueError(f"methods must be distinct, got {spec.methods}")
     if "two_stage" in spec.methods:
@@ -173,11 +140,9 @@ def _fraction_plan(spec: ExperimentSpec) -> tuple[Pattern, list[EngineConfig]]:
             "two_stage takes per-stage noise levels, which a spec cannot set; "
             "use EngineConfig.stage_noise or obfuscate --stage-a/--stage-b"
         )
-    if spec.trace_source == "ingested" and r - l < 2:
-        raise ValueError(
-            f"an ingested pool is read over the reduced alphabet of r - l symbols, "
-            f"which needs r - l >= 2, got r={r}, l={l}"
-        )
+    if spec.trace_file is not None and r - l < 2:
+        raise ValueError(f"an ingested pool is read over the reduced alphabet of r - l "
+                         f"symbols, which needs r - l >= 2, got r={r}, l={l}")
     if {"sbu", "sl_sbu"} & set(spec.methods):
         _check_params(r, l)
     configs = [
@@ -219,14 +184,21 @@ def _fraction_iterations(
 
     User 0 is the target.  The estimate counts only the other users, so
     the target's trace is never drawn; sample s is user 1 + s % (n - 1) of
-    iteration s // (n - 1).  Its base trace comes from stream (it, u, 0)
-    and method j obfuscates it with stream (it, u, 1 + j).  The base draws
-    lie in the reduced alphabet by construction, so they are not checked
-    again as Traces.  pattern and configs are the cell's plan, as
-    _fraction_plan builds it at the cell's noise level.  pool holds an
-    ingested spec's traces, as _load_trace_pool reads them; it is None for
-    synthetic traces.  The engines may stop filling a row once the
-    settled test below finds the pattern (see the module docstring).
+    iteration s // (n - 1).  The users run as the rows of blocks of at most
+    _ROW_BLOCK.  The base draws lie in the reduced alphabet by
+    construction, so they are not checked again as Traces.  pattern and
+    configs are the cell's plan from _fraction_plan; pool holds an ingested
+    spec's traces from _load_trace_pool, or None.
+
+    A sample's outcome is fixed once its row's filled prefix, the positions
+    before the row's next replacement, holds the pattern.  So manp stops
+    filling a row once the test settled is true, and the row's later masked
+    positions keep their base symbols; the other methods ignore the test.
+    Records and counters stay those of a full fill: positions before the
+    next replacement never change again, so a pattern found there is in the
+    final trace; each stream belongs to one row and one method, so a draw
+    that is never made changes no other draw; and the masks are drawn in
+    full first.
     """
     r = spec.alphabet_size
     q, gap = pattern.symbols, pattern.gap
@@ -277,13 +249,8 @@ def _scan_iid_rows(
     gens: Sequence[np.random.Generator], patterns: np.ndarray, alphabet_size: int, chunk: int
 ) -> tuple[np.ndarray, int]:
     """1-based index of each row pattern's first occurrence in the iid
-    stream of the row's Generator, and the number of symbols drawn.
-
-    Each round, every row still searching draws chunk symbols after the
-    last l-1 symbols it drew, so occurrences spanning rounds are seen, and
-    one match scans them all.  The rows advance in lockstep, so one count
-    holds the start offsets ruled out so far.
-    """
+    stream of the row's Generator, and the number of symbols drawn, in
+    rounds of chunk symbols (see run_first_occurrence_race)."""
     first = np.empty(len(gens), dtype=np.int64)
     live = np.arange(len(gens))
     carry = np.empty((live.size, 0), dtype=np.int64)
@@ -310,26 +277,22 @@ def _check_race(alphabet_size: int, order: int, iterations: int) -> None:
 
 
 def run_first_occurrence_race(
-    alphabet_size: int,
-    order: int,
-    iterations: int,
-    master_seed: int = 0,
+    alphabet_size: int, order: int, iterations: int, master_seed: int = 0
 ) -> ExperimentResult:
     """Race the two pure noise streams to a random pattern's first occurrence.
 
-    Per iteration a pattern of the given order is drawn with iid uniform
-    letters, and both streams are extended until each contains it
-    contiguously; the superstring's index comes from its offset draw
-    alone.  Records the mean first-occurrence indices and the probability
-    that the iid stream is strictly slower.  The counters are "samples"
-    (iterations), "iid_symbols_drawn" and "iid_symbols_used": an iid
-    stream is used up to the last symbol of the pattern's first occurrence.
-    Fewer than 2 iterations are refused: they give no standard error.
+    Records the mean first-occurrence indices and the probability that the
+    iid stream is strictly slower.  The counters are "samples"
+    (iterations), "iid_symbols_drawn" and "iid_symbols_used": an iid stream
+    is used up to the last symbol of the pattern's first occurrence.  Fewer
+    than 2 iterations are refused: they give no standard error.
 
     Iterations run as the rows of blocks of at most _RACE_SCAN_SYMBOLS
-    symbols: each row draws its pattern, one symbol per call, and its
-    offset, and then rounds of about 2 r^l iid symbols, until its pattern
-    is found; one scan per round matches every row still searching against
+    symbols.  Each row draws its pattern, one symbol per call, and its
+    superstring offset, which alone gives the superstring's index.  Then it
+    draws rounds of about 2 r^l iid symbols, each after the last l-1
+    symbols of the one before, until its pattern is found; the rows still
+    searching draw in lockstep, and one match per round scans each against
     its own pattern.  A draw gives the same symbols however it is split
     into calls, so the chunk size changes only the count of symbols drawn.
     """
@@ -346,17 +309,11 @@ def run_first_occurrence_race(
         block = np.arange(first, min(first + rows, iterations))
         gens = _keyed_generators(_derive_keys(master_seed, block[:, None]),
                                  _generator_pool(_RACE))
-        patterns = np.empty((block.size, order), dtype=np.int64)
-        codes = np.empty(block.size, dtype=np.int64)
-        for i, gen in enumerate(gens):
-            code = 0
-            for j in range(order):
-                patterns[i, j] = symbol = int(gen.integers(alphabet_size))
-                code = code * alphabet_size + symbol
-            codes[i] = code
+        patterns = np.array([gen.integers(alphabet_size) for gen in gens for _ in range(order)],
+                            dtype=np.int64).reshape(block.size, order)
         # The first superstring drawn holds every pattern, so its offset
         # draw settles the superstring side.
-        first_super[block] = _shortest_first_index(alphabet_size, order, gens, codes)
+        first_super[block] = _shortest_first_index(alphabet_size, order, gens, patterns)
         first_iid[block], n_drawn = _scan_iid_rows(gens, patterns, alphabet_size, chunk)
         drawn += n_drawn
     record = {
@@ -432,8 +389,7 @@ def sweep(
     coupled monotonically across the grid and ordering comparisons between
     noise levels carry less Monte Carlo noise.  An ingested file is read
     once, before any worker starts.  A cell's iterations are split into
-    one contiguous span per worker; the records and counters are the same
-    for any worker count.
+    one contiguous span per worker.
     """
     t0 = time.perf_counter()
     if spec.scenario != "fraction":
@@ -443,7 +399,7 @@ def sweep(
     for p in grid:
         _check_noise(p)
     pattern, configs = _fraction_plan(spec)
-    pool = _load_trace_pool(spec) if spec.trace_source == "ingested" else None
+    pool = None if spec.trace_file is None else _load_trace_pool(spec)
     edges = [spec.iterations * k // workers for k in range(workers + 1)]
     spans = [(a, b) for a, b in zip(edges[:-1], edges[1:]) if a < b]
     records: list[dict] = []
@@ -463,22 +419,20 @@ def sweep(
             for name, count in ((f"hits.{method}", h), (f"replacements.{method}", k)):
                 counters[name] = counters.get(name, 0) + int(count)
             estimate = h / samples
-            records.append(
-                {
-                    "scenario": spec.scenario,
-                    "method": method,
-                    "m": spec.trace_length,
-                    "r": spec.alphabet_size,
-                    "l": spec.order,
-                    "h": spec.gap,
-                    "p_obf": p,
-                    "iterations": spec.iterations,
-                    "n_users": spec.n_users,
-                    "samples": samples,
-                    "estimate": float(estimate),
-                    "std_error": float(np.sqrt(max(estimate * (1 - estimate), 0.0) / samples)),
-                }
-            )
+            records.append({
+                "scenario": spec.scenario,
+                "method": method,
+                "m": spec.trace_length,
+                "r": spec.alphabet_size,
+                "l": spec.order,
+                "h": spec.gap,
+                "p_obf": p,
+                "iterations": spec.iterations,
+                "n_users": spec.n_users,
+                "samples": samples,
+                "estimate": float(estimate),
+                "std_error": float(np.sqrt(max(estimate * (1 - estimate), 0.0) / samples)),
+            })
     return ExperimentResult(tuple(records), time.perf_counter() - t0, counters)
 
 

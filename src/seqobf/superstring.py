@@ -7,14 +7,6 @@ as a contiguous (non-cyclic) substring.  Two constructions are provided:
   length l * r^l;
 * shortest form: a rotated de Bruijn cycle of order l with its first l-1
   symbols repeated at the end, length r^l + l - 1, which is minimal.
-
-Rotation offsets and block orders are drawn uniformly so that, over many
-draws, any fixed block is equally likely to sit at any position.
-
-Block c is the l base-r digits of code c, so concatenation draws compute
-their blocks and keep no table.  A shortest draw holds each string once
-among its first r^l positions; ``_shortest_first_index`` gets that index
-from the offset draw alone, for a block of draws at once.
 """
 from __future__ import annotations
 
@@ -24,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RandomSource
+from .core import Alphabet, RandomSource
 
 # Refuse to materialize cycles, or whole concatenation draws, longer than
 # this many symbols.
@@ -41,8 +33,7 @@ _tables: OrderedDict = OrderedDict()
 
 
 def _check_params(alphabet_size: int, order: int) -> None:
-    if alphabet_size < 2:
-        raise ValueError(f"alphabet size must be >= 2, got {alphabet_size}")
+    Alphabet(alphabet_size)
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     # Compare in log space so huge orders cannot overflow.
@@ -159,8 +150,9 @@ def _concat_array(
     """All r^l blocks laid end to end in a uniformly random order.
 
     Block slot i holds the string of code perm[i]: its base-r digits, most
-    significant first.  With count, only the blocks that hold the first
-    count symbols are computed; the whole permutation is drawn either way.
+    significant first, so no table of blocks is kept.  With count, only the
+    blocks that hold the first count symbols are computed; the whole
+    permutation is drawn either way.
     """
     perm = gen.permutation(alphabet_size**order)
     if count is not None:
@@ -170,15 +162,16 @@ def _concat_array(
 
 
 def _shortest_first_index(
-    alphabet_size: int, order: int, gens: list[np.random.Generator], codes: np.ndarray
+    alphabet_size: int, order: int, gens: list[np.random.Generator], patterns: np.ndarray
 ) -> np.ndarray:
-    """1-based first index of the string of codes[i] in the draw that
-    ``_shortest_array`` makes from gens[i], for a block of generators.
+    """1-based first index of the length-l string patterns[i] in the draw
+    that ``_shortest_array`` makes from gens[i], for a block of generators.
 
-    Only each generator's offset draw is made.  Symbol j is
-    cycle[(offset + j) % r^l], so the string at cycle position s starts at
-    j = (s - offset) mod r^l; one gather gives the whole block."""
+    Only each generator's offset draw is made.  The string at cycle
+    position s starts at symbol (s - offset) mod r^l of the draw, so one
+    gather gives the whole block."""
     start = _cycle_starts(alphabet_size, order)
+    codes = patterns @ alphabet_size ** np.arange(order - 1, -1, -1)
     offsets = np.fromiter((gen.integers(start.size) for gen in gens), np.int64, len(gens))
     return (start[codes] - offsets) % start.size + 1
 

@@ -180,7 +180,7 @@ def fraction_counts_reference(spec, start: int, stop: int):
         for m in spec.methods
     ]
     pool = None
-    if spec.trace_source == "ingested":
+    if spec.trace_file is not None:
         pool = [t.symbols for t in read_trace_file(spec.trace_file, reduced)
                 if t.length >= spec.trace_length]
     hits = np.zeros(len(configs), dtype=np.int64)

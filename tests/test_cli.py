@@ -425,7 +425,7 @@ _REFUSED = {
         _FRACTION.replace("[p", "methods = plov\nworkers = 2\n[p") + "gamma = 0\n"),
     "empty_pattern": _simulate(_FRACTION.replace("l = 2", "l = 0")),
     "no_ingested_trace_long_enough": _simulate(
-        _FRACTION + "[source]\nkind = ingested\ntrace_file = {dir}/traces.txt\n",
+        _FRACTION + "[source]\ntrace_file = {dir}/traces.txt\n",
         **{"traces.txt": "0 1 2 3\n"}),
     "noise_grid_on_bounds_table": _simulate(
         "[experiment]\nscenario = bounds_table\n"
@@ -441,6 +441,14 @@ _REFUSED = {
     "sl_sbu_obfuscate_over_the_size_cap": (
         {"in.txt": "0 1 2 0 1 2\n"},
         ["obfuscate", "--method", "sl_sbu", "--r", "5000",
+         "--in", "{dir}/in.txt", "--out", "{dir}/out.txt"]),
+    "sbu_obfuscate_over_the_size_cap": (
+        {"in.txt": "0 1 2 0 1 2\n"},
+        ["obfuscate", "--method", "sbu", "--r", "5000",
+         "--in", "{dir}/in.txt", "--out", "{dir}/out.txt"]),
+    "two_stage_obfuscate_over_the_size_cap": (
+        {"in.txt": "0 1 2 0 1 2\n"},
+        ["obfuscate", "--method", "two_stage", "--stage-b", "0.3", "--r", "5000",
          "--in", "{dir}/in.txt", "--out", "{dir}/out.txt"]),
     "ingest_without_an_interval": (
         {"raw.csv": "user_id,timestamp,category\nu1,0,a\nu1,700,b\nu2,0,c\n"},
@@ -462,6 +470,26 @@ def test_a_usage_error_prints_nothing_and_writes_no_file(tmp_path, capsys, files
     assert err.startswith("seqobf: ")
     assert out == ""
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)
+
+
+@pytest.mark.parametrize("extra,named", [
+    ("p = 0.5\n", ["[parameters] p"]),
+    ("n_user = 3\n", ["[parameters] n_user"]),
+    ("[output]\nformat = csv\n", ["[output]"]),
+    ("[source]\nkind = synthetic_iid\n",
+     ["[source] kind", "trace_file alone picks the source"]),
+    ("p = 0.5\n[experiment2]\n", ["[parameters] p", "[experiment2]"]),
+], ids=["p_for_p_obf", "n_user_for_n_users", "unknown_section", "source_kind", "two_at_once"])
+def test_a_spec_key_that_nothing_reads_is_refused(tmp_path, capsys, extra, named):
+    spec = tmp_path / "exp.ini"
+    spec.write_text(_FRACTION + extra)
+    out_csv = tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, "simulate", "--spec", str(spec), "--out", str(out_csv))
+    assert code == 2
+    for name in named:
+        assert name in err
+    assert out == ""
+    assert not out_csv.exists()
 
 
 def test_a_bad_interval_is_reported_even_with_no_rows(tmp_path, capsys):

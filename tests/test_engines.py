@@ -1,5 +1,6 @@
 """Obfuscation engines: replacement kernels, masks, and noise streams."""
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -185,6 +186,15 @@ class TestIndependentEngines:
         replay.random(m)  # the mask block
         expected = _replacement_stream(replay, r, l, kind, m)
         assert np.array_equal(z.symbols, expected)
+
+    @pytest.mark.parametrize("method", ("sbu", "sl_sbu", "two_stage"))
+    @pytest.mark.parametrize("r,order,message", [(5000, 2, "exceeds the size cap"),
+                                                 (6, 0, "order must be >= 1")])
+    def test_refuses_a_superstring_it_cannot_draw(self, method, r, order, message):
+        # 5000^2 symbols are over the cap, however short the trace.
+        config = replace(config_for(method, 0.5), order=order)
+        with pytest.raises(ValueError, match=message):
+            obfuscate(make_trace([0, 1, 2], r), config, RandomSource(1))
 
     def test_stream_spans_several_superstrings_on_exhaustion(self):
         r, l = 2, 2

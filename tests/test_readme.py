@@ -25,7 +25,7 @@ def test_spec_example_loads(tmp_path):
     assert (spec.trace_length, spec.alphabet_size, spec.order) == (1000, 20, 2)
     assert (spec.gap, spec.n_users, spec.gamma) == (10, 100, 0.1)
     assert p_grid == [0.1]
-    assert spec.trace_source == "synthetic_iid"
+    assert spec.trace_file is None
     assert (spec.match_probability, spec.beta) == (0.01, 0.5)
 
 

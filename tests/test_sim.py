@@ -54,17 +54,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             fraction_spec(alphabet_size=2, order=2)
 
-    def test_ingested_source_needs_a_file(self):
-        with pytest.raises(ValueError):
-            fraction_spec(trace_source="ingested")
-
     def test_rejects_an_ingested_pool_over_one_symbol(self):
         # The pool is read over the reduced alphabet of r - l symbols.
         with pytest.raises(ValueError, match="r - l >= 2"):
-            fraction_spec(alphabet_size=3, order=2, trace_source="ingested",
-                          trace_file="pool.txt")
-        fraction_spec(alphabet_size=4, order=2, trace_source="ingested",
-                      trace_file="pool.txt")
+            fraction_spec(alphabet_size=3, order=2, trace_file="pool.txt")
+        fraction_spec(alphabet_size=4, order=2, trace_file="pool.txt")
 
     def test_rejects_manp_without_a_finite_gap(self):
         with pytest.raises(ValueError, match="manp needs a finite gap"):
@@ -204,8 +198,7 @@ class TestFractionMatchesReference:
         write_trace_file(path, [Trace(gen.integers(0, 6, size=int(n)), Alphabet(6))
                                 for n in gen.integers(20, 90, size=7)])
         spec = fraction_spec(trace_length=30, gap=4, methods=("iid", "sbu", "lov"),
-                             n_users=5, iterations=6, trace_source="ingested",
-                             trace_file=str(path))
+                             n_users=5, iterations=6, trace_file=str(path))
         assert_matches_reference(spec, workers)
 
     @staticmethod
@@ -225,7 +218,7 @@ class TestFractionMatchesReference:
 
         monkeypatch.setattr("seqobf.ingest.read_trace_file", logged_read)
         spec = fraction_spec(trace_length=30, n_users=4, iterations=6,
-                             trace_source="ingested", trace_file=str(path))
+                             trace_file=str(path))
         return spec, log
 
     @pytest.mark.parametrize("workers", (1, 3))
@@ -253,7 +246,7 @@ class TestFractionMatchesReference:
             raise AssertionError("a worker pool was started")
 
         monkeypatch.setattr("seqobf.sim.ProcessPoolExecutor", no_pool)
-        spec = fraction_spec(trace_source="ingested", trace_file=str(tmp_path / "missing.txt"))
+        spec = fraction_spec(trace_file=str(tmp_path / "missing.txt"))
         with pytest.raises(FileNotFoundError):
             run_fraction(spec, workers=3)
 

@@ -198,7 +198,7 @@ class TestShortestFirstIndex:
             gen.offset = offset
             codes = sliding_window_view(_shortest_array(r, l, gen), l) @ powers
             _, first = np.unique(codes, return_index=True)
-            got = _shortest_first_index(r, l, [gen] * len(patterns), patterns @ powers)
+            got = _shortest_first_index(r, l, [gen] * len(patterns), patterns)
             assert np.array_equal(got, first + 1)
 
     def test_every_offset_and_every_pattern_up_to_a_thousand(self):
@@ -215,7 +215,7 @@ class TestShortestFirstIndex:
             gens = [_FixedOffset(offset) for offset in range(n)]
             for offset, gen in enumerate(gens):
                 draws[offset] = _shortest_array(r, l, gen)
-            got = _shortest_first_index(r, l, gens, targets)
+            got = _shortest_first_index(r, l, gens, patterns[targets])
             windows = sliding_window_view(draws, l, axis=1)
             hit = (windows == patterns[targets][:, None]).all(2)
             assert hit.any(axis=1).all()
@@ -224,7 +224,7 @@ class TestShortestFirstIndex:
     def test_leaves_the_stream_where_a_whole_draw_does(self):
         for seed in range(20):
             gen = np.random.default_rng(seed)
-            _shortest_first_index(4, 3, [gen], np.array([1 * 16 + 0 * 4 + 3]))
+            _shortest_first_index(4, 3, [gen], np.array([[1, 0, 3]]))
             replay = np.random.default_rng(seed)
             _shortest_array(4, 3, replay)
             assert gen.integers(2**62) == replay.integers(2**62)
