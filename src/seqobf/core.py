@@ -6,16 +6,16 @@ RandomSource, whose draw position advances as it is consumed.
 
 Deriving a RandomSource hashes its identity with numpy's SeedSequence,
 which costs tens of microseconds.  ``_derive_keys`` reproduces that hash
-for many paths at once, and ``_keyed_generator`` builds from such a key a
-Generator that draws what RandomSource(master_seed, path).generator draws;
-the engines and protocols below the public API take such bare Generators.
-Re-keying a built generator costs about a fifth of a build, so
-``_generator_pool`` keeps a pool of them per thread and purpose, and
-``_keyed_generators`` re-keys a pool for each block of keys, building only
-the generators it lacks.  A pool lives as long as its thread, at about 800
-bytes per generator.  It is not re-entrant: re-keying it makes the
-generators of its last block stale, so a caller holds one block of a
-purpose at a time.
+for many paths at once, and a Philox built with such a key draws what
+RandomSource(master_seed, path).generator draws; the engines and protocols
+below the public API take such bare Generators.  A build also seeds Philox
+from OS entropy before it takes the key, and re-keying a built generator
+costs about a tenth of that, so ``_generator_pool`` keeps a pool of them
+per thread and purpose, and ``_keyed_generators`` re-keys a pool for each
+block of keys, building only the generators it lacks.  A pool grows to its
+thread's largest block and lives as long as the thread, at about 800 bytes
+per generator.  It is not re-entrant: re-keying it makes the generators of
+its last block stale, so a caller holds one block of a purpose at a time.
 """
 from __future__ import annotations
 
@@ -147,24 +147,6 @@ class RandomSource:
         return f"RandomSource(master_seed={self.master_seed}, path={self.path})"
 
 
-class _KnownKey(np.random.bit_generator.ISeedSequence):
-    """Hands Philox a key that was derived ahead of time."""
-
-    def __init__(self, key: np.ndarray):
-        self.key = key
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
-            raise ValueError("a known key serves only Philox's two 64-bit words")
-        return self.key
-
-
-def _keyed_generator(key: np.ndarray) -> np.random.Generator:
-    """The generator of a key from _derive_keys.  Philox(key=...) would first
-    seed itself from OS entropy, which costs more than the whole shim."""
-    return np.random.Generator(np.random.Philox(_KnownKey(key)))
-
-
 class _Pools(threading.local):
     def __init__(self) -> None:
         self.by_purpose: dict = {}
@@ -179,7 +161,8 @@ def _generator_pool(purpose) -> list:
 
 
 def _keyed_generators(keys: np.ndarray, pool: list) -> list:
-    """The generators of the (n, 2) keys, drawing as _keyed_generator's would.
+    """The generators of the (n, 2) keys from _derive_keys, drawing as a fresh
+    Philox of each key would.
 
     Pool's first n generators are re-keyed to the state a fresh Philox holds
     (the key, counter 0, an empty buffer); those missing are built and
@@ -189,7 +172,7 @@ def _keyed_generators(keys: np.ndarray, pool: list) -> list:
     for gen, key in zip(pool, keys[: len(pool)].tolist()):
         state["state"]["key"] = key
         gen.bit_generator.state = state
-    pool.extend(_keyed_generator(key) for key in keys[len(pool):])
+    pool.extend(np.random.Generator(np.random.Philox(key=key)) for key in keys[len(pool):])
     return pool[: len(keys)]
 
 

@@ -36,10 +36,10 @@ row's uniforms in one call the same way.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sstats
 
 from .core import Alphabet, RandomSource, Trace, _check_noise
 from .superstring import _check_params, _concat_array, _shortest_array
@@ -335,7 +335,13 @@ def lov_bound(trace_length: int, alphabet_size: int, p_obf: float) -> float:
     Alphabet(alphabet_size)
     _check_noise(p_obf)
     m, r = trace_length, alphabet_size
-    ks = np.arange(min(r, m + 1))
-    head = sstats.binom.pmf(ks, m, p_obf) * ks / r
-    tail = sstats.binom.sf(r - 1, m, p_obf)
-    return float(min(1.0, head.sum() + tail))
+    if p_obf in (0.0, 1.0):
+        return float(p_obf * min(m, r) / r)
+    # E[min(K, r)]/r for K ~ Binomial(m, p) is P(K >= 1) less (1 - k/r) P(K = k)
+    # for each 0 < k < r; with P(K >= 1) from expm1, a small bound is not the
+    # difference of two numbers near 1.  The pmf comes from its term ratios in
+    # log space, so it neither overflows nor underflows before the final exp.
+    log_q = math.log1p(-p_obf)
+    ks = np.arange(1, min(r, m + 1))
+    log_pmf = m * log_q + np.cumsum(np.log((m - ks + 1) / ks * (p_obf / (1 - p_obf))))
+    return float(-math.expm1(m * log_q) - np.sum((1 - ks / r) * np.exp(log_pmf)))

@@ -89,6 +89,8 @@ class ExperimentSpec:
             and 0.0 <= self.match_probability <= 1.0
         ):
             raise ValueError("crowd_count requires beta and a match_probability in [0, 1]")
+        if self.trace_file is not None and self.scenario != "fraction":
+            raise ValueError(f"only the fraction scenario reads a trace_file, not {self.scenario}")
         # Every other rule is the runner's own, checked by the code it runs.
         if self.scenario == "fraction":
             _fraction_plan(self)
@@ -140,6 +142,9 @@ def _fraction_plan(spec: ExperimentSpec) -> tuple[Pattern, list[EngineConfig]]:
             "two_stage takes per-stage noise levels, which a spec cannot set; "
             "use EngineConfig.stage_noise or obfuscate --stage-a/--stage-b"
         )
+    if spec.trace_file == "":
+        raise ValueError("trace_file is empty: name an ingested pool, or leave it out "
+                         "for synthetic traces")
     if spec.trace_file is not None and r - l < 2:
         raise ValueError(f"an ingested pool is read over the reduced alphabet of r - l "
                          f"symbols, which needs r - l >= 2, got r={r}, l={l}")

@@ -1,4 +1,9 @@
 """The command-line surface: flags, outputs, exit codes."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -427,6 +432,11 @@ _REFUSED = {
     "no_ingested_trace_long_enough": _simulate(
         _FRACTION + "[source]\ntrace_file = {dir}/traces.txt\n",
         **{"traces.txt": "0 1 2 3\n"}),
+    "empty_trace_file": _simulate(_FRACTION + "[source]\ntrace_file =\n"),
+    "trace_file_on_a_race": _simulate(
+        "[experiment]\nscenario = first_occurrence\niterations = 3\n"
+        "[parameters]\nr = 6\nl = 2\n[source]\ntrace_file = {dir}/traces.txt\n",
+        **{"traces.txt": "0 1 2 3\n"}),
     "noise_grid_on_bounds_table": _simulate(
         "[experiment]\nscenario = bounds_table\n"
         "[parameters]\nm = 60\nr = 6\nl = 2\nh = 3\np_obf = 0.05,0.1,0.2\n"),
@@ -499,3 +509,13 @@ def test_a_bad_interval_is_reported_even_with_no_rows(tmp_path, capsys):
                              "--r", "3", "--out", str(tmp_path / "out.txt"))
     assert code == 2
     assert "min_interval must be > 0" in err
+
+
+def test_the_library_and_its_cli_import_without_scipy():
+    # The library needs only numpy; scipy is a test dependency.
+    src = Path(__file__).resolve().parent.parent / "src"
+    check = ("import sys, seqobf, seqobf.cli; "
+             "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from seqobf.core import (
-    Alphabet, Pattern, RandomSource, Trace, _derive_keys, _keyed_generator, _keyed_generators,
+    Alphabet, Pattern, RandomSource, Trace, _derive_keys, _keyed_generators,
 )
 
 
@@ -114,7 +114,7 @@ class TestDeriveKeys:
 
     def test_keyed_generator_draws_as_random_source(self):
         path = (4, 17, 2)
-        keyed = _keyed_generator(_derive_keys(2**40 + 7, [path])[0])
+        keyed = _keyed_generators(_derive_keys(2**40 + 7, [path]), [])[0]
         plain = RandomSource(2**40 + 7, path).generator
         assert np.array_equal(keyed.random(1000), plain.random(1000))
         assert np.array_equal(keyed.integers(0, 20, size=1000), plain.integers(0, 20, size=1000))
@@ -136,8 +136,8 @@ class TestKeyedGenerators:
             gen.random()
             gen.permutation(11)
             assert gen.bit_generator.state["has_uint32"] == 1
-        for gen, key in zip(_keyed_generators(keys[3:], pool), keys[3:]):
-            assert draw_everything(gen) == draw_everything(_keyed_generator(key))
+        for i, gen in enumerate(_keyed_generators(keys[3:], pool), start=3):
+            assert draw_everything(gen) == draw_everything(RandomSource(2**40 + 7, (i,)).generator)
 
     def test_the_pool_grows_only_past_its_largest_block(self):
         keys = _derive_keys(3, np.arange(40)[:, None])
@@ -148,5 +148,5 @@ class TestKeyedGenerators:
         assert len(pool) == 5 and all(a is b for a, b in zip(again, first))
         grown = _keyed_generators(keys[8:20], pool)
         assert len(pool) == 12 and all(a is b for a, b in zip(grown, first))
-        for gen, key in zip(grown, keys[8:20]):
-            assert draw_everything(gen) == draw_everything(_keyed_generator(key))
+        for i, gen in enumerate(grown, start=8):
+            assert draw_everything(gen) == draw_everything(RandomSource(3, (i,)).generator)

@@ -531,9 +531,14 @@ class TestLovBound:
     def test_zero_noise_gives_zero(self):
         assert lov_bound(100, 5, 0.0) == 0.0
 
-    def test_matches_exact_rational_evaluation(self):
-        got = lov_bound(100, 5, 0.1)
-        want = float(exact_lov_bound(100, 5, Fraction(1, 10)))
+    @pytest.mark.parametrize("m", [1, 3, 10, 60, 200])
+    @pytest.mark.parametrize("r", [2, 5, 17])
+    @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 10**12), Fraction(1, 10**6),
+                                   Fraction(1, 1000), Fraction(1, 10), Fraction(1, 2),
+                                   Fraction(9, 10), Fraction(1)])
+    def test_matches_exact_rational_evaluation(self, m, r, p):
+        got = lov_bound(m, r, float(p))
+        want = float(exact_lov_bound(m, r, p))
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_short_traces_cap_at_coverage(self):

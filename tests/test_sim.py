@@ -108,11 +108,23 @@ class TestSpecValidation:
         (dict(methods=("plov",), gamma=0.0), "gamma must be > 0"),
         (dict(order=0), "1 <= l < r"),
         (dict(methods=("iid", "iid")), "methods must be distinct"),
+        (dict(trace_file=""), "trace_file is empty"),
     ], ids=["race_over_the_size_cap", "race_over_one_symbol", "sl_sbu_over_the_size_cap",
-            "plov_without_tilt", "empty_pattern", "duplicate_methods"])
+            "plov_without_tilt", "empty_pattern", "duplicate_methods", "empty_trace_file"])
     def test_refuses_what_its_runner_would_refuse(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             fraction_spec(**overrides)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(scenario="first_occurrence"),
+        dict(scenario="crowd_count", match_probability=0.1, beta=0.5),
+        dict(scenario="bounds_table"),
+    ], ids=["first_occurrence", "crowd_count", "bounds_table"])
+    def test_only_the_fraction_scenario_takes_a_trace_file(self, overrides):
+        # No other runner reads the file, so setting it would be ignored.
+        with pytest.raises(ValueError, match="only the fraction scenario reads a trace_file"):
+            fraction_spec(trace_file="pool.txt", **overrides)
+        fraction_spec(**overrides)
 
 
 class TestRunFraction:
