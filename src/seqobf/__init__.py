@@ -19,7 +19,6 @@ from .superstring import (
 from .detect import PatternStats, first_occurrence, has_pattern
 from .engines import (
     EngineConfig,
-    lov_bound,
     lov_choose,
     manp_choose,
     obfuscate,
@@ -32,6 +31,7 @@ from .bounds import (
     bound_sbu,
     bound_slsbu,
     expected_first_occurrence,
+    lov_bound,
     schedule,
 )
 from .sim import (

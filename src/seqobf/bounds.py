@@ -10,6 +10,7 @@ with prefactor (1 - (1-p)^gap)^(l-1) / r^l covering the inter-element
 distance constraints and the placement uniformity of the noise stream.
 The concatenation construction advances l stream symbols per placement,
 the shortest construction one, which is where the two evaluations differ.
+lov_bound is the single-symbol guarantee of the lov engine.
 """
 from __future__ import annotations
 
@@ -97,6 +98,31 @@ def bound_slsbu(params: BoundParams) -> float:
     bound_sbu at equal parameters.
     """
     return _bound(params, stride=1)
+
+
+def lov_bound(trace_length: int, alphabet_size: int, p_obf: float) -> float:
+    """Lower bound on the single-symbol coverage probability under lov.
+
+    With k replacements the prefix-unseen rule covers at least min(k, r)
+    distinct symbols, so a target symbol is hit with probability at least
+    k/r for k < r and surely for k >= r; averaging over the binomial
+    replacement count gives the bound.
+    """
+    if trace_length < 1:
+        raise ValueError("trace_length must be >= 1")
+    Alphabet(alphabet_size)
+    _check_noise(p_obf)
+    m, r = trace_length, alphabet_size
+    if p_obf in (0.0, 1.0):
+        return float(p_obf * min(m, r) / r)
+    # E[min(K, r)]/r for K ~ Binomial(m, p) is P(K >= 1) less (1 - k/r) P(K = k)
+    # for each 0 < k < r; with P(K >= 1) from expm1, a small bound is not the
+    # difference of two numbers near 1.  The pmf comes from its term ratios in
+    # log space, so it neither overflows nor underflows before the final exp.
+    log_q = math.log1p(-p_obf)
+    ks = np.arange(1, min(r, m + 1))
+    log_pmf = m * log_q + np.cumsum(np.log((m - ks + 1) / ks * (p_obf / (1 - p_obf))))
+    return float(-math.expm1(m * log_q) - np.sum((1 - ks / r) * np.exp(log_pmf)))
 
 
 @dataclass(frozen=True)

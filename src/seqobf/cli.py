@@ -22,7 +22,7 @@ from . import ingest as ingest_mod
 from . import sim as sim_mod
 from .core import Pattern, RandomSource
 from .detect import first_occurrence, has_pattern
-from .engines import EngineConfig, lov_bound, obfuscate
+from .engines import EngineConfig, obfuscate
 from .superstring import concat_superstring, shortest_superstring
 
 _KIND_ALIASES = {"shortest": "shortest", "concat": "concatenation",
@@ -114,7 +114,7 @@ def _cmd_bounds(args) -> int:
                   "m": args.m, **dataclasses.asdict(sched)}
     else:
         if args.which == "lov":
-            value = lov_bound(args.m, args.r, args.p)
+            value = bounds_mod.lov_bound(args.m, args.r, args.p)
         else:
             params = bounds_mod.BoundParams(
                 trace_length=args.m, alphabet_size=args.r, order=args.l,

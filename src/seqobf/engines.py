@@ -36,12 +36,11 @@ row's uniforms in one call the same way.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Alphabet, RandomSource, Trace, _check_noise
+from .core import RandomSource, Trace, _check_noise
 from .superstring import _check_params, _concat_array, _shortest_array
 
 METHODS = ("iid", "sbu", "sl_sbu", "two_stage", "lov", "plov", "manp")
@@ -90,18 +89,20 @@ class EngineConfig:
 
 
 def _replacement_stream(
-    gen: np.random.Generator, alphabet_size: int, order: int, kind: str, count: int
+    gen: np.random.Generator, alphabet_size: int, config: EngineConfig, count: int
 ) -> np.ndarray:
-    """The first `count` symbols of the covering-superstring noise stream.
+    """The first `count` replacement symbols of a data-independent method.
 
-    Superstrings are drawn independently and concatenated until the stream
-    is long enough; a fresh one is drawn whenever the previous is used up.
-    Each draw gathers only the symbols that the stream uses.
+    iid draws them in one call.  sbu and sl_sbu concatenate independent
+    superstrings of their form, drawing a fresh one whenever the previous
+    is used up; each draw gathers only the symbols that the stream uses.
     """
-    draw = _concat_array if kind == "concatenation" else _shortest_array
+    if config.method == "iid":
+        return gen.integers(0, alphabet_size, size=count)
+    draw = _concat_array if config.method == "sbu" else _shortest_array
     parts: list[np.ndarray] = []
     while count > 0:
-        parts.append(draw(alphabet_size, order, gen, count))
+        parts.append(draw(alphabet_size, config.order, gen, count))
         count -= parts[-1].size
     if not parts:
         return np.empty(0, dtype=np.int64)
@@ -160,14 +161,8 @@ def manp_choose(seen: np.ndarray, window: np.ndarray, gen: np.random.Generator) 
     return int(best[gen.integers(best.size)])
 
 
-def _fill_iid(z, mask, alphabet_size, config, gens, settled) -> None:
-    z[mask] = np.concatenate([gen.integers(0, alphabet_size, size=np.count_nonzero(row))
-                              for row, gen in zip(mask, gens)])
-
-
-def _fill_superstring(z, mask, alphabet_size, config, gens, settled) -> None:
-    kind = "concatenation" if config.method == "sbu" else "shortest"
-    z[mask] = np.concatenate([_replacement_stream(gen, alphabet_size, config.order, kind,
+def _fill_independent(z, mask, alphabet_size, config, gens, settled) -> None:
+    z[mask] = np.concatenate([_replacement_stream(gen, alphabet_size, config,
                                                   np.count_nonzero(row))
                               for row, gen in zip(mask, gens)])
 
@@ -266,9 +261,9 @@ def _row_by_row(fill):
 # Replacement policy of each single-pass method, called as
 # policy(z, mask, alphabet_size, config, gens, settled); only manp reads settled.
 _POLICIES = {
-    "iid": _fill_iid,
-    "sbu": _fill_superstring,
-    "sl_sbu": _fill_superstring,
+    "iid": _fill_independent,
+    "sbu": _fill_independent,
+    "sl_sbu": _fill_independent,
     "lov": _row_by_row(_fill_lov),
     "plov": _fill_plov,
     "manp": _row_by_row(_fill_manp),
@@ -320,28 +315,3 @@ def obfuscate(
         touched = _obfuscate_rows(z, r, config, [source.generator])
     out = Trace(z[0], trace.alphabet)
     return (out, touched[0]) if return_mask else out
-
-
-def lov_bound(trace_length: int, alphabet_size: int, p_obf: float) -> float:
-    """Lower bound on the single-symbol coverage probability under lov.
-
-    With k replacements the prefix-unseen rule covers at least min(k, r)
-    distinct symbols, so a target symbol is hit with probability at least
-    k/r for k < r and surely for k >= r; averaging over the binomial
-    replacement count gives the bound.
-    """
-    if trace_length < 1:
-        raise ValueError("trace_length must be >= 1")
-    Alphabet(alphabet_size)
-    _check_noise(p_obf)
-    m, r = trace_length, alphabet_size
-    if p_obf in (0.0, 1.0):
-        return float(p_obf * min(m, r) / r)
-    # E[min(K, r)]/r for K ~ Binomial(m, p) is P(K >= 1) less (1 - k/r) P(K = k)
-    # for each 0 < k < r; with P(K >= 1) from expm1, a small bound is not the
-    # difference of two numbers near 1.  The pmf comes from its term ratios in
-    # log space, so it neither overflows nor underflows before the final exp.
-    log_q = math.log1p(-p_obf)
-    ks = np.arange(1, min(r, m + 1))
-    log_pmf = m * log_q + np.cumsum(np.log((m - ks + 1) / ks * (p_obf / (1 - p_obf))))
-    return float(-math.expm1(m * log_q) - np.sum((1 - ks / r) * np.exp(log_pmf)))

@@ -31,6 +31,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -184,16 +185,18 @@ def _fraction_iterations(
     start: int,
     stop: int,
     pool: list[np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Pattern hits and replacements per method over iterations [start, stop).
+) -> np.ndarray:
+    """Pattern hits and replacements of each config over iterations
+    [start, stop), as the rows of a (2, len(configs)) array.
 
     User 0 is the target.  The estimate counts only the other users, so
     the target's trace is never drawn; sample s is user 1 + s % (n - 1) of
     iteration s // (n - 1).  The users run as the rows of blocks of at most
-    _ROW_BLOCK.  The base draws lie in the reduced alphabet by
-    construction, so they are not checked again as Traces.  pattern and
-    configs are the cell's plan from _fraction_plan; pool holds an ingested
-    spec's traces from _load_trace_pool, or None.
+    _ROW_BLOCK; a block's base traces are drawn once for all configs, and
+    lie in the reduced alphabet by construction, so they are not checked
+    as Traces.  configs are _fraction_plan's, one cell's after another, so
+    config j draws from purpose 1 + j % len(spec.methods).  pool holds an
+    ingested spec's traces from _load_trace_pool, or None.
 
     A sample's outcome is fixed once its row's filled prefix, the positions
     before the row's next replacement, holds the pattern.  So manp stops
@@ -217,10 +220,9 @@ def _fraction_iterations(
             prefix = prefix[-(len(q) - 1) * gap - 1:]
         return bool(_pattern_found(prefix, q, gap))
 
-    hits = np.zeros(len(configs), dtype=np.int64)
-    replaced = np.zeros(len(configs), dtype=np.int64)
+    counts = np.zeros((2, len(configs)), dtype=np.int64)
     users = spec.n_users - 1
-    purposes = np.arange(1 + len(configs))
+    purposes = np.arange(1 + len(spec.methods))
     for first in range(start * users, stop * users, _KEY_BLOCK):
         s = np.arange(first, min(first + _KEY_BLOCK, stop * users))
         paths = np.empty((s.size, purposes.size, 3), dtype=np.int64)
@@ -230,14 +232,15 @@ def _fraction_iterations(
         keys = _derive_keys(spec.master_seed, paths.reshape(-1, 3)).reshape(paths.shape[:2] + (2,))
         for lo in range(0, s.size, _ROW_BLOCK):
             rows = slice(lo, lo + _ROW_BLOCK)
-            gens = [_keyed_generators(keys[rows, j], _generator_pool(j)) for j in purposes]
-            x = np.stack([_base_symbols(spec, gen, pool) for gen in gens[0]])
+            x = np.stack([_base_symbols(spec, gen, pool)
+                          for gen in _keyed_generators(keys[rows, 0], _generator_pool(0))])
             for j, config in enumerate(configs):
+                purpose = 1 + j % len(spec.methods)
+                gens = _keyed_generators(keys[rows, purpose], _generator_pool(purpose))
                 z = x.copy()
-                touched = _obfuscate_rows(z, r, config, gens[1 + j], settled)
-                replaced[j] += np.count_nonzero(touched)
-                hits[j] += np.count_nonzero(_pattern_found(z, q, gap))
-    return hits, replaced, (stop - start) * users
+                counts[1, j] += np.count_nonzero(_obfuscate_rows(z, r, config, gens, settled))
+                counts[0, j] += np.count_nonzero(_pattern_found(z, q, gap))
+    return counts
 
 
 def _check_workers(workers: int) -> None:
@@ -390,11 +393,12 @@ def sweep(
 ) -> ExperimentResult:
     """Run the fraction protocol over a grid of noise levels.
 
-    Every cell reuses the same master seed, so the replacement masks are
-    coupled monotonically across the grid and ordering comparisons between
-    noise levels carry less Monte Carlo noise.  An ingested file is read
-    once, before any worker starts.  A cell's iterations are split into
-    one contiguous span per worker.
+    The iterations are split into one contiguous span per worker, and each
+    worker runs every cell of its span.  The cells share that span's
+    streams, so the replacement masks are coupled monotonically across the
+    grid and ordering comparisons between noise levels carry less Monte
+    Carlo noise; each cell's records are those it gives alone.  An
+    ingested file is read once, before any worker starts.
     """
     t0 = time.perf_counter()
     if spec.scenario != "fraction":
@@ -404,40 +408,39 @@ def sweep(
     for p in grid:
         _check_noise(p)
     pattern, configs = _fraction_plan(spec)
+    cells = [replace(config, p_obf=p) for p in grid for config in configs]
     pool = None if spec.trace_file is None else _load_trace_pool(spec)
     edges = [spec.iterations * k // workers for k in range(workers + 1)]
-    spans = [(a, b) for a, b in zip(edges[:-1], edges[1:]) if a < b]
+    runs = [(spec, pattern, cells, a, b, pool) for a, b in zip(edges[:-1], edges[1:]) if a < b]
+    if not cells:
+        parts = []
+    elif len(runs) == 1:
+        parts = [_fraction_iterations(*runs[0])]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as executor:
+            parts = list(executor.map(_fraction_iterations, *zip(*runs)))
+    hits, replaced = sum(parts, np.zeros((2, len(cells)), dtype=np.int64))
+    samples = spec.iterations * (spec.n_users - 1)
     records: list[dict] = []
-    counters: dict[str, int] = {}
-    for p in grid:
-        cell = [replace(config, p_obf=p) for config in configs]
-        if len(spans) == 1:
-            parts = [_fraction_iterations(spec, pattern, cell, *spans[0], pool)]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as executor:
-                parts = list(executor.map(
-                    _fraction_iterations, *zip(*[(spec, pattern, cell, a, b, pool)
-                                                 for a, b in spans])))
-        hits, replaced, samples = (sum(part) for part in zip(*parts))
-        counters["samples"] = counters.get("samples", 0) + samples
-        for method, h, k in zip(spec.methods, hits, replaced):
-            for name, count in ((f"hits.{method}", h), (f"replacements.{method}", k)):
-                counters[name] = counters.get(name, 0) + int(count)
-            estimate = h / samples
-            records.append({
-                "scenario": spec.scenario,
-                "method": method,
-                "m": spec.trace_length,
-                "r": spec.alphabet_size,
-                "l": spec.order,
-                "h": spec.gap,
-                "p_obf": p,
-                "iterations": spec.iterations,
-                "n_users": spec.n_users,
-                "samples": samples,
-                "estimate": float(estimate),
-                "std_error": float(np.sqrt(max(estimate * (1 - estimate), 0.0) / samples)),
-            })
+    counters = {"samples": len(grid) * samples} if grid else {}
+    for (p, method), h, k in zip(product(grid, spec.methods), hits, replaced):
+        for name, count in ((f"hits.{method}", h), (f"replacements.{method}", k)):
+            counters[name] = counters.get(name, 0) + int(count)
+        estimate = h / samples
+        records.append({
+            "scenario": spec.scenario,
+            "method": method,
+            "m": spec.trace_length,
+            "r": spec.alphabet_size,
+            "l": spec.order,
+            "h": spec.gap,
+            "p_obf": p,
+            "iterations": spec.iterations,
+            "n_users": spec.n_users,
+            "samples": samples,
+            "estimate": float(estimate),
+            "std_error": float(np.sqrt(max(estimate * (1 - estimate), 0.0) / samples)),
+        })
     return ExperimentResult(tuple(records), time.perf_counter() - t0, counters)
 
 

@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqobf import engines
+from seqobf.bounds import lov_bound
 from seqobf.core import Alphabet, RandomSource, Trace
 from seqobf.detect import PatternStats
 from seqobf.engines import (
     METHODS,
     EngineConfig,
     _replacement_stream,
-    lov_bound,
     lov_choose,
     manp_choose,
     obfuscate,
@@ -175,8 +175,8 @@ class TestIndependentEngines:
         z = obfuscate(t, cfg, RandomSource(21))
         assert verify_superstring(z.symbols, r, l)
 
-    @pytest.mark.parametrize("method,kind", [("sbu", "concatenation"), ("sl_sbu", "shortest")])
-    def test_replacement_subsequence_equals_generated_stream(self, method, kind):
+    @pytest.mark.parametrize("method", ("iid", "sbu", "sl_sbu"))
+    def test_replacement_subsequence_equals_generated_stream(self, method):
         r, l, m = 4, 2, 90
         gen = np.random.default_rng(31)
         t = random_trace(gen, m, r)
@@ -184,7 +184,7 @@ class TestIndependentEngines:
         z = obfuscate(t, cfg, RandomSource(13, (1,)))
         replay = RandomSource(13, (1,)).generator
         replay.random(m)  # the mask block
-        expected = _replacement_stream(replay, r, l, kind, m)
+        expected = _replacement_stream(replay, r, cfg, m)
         assert np.array_equal(z.symbols, expected)
 
     @pytest.mark.parametrize("method", ("sbu", "sl_sbu", "two_stage"))

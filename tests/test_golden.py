@@ -2,8 +2,9 @@
 
 golden_hashes.json holds sha256 digests of the fraction protocol on
 twelve specs (at 1 worker, and some at 3), of a 3-level sweep over an
-ingested pool, of 32 first-occurrence races and of ``obfuscate`` for all
-seven methods.  Any change to a draw, its order or its stream changes
+ingested pool, of a 3-level sweep of five methods with lov, plov and manp
+(at 1 and 3 workers), of 32 first-occurrence races and of ``obfuscate``
+for all seven methods.  Any change to a draw, its order or its stream changes
 them.  The file changes only together with a stated change of the stream
 contract, and it names the numpy version it was taken under: numpy does
 not promise equal streams across versions.
@@ -55,14 +56,24 @@ def test_fraction_records_and_counters(tmp_path):
     assert got == expected, NUMPY
 
 
-def test_ingested_sweep(tmp_path):
-    expected = GOLDEN["sweep_sha256"]
-    result = sweep(golden_spec(GOLDEN["sweep"]["spec"], tmp_path), GOLDEN["sweep"]["p_values"])
+def sweep_digests(label, plan, workers, tmp_path) -> dict:
+    """The counters and CSV digests of a sweep of the file, keyed as in it."""
+    result = sweep(golden_spec(plan["spec"], tmp_path), plan["p_values"], workers)
     text = io.StringIO()
     write_csv(result.records, text)
-    got = {"sweep counters w1": digest(result.counters),
-           "sweep csv w1": hashlib.sha256(text.getvalue().encode()).hexdigest()}
-    assert got == expected, NUMPY
+    return {f"{label} counters w{workers}": digest(result.counters),
+            f"{label} csv w{workers}": hashlib.sha256(text.getvalue().encode()).hexdigest()}
+
+
+def test_ingested_sweep(tmp_path):
+    assert sweep_digests("sweep", GOLDEN["sweep"], 1, tmp_path) == GOLDEN["sweep_sha256"], NUMPY
+
+
+def test_data_dependent_sweep(tmp_path):
+    got = {}
+    for workers in (1, 3):
+        got.update(sweep_digests("datadep sweep", GOLDEN["datadep_sweep"], workers, tmp_path))
+    assert got == GOLDEN["datadep_sweep_sha256"], NUMPY
 
 
 def test_first_occurrence_races():

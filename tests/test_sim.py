@@ -2,7 +2,7 @@
 import io
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
 from itertools import product
 
@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from seqobf import core, engines
+from seqobf import core, engines, sim
+from seqobf.bounds import lov_bound
 from seqobf.core import Alphabet, RandomSource, Trace
-from seqobf.engines import EngineConfig, lov_bound, obfuscate
+from seqobf.engines import EngineConfig, obfuscate
 from seqobf.ingest import read_trace_file, write_trace_file
 from seqobf.sim import (
     _KEY_BLOCK,
@@ -635,6 +636,58 @@ class TestSweepAndDispatch:
             spec = fraction_spec(methods=methods, iterations=3)
             with pytest.raises(ValueError, match=r"p_obf must be in \[0, 1\], got 1.5"):
                 sweep(spec, [0.1, 1.5], workers=workers)
+
+    def test_an_empty_grid_runs_nothing(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a cell was run")
+
+        monkeypatch.setattr("seqobf.sim._fraction_iterations", no_run)
+        res = sweep(fraction_spec(iterations=2), [], workers=3)
+        assert (res.records, res.counters) == ((), {})
+
+    def test_a_sweep_derives_and_draws_each_stream_once(self, monkeypatch):
+        spec = fraction_spec(methods=("iid", "lov"), n_users=6, iterations=3)
+        calls = {"_derive_keys": 0, "_base_symbols": 0}
+
+        def counted(name):
+            fn = getattr(sim, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(sim, name, wrapper)
+
+        for name in calls:
+            counted(name)
+        sweep(spec, [0.1])
+        once = dict(calls)
+        sweep(spec, [0.1, 0.3, 0.6])
+        assert {name: n - once[name] for name, n in calls.items()} == once
+
+    def test_a_sweep_starts_one_process_pool(self, monkeypatch):
+        pools = []
+
+        class CountedPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", CountedPool)
+        sweep(fraction_spec(iterations=3, n_users=4), [0.1, 0.3, 0.6], workers=3)
+        assert len(pools) == 1
+
+    @pytest.mark.parametrize("workers", (1, 3))
+    def test_a_data_dependent_sweep_equals_its_cells(self, workers):
+        spec = fraction_spec(alphabet_size=9, order=1, gap=3, trace_length=60,
+                             methods=("lov", "plov", "manp", "sl_sbu", "iid"), n_users=5,
+                             iterations=4, master_seed=18)
+        grid = (0.05, 0.2, 0.5)
+        cells = [run_fraction(replace(spec, p_obf=p), workers=workers) for p in grid]
+        swept, one_by_one = io.StringIO(), io.StringIO()
+        write_csv(sweep(spec, grid, workers=workers).records, swept)
+        write_csv([rec for cell in cells for rec in cell.records], one_by_one)
+        assert swept.getvalue() == one_by_one.getvalue()
 
     def test_sweep_produces_one_record_per_cell(self):
         res = sweep(fraction_spec(iterations=4), [0.1, 0.3])
