@@ -7,14 +7,17 @@ draws every row's Bernoulli(p) mask and then calls the method's policy in
 block; the other positions keep their symbols.  ``obfuscate`` on one
 Trace is the one-row case.
 
-Data-independent methods draw replacements ahead of the data, and fill a
-row block with one assignment:
+Data-independent methods draw replacements ahead of the data and never
+read the symbols they replace.  The single-pass ones, listed in
+``_INDEPENDENT``, share one policy that fills a row block with one
+assignment:
 
 * iid      — fresh uniform symbols;
 * sbu      — a concatenation-form covering superstring consumed in order;
-* sl_sbu   — a shortest covering superstring consumed in order;
-* two_stage — an iid pass, then an sl_sbu pass over its output (see
-  EngineConfig).
+* sl_sbu   — a shortest covering superstring consumed in order.
+
+two_stage, an iid pass and then an sl_sbu pass over its output, is
+data-independent too (see EngineConfig).
 
 Data-dependent methods pick each replacement from the realized obfuscated
 prefix; lov and manp fill one row at a time, and plov steps a whole block:
@@ -258,12 +261,13 @@ def _row_by_row(fill):
     return fill_rows
 
 
+# The single-pass methods whose fill never reads z.
+_INDEPENDENT = ("iid", "sbu", "sl_sbu")
+
 # Replacement policy of each single-pass method, called as
 # policy(z, mask, alphabet_size, config, gens, settled); only manp reads settled.
 _POLICIES = {
-    "iid": _fill_independent,
-    "sbu": _fill_independent,
-    "sl_sbu": _fill_independent,
+    **dict.fromkeys(_INDEPENDENT, _fill_independent),
     "lov": _row_by_row(_fill_lov),
     "plov": _fill_plov,
     "manp": _row_by_row(_fill_manp),

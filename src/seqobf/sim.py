@@ -18,11 +18,11 @@ Scenarios:
 Streams are keyed by (master seed, path), so results are identical for any
 worker count and adding iterations, users or methods never perturbs
 existing draws.  Fraction sample (iteration it, user u) draws its base
-trace from path (it, u, 0), and method j obfuscates it from path
-(it, u, 1 + j); the last index is the stream's purpose.  Race iteration it
-draws its pattern, its superstring offset and its iid stream, in that
-order, from path (it,).  Both protocols draw from keyed generators of their
-thread's pools (see seqobf.core).
+trace from path (it, u, 0), if some method of the run reads it, and method
+j obfuscates it from path (it, u, 1 + j); the last index is the stream's
+purpose.  Race iteration it draws its pattern, its superstring offset and
+its iid stream, in that order, from path (it,).  Both protocols draw from
+keyed generators of their thread's pools (see seqobf.core).
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ import numpy as np
 from .core import (Pattern, RandomSource, _check_noise, _derive_keys, _generator_pool,
                    _keyed_generators)
 from .detect import _contiguous_matches, _pattern_found
-from .engines import EngineConfig, _obfuscate_rows
+from .engines import _INDEPENDENT, EngineConfig, _obfuscate_rows
 from .superstring import _check_params, _shortest_first_index
 from . import bounds as bounds_mod
 from . import ingest as ingest_mod
@@ -192,11 +192,18 @@ def _fraction_iterations(
     User 0 is the target.  The estimate counts only the other users, so
     the target's trace is never drawn; sample s is user 1 + s % (n - 1) of
     iteration s // (n - 1).  The users run as the rows of blocks of at most
-    _ROW_BLOCK; a block's base traces are drawn once for all configs, and
-    lie in the reduced alphabet by construction, so they are not checked
-    as Traces.  configs are _fraction_plan's, one cell's after another, so
-    config j draws from purpose 1 + j % len(spec.methods).  pool holds an
-    ingested spec's traces from _load_trace_pool, or None.
+    _ROW_BLOCK; the base traces that a block draws serve all its configs,
+    and lie in the reduced alphabet by construction, so they are not
+    checked as Traces.  configs are _fraction_plan's, one cell's after
+    another, so config j draws from purpose 1 + j % len(spec.methods).
+    pool holds an ingested spec's traces from _load_trace_pool, or None.
+
+    A data-independent method (engines._INDEPENDENT) obfuscates a block of
+    zeros instead, so a block draws base traces only for the other methods.
+    Its records and counters are those it would give on the base traces:
+    its fill never reads them; 0 is in the reduced alphabet, so a kept
+    position never holds a reserved symbol; and stream (it, u, 0) serves
+    only the base draw, so skipping it changes no other draw.
 
     A sample's outcome is fixed once its row's filled prefix, the positions
     before the row's next replacement, holds the pattern.  So manp stops
@@ -213,16 +220,16 @@ def _fraction_iterations(
 
     def settled(prefix: np.ndarray) -> bool:
         # Reserved symbols come only from replacements, so a first occurrence
-        # ends at the latest one, within (l - 1) * gap positions of it.
+        # ends at the latest one, within (l - 1) * gap positions of it.  Only
+        # manp calls this, and EngineConfig refuses manp without a finite gap.
         if prefix[-1] != q[-1]:
             return False
-        if gap is not None:
-            prefix = prefix[-(len(q) - 1) * gap - 1:]
-        return bool(_pattern_found(prefix, q, gap))
+        return bool(_pattern_found(prefix[-(len(q) - 1) * gap - 1:], q, gap))
 
     counts = np.zeros((2, len(configs)), dtype=np.int64)
     users = spec.n_users - 1
     purposes = np.arange(1 + len(spec.methods))
+    reads_base = any(config.method not in _INDEPENDENT for config in configs)
     for first in range(start * users, stop * users, _KEY_BLOCK):
         s = np.arange(first, min(first + _KEY_BLOCK, stop * users))
         paths = np.empty((s.size, purposes.size, 3), dtype=np.int64)
@@ -232,12 +239,14 @@ def _fraction_iterations(
         keys = _derive_keys(spec.master_seed, paths.reshape(-1, 3)).reshape(paths.shape[:2] + (2,))
         for lo in range(0, s.size, _ROW_BLOCK):
             rows = slice(lo, lo + _ROW_BLOCK)
-            x = np.stack([_base_symbols(spec, gen, pool)
-                          for gen in _keyed_generators(keys[rows, 0], _generator_pool(0))])
+            shape = (len(keys[rows]), spec.trace_length)
+            if reads_base:
+                x = np.stack([_base_symbols(spec, gen, pool)
+                              for gen in _keyed_generators(keys[rows, 0], _generator_pool(0))])
             for j, config in enumerate(configs):
                 purpose = 1 + j % len(spec.methods)
                 gens = _keyed_generators(keys[rows, purpose], _generator_pool(purpose))
-                z = x.copy()
+                z = np.zeros(shape, np.int64) if config.method in _INDEPENDENT else x.copy()
                 counts[1, j] += np.count_nonzero(_obfuscate_rows(z, r, config, gens, settled))
                 counts[0, j] += np.count_nonzero(_pattern_found(z, q, gap))
     return counts

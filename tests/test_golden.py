@@ -1,7 +1,7 @@
 """Records, counters and engine outputs against checked-in hashes.
 
 golden_hashes.json holds sha256 digests of the fraction protocol on
-twelve specs (at 1 worker, and some at 3), of a 3-level sweep over an
+fifteen specs (at 1 worker, and some at 3), of a 3-level sweep over an
 ingested pool, of a 3-level sweep of five methods with lov, plov and manp
 (at 1 and 3 workers), of 32 first-occurrence races and of ``obfuscate``
 for all seven methods.  Any change to a draw, its order or its stream changes

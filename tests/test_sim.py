@@ -665,6 +665,34 @@ class TestSweepAndDispatch:
         sweep(spec, [0.1, 0.3, 0.6])
         assert {name: n - once[name] for name, n in calls.items()} == once
 
+    def test_data_independent_methods_draw_no_base_trace(self, tmp_path, monkeypatch):
+        path = tmp_path / "pool.txt"
+        write_trace_file(path, [Trace(np.random.default_rng(14).integers(0, 6, size=40),
+                                      Alphabet(6))] * 3)
+        base_draws, base_pools = [], []
+        base_symbols, generator_pool = sim._base_symbols, sim._generator_pool
+
+        def counted_draw(*args):
+            base_draws.append(args)
+            return base_symbols(*args)
+
+        def counted_pool(tag):
+            if tag == 0:
+                base_pools.append(tag)
+            return generator_pool(tag)
+
+        monkeypatch.setattr(sim, "_base_symbols", counted_draw)
+        monkeypatch.setattr(sim, "_generator_pool", counted_pool)
+        for trace_file in (None, str(path)):
+            spec = fraction_spec(methods=("iid", "sbu", "sl_sbu"), trace_length=30, n_users=4,
+                                 iterations=3, trace_file=trace_file)
+            assert sweep(spec, [0.1, 0.5]).counters["samples"] == 18
+        assert (base_draws, base_pools) == ([], [])
+        # The pool is still read and checked, though no row draws from it.
+        spec = replace(spec, trace_length=41)
+        with pytest.raises(ValueError, match="no ingested trace is at least 41 symbols long"):
+            run_fraction(spec)
+
     def test_a_sweep_starts_one_process_pool(self, monkeypatch):
         pools = []
 
