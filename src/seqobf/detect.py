@@ -2,11 +2,18 @@
 
 A pattern q1..ql is present in a trace when there are indices
 i1 < i2 < ... < il with trace[ij] = qj and i(j+1) - ij <= gap for all j.
-Detection runs a dynamic program over pattern positions with a sliding
-reachability window, O(m*l) time, along the last axis of an array: one
-cumulative sum per pattern element, into one buffer that the levels share,
-decides a whole block of traces in O(rows*(m + min(gap, m))) memory, and
-has_pattern is the one-trace case.
+Detection runs a dynamic program over pattern positions along the last
+axis of an array, on packed bits.  The positions matching qj become the
+bits of one Python int: bit k*w + t is position t of the k-th trace, where
+w is m + min(gap, m) rounded up to whole bytes, and the zero bits after
+each trace keep every gap window inside it.  A level spreads the reached
+bits over the next gap positions in about log2(min(gap, m)) shift-or steps
+and masks them with the next matches, so a call makes O(l*log(min(gap, m)))
+big-int steps over rows*w bits, and stops once nothing is reached.  Its
+memory is one bool per bit, w bytes a trace, and a few ints of w/8 bytes:
+about 1.7 bytes per symbol on a block of 1 000-symbol traces at gap 10,
+and 3.3 at an unbounded gap.  One kernel decides a whole block of traces,
+and has_pattern is the one-trace case.
 """
 from __future__ import annotations
 
@@ -22,21 +29,30 @@ def _pattern_found(symbols: np.ndarray, pattern_symbols, gap: int | None) -> np.
     """Whether the pattern occurs along the last axis, for each leading index."""
     m = symbols.shape[-1]
     g = m if gap is None else min(gap, m)
-    reach = symbols == pattern_symbols[0]
-    # counts[..., g + 1 + t] counts the reached positions in [0, t], and the
-    # g + 1 zeros before them make counts[..., g + t] - counts[..., t] the
-    # count in [t - g, t - 1]: whether position t is within the gap of one.
-    counts = np.zeros(symbols.shape[:-1] + (m + g + 1,), dtype=np.int64)
-    tail = counts[..., g + 1:]
+    lead = symbols.shape[:-1]
+    w = m + g + 7 & -8
+    matches = np.zeros(lead + (w,), dtype=bool)
+
+    def bits(q) -> int:
+        np.equal(symbols, q, out=matches[..., :m])
+        return int.from_bytes(np.packbits(matches, bitorder="little"), "little")
+
+    reach = bits(pattern_symbols[0])
     for q in pattern_symbols[1:]:
-        if not reach.any():
+        if not reach:
             break
-        # In place: a cumsum of the bool reach casts it to an int64 temporary.
-        tail[...] = reach
-        np.cumsum(tail, axis=-1, out=tail)
-        reach = counts[..., g : g + m] > counts[..., :m]
-        reach &= symbols == q
-    return reach.any(axis=-1)
+        # Spread each reached position over itself and the g - 1 after it;
+        # the shift then marks the g positions after it.
+        span = 1
+        while span < g:
+            step = min(span, g - span)
+            reach |= reach << step
+            span += step
+        reach = reach << 1 & bits(q)
+    if not lead:
+        return np.bool_(reach != 0)
+    packed = reach.to_bytes(matches.size >> 3, "little")
+    return np.frombuffer(packed, dtype=np.uint8).reshape(lead + (w >> 3,)).any(axis=-1)
 
 
 def _check_alphabet(trace: Trace, pattern: Pattern) -> None:

@@ -51,16 +51,36 @@ class TestHasPattern:
             has_pattern(t, Pattern((0, 5), gap=1))
 
     def test_a_block_of_traces_is_decided_row_by_row(self):
+        # m from 1 to 40 and these gaps make m + min(gap, m) often end
+        # inside a byte; each row alone is a 1-D call, answered by a 0-d bool.
         gen = np.random.default_rng(405)
         for _ in range(600):
-            m = int(gen.integers(1, 31))
-            gap = [1, 2, 5, max(m - 1, 1), m, m + 5, None][int(gen.integers(7))]
-            block = gen.integers(0, 3, size=(6, m))
-            pattern = tuple(int(s) for s in gen.integers(0, 3, size=int(gen.integers(1, 5))))
+            rows, m = int(gen.integers(1, 10)), int(gen.integers(1, 41))
+            gaps = [1, 2, 7, 8, 9, max(m - 1, 1), m, m + 5, None]
+            gap = gaps[int(gen.integers(len(gaps)))]
+            block = gen.integers(0, 3, size=(rows, m))
+            pattern = tuple(int(s) for s in gen.integers(0, 3, size=int(gen.integers(1, 6))))
             found = _pattern_found(block, pattern, gap)
-            assert found.shape == (6,)
+            assert found.shape == (rows,)
             for row, got in zip(block, found):
-                assert got == brute_force_has_pattern(row, pattern, gap)
+                want = brute_force_has_pattern(row, pattern, gap)
+                one = _pattern_found(row, pattern, gap)
+                assert isinstance(one, np.bool_)
+                assert got == one == want
+
+    def test_no_match_spans_two_rows(self):
+        # Row 0 ends in the pattern's first symbol and row 1 starts with its
+        # second: adjacent in memory, but neither row holds the pattern.
+        m = 12
+        block = np.full((2, m), 2)
+        block[0, -1], block[1, 0] = 0, 1
+        for gap in (1, 2, 7, 8, m - 1, m, m + 5, None):
+            assert not _pattern_found(block, (0, 1), gap).any()
+
+    def test_an_empty_last_axis_holds_nothing(self):
+        for gap in (1, 3, None):
+            assert _pattern_found(np.zeros((4, 0), dtype=np.int64), (0,), gap).tolist() == [False] * 4
+            assert not _pattern_found(np.zeros(0, dtype=np.int64), (0, 0), gap)
 
     def test_pattern_longer_than_trace_is_absent(self):
         t = make_trace([0, 1], 2)
@@ -115,10 +135,10 @@ class TestHasPattern:
 
 def test_detection_memory_is_linear_in_the_block():
     # Every level of an all-zero pattern stays reached on an all-zero block.
-    # With an unbounded gap the one counts buffer takes 16 bytes per symbol
-    # and the reached masks about 2; the cumulative sum runs in place in the
-    # buffer, where a cast of the reached mask would take 8 more, and an
-    # (l, rows, m) array of levels at least l more.
+    # With an unbounded gap each row takes 2m positions: one byte each in the
+    # bool match buffer and one bit each in the packed matches and in the
+    # few ints of a level, about 3.3 bytes per symbol in all.  The bound
+    # leaves no room for an int64 array over the block.
     rows, m, order = 32, 20_000, 16
     block = np.zeros((rows, m), dtype=np.int64)
     tracemalloc.start()
@@ -128,7 +148,7 @@ def test_detection_memory_is_linear_in_the_block():
     finally:
         tracemalloc.stop()
     assert found.all()
-    assert peak < 20 * rows * m
+    assert peak < 6 * rows * m
 
 
 class TestFirstOccurrence:
