@@ -5,17 +5,17 @@ on the types here; all of them are plain immutable values except
 RandomSource, whose draw position advances as it is consumed.
 
 Deriving a RandomSource hashes its identity with numpy's SeedSequence,
-which costs tens of microseconds.  ``_derive_keys`` reproduces that hash
-for many paths at once, and a Philox built with such a key draws what
-RandomSource(master_seed, path).generator draws; the engines and protocols
-below the public API take such bare Generators.  A build also seeds Philox
-from OS entropy before it takes the key, and re-keying a built generator
-costs about a tenth of that, so ``_generator_pool`` keeps a pool of them
-per thread and purpose, and ``_keyed_generators`` re-keys a pool for each
-block of keys, building only the generators it lacks.  A pool grows to its
-thread's largest block and lives as long as the thread, at about 800 bytes
-per generator.  It is not re-entrant: re-keying it makes the generators of
-its last block stale, so a caller holds one block of a purpose at a time.
+which costs tens of microseconds.  ``_derive_keys`` takes the seed's part
+of that hash from SeedSequence and mixes in many paths at once, and a
+Philox with such a key draws what RandomSource(master_seed, path).generator
+draws; the engines and protocols below the public API take such bare
+Generators.  Re-keying a built generator is cheaper than building one, so
+``_generator_pool`` keeps a pool of them per thread, and
+``_keyed_generators`` re-keys the pool for each block of keys, growing it
+first if the block is larger.  A pool grows to its thread's largest block
+and lives as long as the thread, at about 800 bytes per generator.  It is
+not re-entrant: re-keying it makes the generators of its last block stale,
+so a caller holds one block at a time.
 """
 from __future__ import annotations
 
@@ -48,6 +48,14 @@ def _check_noise(p_obf: float) -> None:
     """The one range rule for a replacement probability."""
     if not 0.0 <= p_obf <= 1.0:
         raise ValueError(f"p_obf must be in [0, 1], got {p_obf}")
+
+
+def _check_seed(master_seed: int) -> int:
+    """The one rule for a master seed: a non-negative integer, returned as int."""
+    master_seed = int(master_seed)
+    if master_seed < 0:
+        raise ValueError(f"master seed must be non-negative, got {master_seed}")
+    return master_seed
 
 
 def _as_symbol_array(symbols) -> np.ndarray:
@@ -130,7 +138,7 @@ class RandomSource:
     """
 
     def __init__(self, master_seed: int, path: tuple[int, ...] = ()):
-        self.master_seed = int(master_seed)
+        self.master_seed = _check_seed(master_seed)
         self.path = tuple(int(i) for i in path)
         seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=self.path)
         self._generator = np.random.Generator(np.random.Philox(seq))
@@ -147,32 +155,31 @@ class RandomSource:
         return f"RandomSource(master_seed={self.master_seed}, path={self.path})"
 
 
-class _Pools(threading.local):
+class _Pool(threading.local):
     def __init__(self) -> None:
-        self.by_purpose: dict = {}
+        self.generators: list = []
 
 
-_pools = _Pools()
+_pool = _Pool()
 
 
-def _generator_pool(purpose) -> list:
-    """This thread's pool of keyed generators for purpose, a hashable tag."""
-    return _pools.by_purpose.setdefault(purpose, [])
+def _generator_pool() -> list:
+    """This thread's pool of keyed generators."""
+    return _pool.generators
 
 
 def _keyed_generators(keys: np.ndarray, pool: list) -> list:
     """The generators of the (n, 2) keys from _derive_keys, drawing as a fresh
     Philox of each key would.
 
-    Pool's first n generators are re-keyed to the state a fresh Philox holds
-    (the key, counter 0, an empty buffer); those missing are built and
-    appended."""
+    Pool grows to at least n generators, and its first n are re-keyed to
+    the state a fresh Philox holds (the key, counter 0, an empty buffer)."""
+    pool.extend(np.random.Generator(np.random.Philox(0)) for _ in range(len(keys) - len(pool)))
     state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
              "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for gen, key in zip(pool, keys[: len(pool)].tolist()):
+    for gen, key in zip(pool, keys.tolist()):
         state["state"]["key"] = key
         gen.bit_generator.state = state
-    pool.extend(np.random.Generator(np.random.Philox(key=key)) for key in keys[len(pool):])
     return pool[: len(keys)]
 
 
@@ -184,25 +191,26 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _WORD = 0xFFFFFFFF
 
 
-def _hash_consts(init: int, multiplier: int, count: int) -> list[int]:
-    """The successive hash constants that SeedSequence steps through."""
+def _hash_consts(init: int, multiplier: int, count: int) -> np.ndarray:
+    """The successive hash constants that SeedSequence steps through, as a
+    uint32 column."""
     consts = [init]
     for _ in range(count - 1):
         consts.append(consts[-1] * multiplier & _WORD)
-    return consts
+    return np.array(consts, dtype=np.uint32)[:, None]
 
 
-# SeedSequence's two hash steps on 32-bit words.  Each works on Python ints
-# and on uint32 arrays alike, since every product is reduced to 32 bits.
+# SeedSequence's two hash steps, on uint32 arrays, whose arithmetic wraps at
+# 32 bits as SeedSequence's does.
 
 
 def _hashmix(value, xor, multiplier):
-    value = (value ^ xor) * multiplier & _WORD
+    value = (value ^ xor) * multiplier
     return value ^ value >> 16
 
 
 def _mix(x, y):
-    out = (_MIX_MULT_L * x & _WORD) - (_MIX_MULT_R * y & _WORD) & _WORD
+    out = _MIX_MULT_L * x - _MIX_MULT_R * y
     return out ^ out >> 16
 
 
@@ -218,39 +226,19 @@ def _derive_keys(master_seed: int, paths) -> np.ndarray:
     paths = np.asarray(paths, dtype=np.int64)
     if paths.size and (paths.min() < 0 or paths.max() > _WORD):
         raise ValueError("path indices must lie in [0, 2**32) to be derived in bulk")
-    master_seed = int(master_seed)
-    if master_seed < 0:
-        raise ValueError(f"master seed must be non-negative, got {master_seed}")
-    # The seed's little-endian 32-bit words fill the pool, zeros past them.
-    # SeedSequence pads the seed to the pool size when a path follows, so
-    # the seed's words past the pool and then one uint32 column per path
-    # index are mixed in after it.
-    words = [master_seed & _WORD]
-    while master_seed > _WORD:
-        master_seed >>= 32
-        words.append(master_seed & _WORD)
-    tail = words[_POOL_SIZE:] + list(paths.T.astype(np.uint32))
-    a = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + len(tail)) + 1)
-    # The pool's first words and their mixing depend on the seed alone, so
-    # they are computed once, on Python ints.
-    pool = [_hashmix(words[i] if i < len(words) else 0, a[i], a[i + 1])
-            for i in range(_POOL_SIZE)]
-    k = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[k], a[k + 1]))
-                k += 1
-    # Each later word is mixed into the four pool words with four
-    # consecutive constants: one (4, n) step per word.
-    pool = np.array(pool, dtype=np.uint32)[:, None]
-    a = np.array(a, dtype=np.uint32)[:, None]
-    for word in tail:
+    master_seed = _check_seed(master_seed)
+    # SeedSequence mixes the seed's 32-bit words into its pool before the
+    # path's, stepping its hash constant four times for each of at least
+    # four seed words.  Each path index is then one uint32 column, mixed
+    # into the pool with the next four constants: one (4, n) step per index.
+    pool = np.random.SeedSequence(master_seed).pool[:, None]
+    k = _POOL_SIZE * max(_POOL_SIZE, -(-master_seed.bit_length() // 32))
+    a = _hash_consts(_INIT_A, _MULT_A, k + _POOL_SIZE * paths.shape[1] + 1)
+    for word in paths.T.astype(np.uint32):
         pool = _mix(pool, _hashmix(word, a[k : k + _POOL_SIZE], a[k + 1 : k + _POOL_SIZE + 1]))
         k += _POOL_SIZE
-    b = np.array(_hash_consts(_INIT_B, _MULT_B, _POOL_SIZE + 1), dtype=np.uint32)[:, None]
+    b = _hash_consts(_INIT_B, _MULT_B, _POOL_SIZE + 1)
     state = _hashmix(pool, b[:-1], b[1:]).astype(np.uint64)
     keys = np.empty((paths.shape[0], 2), dtype=np.uint64)
-    keys[:, 0] = state[0] | state[1] << np.uint64(32)
-    keys[:, 1] = state[2] | state[3] << np.uint64(32)
+    keys[:] = (state[0::2] | state[1::2] << np.uint64(32)).T
     return keys

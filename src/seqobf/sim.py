@@ -22,7 +22,7 @@ trace from path (it, u, 0), if some method of the run reads it, and method
 j obfuscates it from path (it, u, 1 + j); the last index is the stream's
 purpose.  Race iteration it draws its pattern, its superstring offset and
 its iid stream, in that order, from path (it,).  Both protocols draw from
-keyed generators of their thread's pools (see seqobf.core).
+keyed generators of their thread's pool (see seqobf.core).
 """
 from __future__ import annotations
 
@@ -36,8 +36,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import (Pattern, RandomSource, _check_noise, _derive_keys, _generator_pool,
-                   _keyed_generators)
+from .core import (Pattern, RandomSource, _check_noise, _check_seed, _derive_keys,
+                   _generator_pool, _keyed_generators)
 from .detect import _contiguous_matches, _pattern_found
 from .engines import _INDEPENDENT, EngineConfig, _obfuscate_rows
 from .superstring import _check_params, _shortest_first_index
@@ -53,8 +53,6 @@ _ROW_BLOCK = 32
 # Symbols a race scans at once, as the rows of one array: 2 MiB of int64,
 # whatever the iteration count.
 _RACE_SCAN_SYMBOLS = 1 << 18
-# The race's generator pool tag; a fraction run tags its pools by purpose.
-_RACE = "race"
 
 
 @dataclass(frozen=True)
@@ -83,6 +81,7 @@ class ExperimentSpec:
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         _check_noise(self.p_obf)
+        _check_seed(self.master_seed)
         if self.gap is not None and self.gap < 1:
             raise ValueError(f"gap must be >= 1 or None, got {self.gap}")
         if self.scenario == "crowd_count" and not (
@@ -240,12 +239,14 @@ def _fraction_iterations(
         for lo in range(0, s.size, _ROW_BLOCK):
             rows = slice(lo, lo + _ROW_BLOCK)
             shape = (len(keys[rows]), spec.trace_length)
+            # A block's generators are drawn from in full before the thread's
+            # pool is re-keyed for the next: its base traces, then each config.
             if reads_base:
                 x = np.stack([_base_symbols(spec, gen, pool)
-                              for gen in _keyed_generators(keys[rows, 0], _generator_pool(0))])
+                              for gen in _keyed_generators(keys[rows, 0], _generator_pool())])
             for j, config in enumerate(configs):
                 purpose = 1 + j % len(spec.methods)
-                gens = _keyed_generators(keys[rows, purpose], _generator_pool(purpose))
+                gens = _keyed_generators(keys[rows, purpose], _generator_pool())
                 z = np.zeros(shape, np.int64) if config.method in _INDEPENDENT else x.copy()
                 counts[1, j] += np.count_nonzero(_obfuscate_rows(z, r, config, gens, settled))
                 counts[0, j] += np.count_nonzero(_pattern_found(z, q, gap))
@@ -324,8 +325,7 @@ def run_first_occurrence_race(
     drawn = 0
     for first in range(0, iterations, rows):
         block = np.arange(first, min(first + rows, iterations))
-        gens = _keyed_generators(_derive_keys(master_seed, block[:, None]),
-                                 _generator_pool(_RACE))
+        gens = _keyed_generators(_derive_keys(master_seed, block[:, None]), _generator_pool())
         patterns = np.array([gen.integers(alphabet_size) for gen in gens for _ in range(order)],
                             dtype=np.int64).reshape(block.size, order)
         # The first superstring drawn holds every pattern, so its offset

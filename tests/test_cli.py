@@ -47,6 +47,13 @@ class TestGenSuperstring:
         )
         assert data_lines(with_env) == data_lines(explicit)
 
+    def test_a_negative_seed_is_refused(self, capsys, monkeypatch):
+        monkeypatch.setenv("SEQOBF_SEED", "-3")
+        code, out, err = run_cli(capsys, "gen-superstring", "--r", "3", "--l", "2")
+        assert code == 2
+        assert out == ""
+        assert "master seed must be non-negative, got -3" in err
+
     def test_whole_concatenation_over_the_cap_is_refused(self, capsys):
         # 20 * 2^20 symbols exceed the 2^24 cap, though 2^20 alone does not.
         code, out, err = run_cli(
@@ -440,6 +447,9 @@ _REFUSED = {
     "noise_grid_on_bounds_table": _simulate(
         "[experiment]\nscenario = bounds_table\n"
         "[parameters]\nm = 60\nr = 6\nl = 2\nh = 3\np_obf = 0.05,0.1,0.2\n"),
+    "negative_seed_on_bounds_table": _simulate(
+        "[experiment]\nscenario = bounds_table\nseed = -1\n"
+        "[parameters]\nm = 60\nr = 6\nl = 2\nh = 3\np_obf = 0.1\n"),
     "noise_grid_start_above_stop": _simulate(_FRACTION + "p_obf = 0.5:0.1:0.2\n"),
     "no_workers": _simulate(_FRACTION, "--workers", "0"),
     "duplicate_methods": _simulate(_FRACTION.replace("[p", "methods = iid, iid\n[p")),

@@ -76,8 +76,9 @@ class TestRandomSource:
 class TestDeriveKeys:
     """The bulk derivation against numpy's own SeedSequence as the oracle."""
 
-    # 2**160 + 3 has seed words past the 4-word pool.
-    SEEDS = (0, 2**32 - 1, 2**32 + 5, 2**64 - 1, 2**160 + 3)
+    # 2**128 - 1 fills the 4-word pool; 2**128 and 2**160 + 3 have seed
+    # words past it.
+    SEEDS = (0, 2**32 - 1, 2**32 + 5, 2**64 - 1, 2**128 - 1, 2**128, 2**160 + 3)
 
     @staticmethod
     def seed_sequence_key(master_seed, path):

@@ -17,7 +17,6 @@ from seqobf.engines import EngineConfig, obfuscate
 from seqobf.ingest import read_trace_file, write_trace_file
 from seqobf.sim import (
     _KEY_BLOCK,
-    _RACE,
     _ROW_BLOCK,
     ExperimentSpec,
     _fraction_iterations,
@@ -115,6 +114,16 @@ class TestSpecValidation:
     def test_refuses_what_its_runner_would_refuse(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             fraction_spec(**overrides)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(),
+        dict(scenario="first_occurrence"),
+        dict(scenario="crowd_count", match_probability=0.1, beta=0.5),
+        dict(scenario="bounds_table"),
+    ], ids=["fraction", "first_occurrence", "crowd_count", "bounds_table"])
+    def test_every_scenario_refuses_a_negative_seed(self, overrides):
+        with pytest.raises(ValueError, match="master seed must be non-negative, got -1"):
+            fraction_spec(master_seed=-1, **overrides)
 
     @pytest.mark.parametrize("overrides", [
         dict(scenario="first_occurrence"),
@@ -519,9 +528,10 @@ class TestRace:
 
 
 class TestGeneratorPools:
-    """Keyed generator pools live per thread and across calls: a run draws
-    the same whether its thread's pools are new or warm, and while another
-    thread runs at the same time."""
+    """The keyed generator pool lives per thread and across calls: a run
+    draws the same whether its thread's pool is new or warm, or was last
+    keyed by another protocol, and while another thread runs at the same
+    time."""
 
     POOL_SPEC = dict(alphabet_size=6, trace_length=40, p_obf=0.3, gap=3,
                      methods=SPEC_METHODS, n_users=6, iterations=4, master_seed=12)
@@ -530,8 +540,8 @@ class TestGeneratorPools:
     def runs(cls):
         race = run_first_occurrence_race(10, 2, 300, master_seed=3)
         fraction = run_fraction(fraction_spec(**cls.POOL_SPEC))
-        sizes = {purpose: len(pool) for purpose, pool in core._pools.by_purpose.items()}
-        return [(res.records, res.counters) for res in (race, fraction)], sizes
+        runs = [(res.records, res.counters) for res in (race, fraction)]
+        return runs, len(core._generator_pool())
 
     def in_threads(self, count):
         barrier = threading.Barrier(count)
@@ -545,23 +555,22 @@ class TestGeneratorPools:
                                          for _ in range(count)]]
 
     def test_cold_warm_and_concurrent_runs_are_equal(self):
-        (cold, sizes), = self.in_threads(1)
-        # The race runs one block of 300 rows, the fraction run 20 samples.
-        assert sizes[_RACE] == 300 and sizes[0] == 20
+        (cold, size), = self.in_threads(1)
+        # The race runs one block of 300 rows, the fraction run one of 20
+        # samples, so the fraction run draws from a pool the race keyed.
+        assert size == 300
         # A 1 024-row race and a fraction run of other row blocks leave
-        # this thread's pools larger than the runs above use.
+        # this thread's pool larger than the runs above use.
         run_first_occurrence_race(2, 1, 1100, master_seed=8)
         run_fraction(fraction_spec(n_users=_ROW_BLOCK + 3, iterations=2, methods=SPEC_METHODS,
                                    trace_length=30))
-        warm, sizes = self.runs()
-        assert sizes[_RACE] == _KEY_BLOCK and sizes[0] == _ROW_BLOCK
-        for purpose, size in sizes.items():
-            assert size <= (_KEY_BLOCK if purpose == _RACE else _ROW_BLOCK), purpose
+        warm, size = self.runs()
+        assert size == _KEY_BLOCK
         assert warm == cold
-        # New threads start with pools of their own, not this thread's.
-        for runs, sizes in self.in_threads(2):
+        # New threads start with a pool of their own, not this thread's.
+        for runs, size in self.in_threads(2):
             assert runs == cold
-            assert sizes[_RACE] == 300 and sizes[0] == 20
+            assert size == 300
 
 
 class TestCrowdCount:
@@ -669,25 +678,26 @@ class TestSweepAndDispatch:
         path = tmp_path / "pool.txt"
         write_trace_file(path, [Trace(np.random.default_rng(14).integers(0, 6, size=40),
                                       Alphabet(6))] * 3)
-        base_draws, base_pools = [], []
-        base_symbols, generator_pool = sim._base_symbols, sim._generator_pool
+        base_draws, keyings = [], []
+        base_symbols, keyed_generators = sim._base_symbols, sim._keyed_generators
 
         def counted_draw(*args):
             base_draws.append(args)
             return base_symbols(*args)
 
-        def counted_pool(tag):
-            if tag == 0:
-                base_pools.append(tag)
-            return generator_pool(tag)
+        def counted_keying(*args):
+            keyings.append(args)
+            return keyed_generators(*args)
 
         monkeypatch.setattr(sim, "_base_symbols", counted_draw)
-        monkeypatch.setattr(sim, "_generator_pool", counted_pool)
+        monkeypatch.setattr(sim, "_keyed_generators", counted_keying)
         for trace_file in (None, str(path)):
             spec = fraction_spec(methods=("iid", "sbu", "sl_sbu"), trace_length=30, n_users=4,
                                  iterations=3, trace_file=trace_file)
             assert sweep(spec, [0.1, 0.5]).counters["samples"] == 18
-        assert (base_draws, base_pools) == ([], [])
+        # Each sweep keys one row block for each of its 6 cells, and would
+        # key it once more for base traces.
+        assert (len(base_draws), len(keyings)) == (0, 12)
         # The pool is still read and checked, though no row draws from it.
         spec = replace(spec, trace_length=41)
         with pytest.raises(ValueError, match="no ingested trace is at least 41 symbols long"):
