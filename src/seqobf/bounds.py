@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Alphabet, _check_noise
+from .core import Alphabet, _check_at_least, _check_noise
 from .superstring import _check_params
 
 
@@ -28,8 +28,9 @@ class BoundParams:
     """Parameters of one bound evaluation.
 
     trace_length m, alphabet size r, pattern length l, gap h, and the
-    per-position replacement probability.  The effective trial count
-    g = m - h*(l-1) must be positive for the bound to be meaningful.
+    per-position replacement probability.  The gap must be finite, and the
+    effective trial count g = m - h*(l-1) must be positive for the bound to
+    be meaningful.
     """
 
     trace_length: int
@@ -39,13 +40,10 @@ class BoundParams:
     p_obf: float
 
     def __post_init__(self) -> None:
-        if self.trace_length < 1:
-            raise ValueError("trace_length must be >= 1")
+        _check_at_least(self.trace_length, 1, "trace_length")
         Alphabet(self.alphabet_size)
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
-        if self.gap < 1:
-            raise ValueError("gap must be >= 1")
+        _check_at_least(self.order, 1, "order")
+        _check_at_least(self.gap, 1, "a finite gap h", "the bounds need")
         _check_noise(self.p_obf)
         if self.effective_trials <= 0:
             raise ValueError(
@@ -60,13 +58,10 @@ class BoundParams:
 
 def _placement_sum(gp: float, k_max: int, stride: int) -> float:
     """Sum of 1 - exp(-(1 - alpha*stride/gp)^2 * gp / 2) for alpha=0..k_max."""
-    if k_max < 0:
-        return 0.0
     alphas = np.arange(k_max + 1, dtype=np.float64)
     delta = 1.0 - alphas * stride / gp
     terms = 1.0 - np.exp(-0.5 * delta * delta * gp)
-    # Terms decay with alpha; accumulate smallest-first.
-    return float(math.fsum(terms[::-1]))
+    return float(math.fsum(terms))
 
 
 def _bound(params: BoundParams, stride: int) -> float:
@@ -108,8 +103,7 @@ def lov_bound(trace_length: int, alphabet_size: int, p_obf: float) -> float:
     k/r for k < r and surely for k >= r; averaging over the binomial
     replacement count gives the bound.
     """
-    if trace_length < 1:
-        raise ValueError("trace_length must be >= 1")
+    _check_at_least(trace_length, 1, "trace_length")
     Alphabet(alphabet_size)
     _check_noise(p_obf)
     m, r = trace_length, alphabet_size
@@ -142,12 +136,9 @@ class ScheduleParams:
     trace_length: int
 
     def __post_init__(self) -> None:
-        if self.n_users < 1:
-            raise ValueError("n_users must be >= 1")
-        if self.order < 2:
-            raise ValueError("the schedule requires order > 1")
-        if self.gap < 1:
-            raise ValueError("gap must be >= 1")
+        _check_at_least(self.n_users, 1, "n_users")
+        _check_at_least(self.order, 2, "order", "the schedule needs")
+        _check_at_least(self.gap, 1, "gap")
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
         limit = (1.0 - self.beta) / (self.order - 1)
@@ -155,8 +146,7 @@ class ScheduleParams:
             raise ValueError(
                 f"theta must be in the open interval (0, {limit}), got {self.theta}"
             )
-        if self.trace_length < 1:
-            raise ValueError("trace_length must be >= 1")
+        _check_at_least(self.trace_length, 1, "trace_length")
 
 
 @dataclass(frozen=True)

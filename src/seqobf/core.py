@@ -4,6 +4,12 @@ Symbols are canonically the integers 0..size-1.  Every other module builds
 on the types here; all of them are plain immutable values except
 RandomSource, whose draw position advances as it is consumed.
 
+The parameter rules are said here once, and every constructor and runner
+calls them: ``_check_at_least`` for counts, lengths, orders and finite gaps
+(None is refused), ``_check_gap`` for a gap that may be unbounded,
+``_check_noise`` for a probability in [0, 1], and ``_check_seed`` for a
+master seed.  Each raises ValueError.
+
 Deriving a RandomSource hashes its identity with numpy's SeedSequence,
 which costs tens of microseconds.  ``_derive_keys`` takes the seed's part
 of that hash from SeedSequence and mixes in many paths at once, and a
@@ -32,8 +38,7 @@ class Alphabet:
     size: int
 
     def __post_init__(self) -> None:
-        if self.size < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {self.size}")
+        _check_at_least(self.size, 2, "alphabet size")
 
     def validate(self, symbols: np.ndarray) -> None:
         """Raise ValueError if any symbol falls outside 0..size-1."""
@@ -44,10 +49,26 @@ class Alphabet:
             )
 
 
-def _check_noise(p_obf: float) -> None:
-    """The one range rule for a replacement probability."""
-    if not 0.0 <= p_obf <= 1.0:
-        raise ValueError(f"p_obf must be in [0, 1], got {p_obf}")
+def _check_at_least(value, least: int, name: str, owner: str = "") -> None:
+    """The one rule for a count, length, order or finite gap: at least least,
+    so None is refused too.  The message reads "name must be >= least", or
+    "owner name >= least" when the owner, such as "the race needs", asks
+    for more than the quantity's own bound."""
+    if value is None or value < least:
+        rule = f"{owner} {name} >= {least}" if owner else f"{name} must be >= {least}"
+        raise ValueError(f"{rule}, got {value}")
+
+
+def _check_gap(gap: int | None) -> None:
+    """The one rule for an optional gap: None (unbounded) or at least 1."""
+    if gap is not None:
+        _check_at_least(gap, 1, "gap")
+
+
+def _check_noise(p: float, name: str = "p_obf") -> None:
+    """The one range rule for a probability, such as a replacement probability."""
+    if p is None or not 0.0 <= p <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {p}")
 
 
 def _check_seed(master_seed: int) -> int:
@@ -118,8 +139,7 @@ class Pattern:
             raise ValueError("pattern must contain at least one symbol")
         if any(s < 0 for s in self.symbols):
             raise ValueError("pattern symbols must be non-negative")
-        if self.gap is not None and self.gap < 1:
-            raise ValueError(f"gap must be >= 1 or None, got {self.gap}")
+        _check_gap(self.gap)
 
     @property
     def order(self) -> int:
@@ -140,6 +160,8 @@ class RandomSource:
     def __init__(self, master_seed: int, path: tuple[int, ...] = ()):
         self.master_seed = _check_seed(master_seed)
         self.path = tuple(int(i) for i in path)
+        if min(self.path, default=0) < 0:
+            raise ValueError(f"path indices must be non-negative, got path {self.path}")
         seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=self.path)
         self._generator = np.random.Generator(np.random.Philox(seq))
 

@@ -22,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import Pattern, Trace
+from .core import Pattern, Trace, _check_at_least, _check_gap
 
 
 def _pattern_found(symbols: np.ndarray, pattern_symbols, gap: int | None) -> np.ndarray:
@@ -114,10 +114,8 @@ class PatternStats:
     """
 
     def __init__(self, order: int, gap: int | None):
-        if order < 1:
-            raise ValueError(f"order must be >= 1, got {order}")
-        if gap is not None and gap < 1:
-            raise ValueError(f"gap must be >= 1 or None, got {gap}")
+        _check_at_least(order, 1, "order")
+        _check_gap(gap)
         self.order = order
         self.gap = gap
         self.prefix_length = 0

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RandomSource, Trace, _check_noise
+from .core import RandomSource, Trace, _check_at_least, _check_noise
 from .superstring import _check_params, _concat_array, _shortest_array
 
 METHODS = ("iid", "sbu", "sl_sbu", "two_stage", "lov", "plov", "manp")
@@ -57,9 +57,9 @@ class EngineConfig:
     levels (a, b) come from stage_noise: an iid pass at a on
     source.derive(0), then an sl_sbu pass at b on source.derive(1), so
     setting either level to zero leaves the other stage's draws unchanged.
-    A position is touched with probability a + b - a*b.  A two_stage
-    config with p_obf > 0 and no stage noise is rejected, since none of
-    that noise would be applied.
+    A position is touched with probability a + b - a*b.  Noise that would
+    not be applied is refused: a two_stage config with p_obf > 0 and no
+    stage noise, and stage noise on any other method.
     order is the superstring order of sbu/sl_sbu/two_stage, checked by
     obfuscate; gamma is the plov tilt; gap is the manp window width.
     """
@@ -77,18 +77,21 @@ class EngineConfig:
         _check_noise(self.p_obf)
         if self.method == "plov" and self.gamma <= 0.0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if self.method == "manp" and (self.gap is None or self.gap < 1):
-            raise ValueError(f"manp needs a finite gap h >= 1: it scores symbols against "
-                             f"the trailing window of h predecessors, got {self.gap}")
+        if self.method == "manp":
+            # It scores symbols against the trailing window of h predecessors.
+            _check_at_least(self.gap, 1, "a finite gap h", "manp needs")
+        a, b = self.stage_noise
         if self.method == "two_stage":
-            a, b = self.stage_noise
-            if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
-                raise ValueError(f"stage noise levels must be in [0, 1], got {self.stage_noise}")
+            _check_noise(a, "stage noise")
+            _check_noise(b, "stage noise")
             if self.p_obf > 0.0 and a == 0.0 and b == 0.0:
                 raise ValueError(
                     f"two_stage ignores p_obf={self.p_obf} and both of its "
                     "stage noise levels are 0"
                 )
+        elif a or b:
+            raise ValueError(f"stage noise applies to two_stage only, not {self.method}, "
+                             f"got {self.stage_noise}")
 
 
 def _replacement_stream(

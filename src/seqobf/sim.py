@@ -36,8 +36,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import (Pattern, RandomSource, _check_noise, _check_seed, _derive_keys,
-                   _generator_pool, _keyed_generators)
+from .core import (Pattern, RandomSource, _check_at_least, _check_gap, _check_noise,
+                   _check_seed, _derive_keys, _generator_pool, _keyed_generators)
 from .detect import _contiguous_matches, _pattern_found
 from .engines import _INDEPENDENT, EngineConfig, _obfuscate_rows
 from .superstring import _check_params, _shortest_first_index
@@ -78,26 +78,25 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        _check_at_least(self.iterations, 1, "iterations")
         _check_noise(self.p_obf)
         _check_seed(self.master_seed)
-        if self.gap is not None and self.gap < 1:
-            raise ValueError(f"gap must be >= 1 or None, got {self.gap}")
-        if self.scenario == "crowd_count" and not (
-            self.beta is not None and self.match_probability is not None
-            and 0.0 <= self.match_probability <= 1.0
-        ):
-            raise ValueError("crowd_count requires beta and a match_probability in [0, 1]")
+        _check_gap(self.gap)
         if self.trace_file is not None and self.scenario != "fraction":
             raise ValueError(f"only the fraction scenario reads a trace_file, not {self.scenario}")
-        # Every other rule is the runner's own, checked by the code it runs.
+        # Every other rule is the runner's own, checked by the code it runs,
+        # but for crowd_count's, whose runner takes its fields as they are.
         if self.scenario == "fraction":
             _fraction_plan(self)
         elif self.scenario == "first_occurrence":
             _check_race(self.alphabet_size, self.order, self.iterations)
         elif self.scenario == "bounds_table":
             _bound_params(self)
+        else:
+            if self.beta is None:
+                raise ValueError("crowd_count requires beta and a match_probability in [0, 1]")
+            _check_noise(self.match_probability, "match_probability")
+            _check_at_least(self.n_users, 1, "n_users")
 
 
 @dataclass(frozen=True)
@@ -117,8 +116,6 @@ class ExperimentResult:
 
 
 def _bound_params(spec: ExperimentSpec) -> bounds_mod.BoundParams:
-    if spec.gap is None:
-        raise ValueError("bounds_table needs a finite gap h")
     return bounds_mod.BoundParams(
         spec.trace_length, spec.alphabet_size, spec.order, spec.gap, spec.p_obf
     )
@@ -129,10 +126,8 @@ def _fraction_plan(spec: ExperimentSpec) -> tuple[Pattern, list[EngineConfig]]:
     run: the one builder of both, so a spec is refused when it is built for
     exactly what its run would refuse."""
     r, l = spec.alphabet_size, spec.order
-    if spec.n_users < 2:
-        raise ValueError("the fraction scenario needs at least 2 users")
-    if spec.trace_length < 1:
-        raise ValueError(f"trace_length must be >= 1, got {spec.trace_length}")
+    _check_at_least(spec.n_users, 2, "n_users", "the fraction scenario needs")
+    _check_at_least(spec.trace_length, 1, "trace_length")
     if not 1 <= l < r:
         raise ValueError(f"unique-pattern protocol needs 1 <= l < r, got r={r}, l={l}")
     if len(set(spec.methods)) < len(spec.methods):
@@ -253,11 +248,6 @@ def _fraction_iterations(
     return counts
 
 
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-
-
 def run_fraction(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     """The unique-pattern fraction protocol: a sweep of the spec's own noise level."""
     return sweep(spec, [spec.p_obf], workers)
@@ -290,8 +280,7 @@ def _scan_iid_rows(
 
 def _check_race(alphabet_size: int, order: int, iterations: int) -> None:
     _check_params(alphabet_size, order)
-    if iterations < 2:
-        raise ValueError(f"the race needs iterations >= 2, got {iterations}")
+    _check_at_least(iterations, 2, "iterations", "the race needs")
 
 
 def run_first_occurrence_race(
@@ -412,7 +401,7 @@ def sweep(
     t0 = time.perf_counter()
     if spec.scenario != "fraction":
         raise ValueError(f"run_fraction got scenario {spec.scenario!r}")
-    _check_workers(workers)
+    _check_at_least(workers, 1, "workers")
     grid = [float(p) for p in p_values]
     for p in grid:
         _check_noise(p)
@@ -455,7 +444,7 @@ def sweep(
 
 def run(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     """Dispatch a spec to its scenario runner."""
-    _check_workers(workers)
+    _check_at_least(workers, 1, "workers")
     if spec.scenario == "fraction":
         return run_fraction(spec, workers=workers)
     if spec.scenario == "first_occurrence":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Alphabet, RandomSource
+from .core import Alphabet, RandomSource, _check_at_least
 
 # Refuse to materialize cycles, or whole concatenation draws, longer than
 # this many symbols.
@@ -34,8 +34,7 @@ _tables: OrderedDict = OrderedDict()
 
 def _check_params(alphabet_size: int, order: int) -> None:
     Alphabet(alphabet_size)
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    _check_at_least(order, 1, "order")
     # Compare in log space so huge orders cannot overflow.
     if order * math.log(alphabet_size) > math.log(SIZE_CAP) + 1e-9:
         raise ValueError(

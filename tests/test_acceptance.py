@@ -207,7 +207,8 @@ def _check_mask_fidelity(failures):
     for method in METHODS:
         config = EngineConfig(
             method=method, p_obf=0.5, order=2,
-            gap=4 if method == "manp" else None, stage_noise=(0.3, 0.2),
+            gap=4 if method == "manp" else None,
+            stage_noise=(0.3, 0.2) if method == "two_stage" else (0.0, 0.0),
         )
         for seed in range(5):
             trace = Trace(gen.integers(0, 5, size=120), Alphabet(5))

@@ -470,6 +470,13 @@ _REFUSED = {
         {"in.txt": "0 1 2 0 1 2\n"},
         ["obfuscate", "--method", "two_stage", "--stage-b", "0.3", "--r", "5000",
          "--in", "{dir}/in.txt", "--out", "{dir}/out.txt"]),
+    "stage_noise_off_two_stage": (
+        {"in.txt": "0 1 2 0 1 2\n"},
+        ["obfuscate", "--method", "iid", "--p-obf", "0", "--stage-a", "0.9", "--stage-b", "0.9",
+         "--r", "20", "--in", "{dir}/in.txt", "--out", "{dir}/out.txt"]),
+    "crowd_count_without_users": _simulate(
+        "[experiment]\nscenario = crowd_count\n"
+        "[parameters]\nn_users = 0\n[crowd]\nmatch_probability = 0.1\nbeta = 0.5\n"),
     "ingest_without_an_interval": (
         {"raw.csv": "user_id,timestamp,category\nu1,0,a\nu1,700,b\nu2,0,c\n"},
         ["ingest", "--in", "{dir}/raw.csv", "--min-interval", "0", "--r", "3",

@@ -1,10 +1,17 @@
-"""Core types and the deterministic randomness contract."""
+"""Core types, the shared parameter rules and the deterministic randomness
+contract."""
+import re
+
 import numpy as np
 import pytest
 
+from seqobf.bounds import BoundParams, ScheduleParams, lov_bound
 from seqobf.core import (
     Alphabet, Pattern, RandomSource, Trace, _derive_keys, _keyed_generators,
 )
+from seqobf.detect import PatternStats
+from seqobf.engines import plov_distribution
+from seqobf.sim import ExperimentSpec
 
 
 def make_trace(symbols, r):
@@ -52,6 +59,47 @@ class TestPattern:
             Pattern((), gap=1)
 
 
+def schedule_params(**overrides):
+    return ScheduleParams(**{**dict(n_users=100, order=2, gap=1, beta=0.5, theta=0.1,
+                                    trace_length=100), **overrides})
+
+
+def fraction_spec(**overrides):
+    return ExperimentSpec(**{**dict(scenario="fraction", alphabet_size=8, order=2, gap=5,
+                                    trace_length=50, p_obf=0.2), **overrides})
+
+
+class TestParameterRules:
+    """Each entry point refuses a value outside its domain with the shared
+    rule's message."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: Alphabet(None), "alphabet size must be >= 2, got None"),
+        (lambda: Pattern((0, 1), gap=0), "gap must be >= 1, got 0"),
+        (lambda: BoundParams(0, 5, 2, 3, 0.1), "trace_length must be >= 1, got 0"),
+        (lambda: BoundParams(100, 5, 0, 3, 0.1), "order must be >= 1, got 0"),
+        (lambda: BoundParams(100, 5, 2, 0, 0.1), "the bounds need a finite gap h >= 1, got 0"),
+        (lambda: BoundParams(100, 5, 2, None, 0.1),
+         "the bounds need a finite gap h >= 1, got None"),
+        (lambda: lov_bound(0, 5, 0.1), "trace_length must be >= 1, got 0"),
+        (lambda: schedule_params(n_users=0), "n_users must be >= 1, got 0"),
+        (lambda: schedule_params(order=1), "the schedule needs order >= 2, got 1"),
+        (lambda: schedule_params(gap=None), "gap must be >= 1, got None"),
+        (lambda: schedule_params(trace_length=0), "trace_length must be >= 1, got 0"),
+        (lambda: PatternStats(0, 1), "order must be >= 1, got 0"),
+        (lambda: PatternStats(2, 0), "gap must be >= 1, got 0"),
+        (lambda: fraction_spec(iterations=0), "iterations must be >= 1, got 0"),
+        (lambda: fraction_spec(n_users=1), "the fraction scenario needs n_users >= 2, got 1"),
+        (lambda: plov_distribution(np.ones(3), 0.0), "gamma must be > 0, got 0.0"),
+    ], ids=["alphabet_none", "pattern_gap", "bound_trace_length", "bound_order", "bound_gap",
+            "bound_gap_none", "lov_bound_trace_length", "schedule_users", "schedule_order",
+            "schedule_gap_none", "schedule_trace_length", "stats_order", "stats_gap",
+            "spec_iterations", "fraction_users", "plov_gamma"])
+    def test_refuses_with_the_rule_message(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
 class TestRandomSource:
     def test_same_identity_same_draws(self):
         a = RandomSource(42, (3, 1)).generator.random(64)
@@ -71,6 +119,13 @@ class TestRandomSource:
         root.derive(1).generator.random(1000)
         again = root.derive(0).generator.random(16)
         assert np.array_equal(first, again)
+
+    @pytest.mark.parametrize("make", [lambda: RandomSource(0, (-1,)),
+                                      lambda: RandomSource(0).derive(-1)],
+                             ids=["path", "derive"])
+    def test_refuses_a_negative_path_index(self, make):
+        with pytest.raises(ValueError, match=re.escape("non-negative, got path (-1,)")):
+            make()
 
 
 class TestDeriveKeys:

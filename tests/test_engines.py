@@ -75,6 +75,14 @@ class TestEngineConfig:
             EngineConfig(method="two_stage", p_obf=0.3)
         EngineConfig(method="two_stage", p_obf=0.3, stage_noise=(0.0, 0.2))
 
+    @pytest.mark.parametrize("method", [m for m in METHODS if m != "two_stage"])
+    @pytest.mark.parametrize("stage_noise", [(0.9, 0.9), (0.0, 0.2)])
+    def test_stage_noise_off_two_stage_is_refused(self, method, stage_noise):
+        # Only two_stage reads its stage levels; any other method would
+        # leave them unapplied.
+        with pytest.raises(ValueError, match="stage noise applies to two_stage only"):
+            EngineConfig(method=method, p_obf=0.0, gap=3, stage_noise=stage_noise)
+
 
 class TestCommonEngineContract:
     @pytest.mark.parametrize("method", METHODS)

@@ -101,6 +101,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="match_probability"):
             fraction_spec(scenario="crowd_count", **crowd)
 
+    @pytest.mark.parametrize("n_users", [0, -1])
+    def test_crowd_count_needs_a_user(self, n_users):
+        with pytest.raises(ValueError, match=f"n_users must be >= 1, got {n_users}"):
+            fraction_spec(scenario="crowd_count", match_probability=0.1, beta=0.5,
+                          n_users=n_users)
+        fraction_spec(scenario="crowd_count", match_probability=0.1, beta=0.5, n_users=1)
+
     @pytest.mark.parametrize("overrides,message", [
         (dict(scenario="first_occurrence", alphabet_size=40, order=5), "size cap"),
         (dict(scenario="first_occurrence", alphabet_size=1), "alphabet size must be >= 2"),
