@@ -130,7 +130,6 @@ class ScheduleParams:
 
     n_users: int
     order: int
-    gap: int
     beta: float
     theta: float
     trace_length: int
@@ -138,7 +137,6 @@ class ScheduleParams:
     def __post_init__(self) -> None:
         _check_at_least(self.n_users, 1, "n_users")
         _check_at_least(self.order, 2, "order", "the schedule needs")
-        _check_at_least(self.gap, 1, "gap")
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
         limit = (1.0 - self.beta) / (self.order - 1)

@@ -57,10 +57,16 @@ def _cmd_gen_superstring(args) -> int:
     return 0
 
 
-def _cmd_obfuscate(args) -> int:
-    traces = ingest_mod.read_trace_file(args.infile, args.r)
+def _read_traces(path, r: int) -> list:
+    """The traces of a trace file; a file with none is a usage error."""
+    traces = ingest_mod.read_trace_file(path, r)
     if not traces:
-        raise ValueError(f"{args.infile}: no traces found")
+        raise ValueError(f"{path}: no traces found")
+    return traces
+
+
+def _cmd_obfuscate(args) -> int:
+    traces = _read_traces(args.infile, args.r)
     config = EngineConfig(
         method=args.method,
         p_obf=args.p_obf,
@@ -85,7 +91,7 @@ def _cmd_detect(args) -> int:
     pattern = Pattern(symbols, gap=args.gap)
     if max(symbols) >= args.r:
         raise ValueError(f"pattern symbols must be below r={args.r}")
-    traces = ingest_mod.read_trace_file(args.trace_file, args.r)
+    traces = _read_traces(args.trace_file, args.r)
     records = []
     for idx, trace in enumerate(traces):
         found = has_pattern(trace, pattern)
@@ -104,12 +110,8 @@ def _cmd_bounds(args) -> int:
     if args.which == "schedule":
         if args.n is None or args.beta is None or args.theta is None:
             raise ValueError("schedule requires --n, --beta and --theta")
-        sched = bounds_mod.schedule(
-            bounds_mod.ScheduleParams(
-                n_users=args.n, order=args.l, gap=args.gap,
-                beta=args.beta, theta=args.theta, trace_length=args.m,
-            )
-        )
+        sched = bounds_mod.schedule(bounds_mod.ScheduleParams(
+            n_users=args.n, order=args.l, beta=args.beta, theta=args.theta, trace_length=args.m))
         record = {"n": args.n, "l": args.l, "beta": args.beta, "theta": args.theta,
                   "m": args.m, **dataclasses.asdict(sched)}
     else:
@@ -247,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True)
     p.add_argument("--p-obf", dest="p_obf", type=float, default=0.1)
     p.add_argument("--gamma", type=float, default=0.1)
-    p.add_argument("--h", dest="gap", type=_parse_gap, default=None)
+    p.add_argument("--h", dest="gap", type=_parse_gap, default=None,
+                   help="manp's window width; only manp reads it")
     p.add_argument("--l", type=int, default=2)
     p.add_argument("--r", type=int, required=True,
                    help="alphabet size: noise is drawn from 0..r-1, and every "

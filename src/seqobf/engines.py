@@ -2,15 +2,14 @@
 
 Every engine runs in one frame, ``_obfuscate_rows``: one pass over the
 rows of a 2-D array, in place, with one np.random.Generator per row.  It
-draws every row's Bernoulli(p) mask and then calls the method's policy in
-``_POLICIES`` once, which fills the masked positions of the whole row
-block; the other positions keep their symbols.  ``obfuscate`` on one
-Trace is the one-row case.
+draws every row's Bernoulli(p) mask and then branches on the method,
+passing each fill only the parameters it reads; the fill replaces the
+masked positions and the other positions keep their symbols.
+``obfuscate`` on one Trace is the one-row case.
 
 Data-independent methods draw replacements ahead of the data and never
 read the symbols they replace.  The single-pass ones, listed in
-``_INDEPENDENT``, share one policy that fills a row block with one
-assignment:
+``_INDEPENDENT``, fill a row block with one assignment:
 
 * iid      — fresh uniform symbols;
 * sbu      — a concatenation-form covering superstring consumed in order;
@@ -29,7 +28,7 @@ prefix; lov and manp fill one row at a time, and plov steps a whole block:
 
 For reproducibility each pass consumes a row's stream in a fixed order:
 the whole replacement mask first (one uniform per position), then
-replacement draws in stream order.  The data-dependent policies make one
+replacement draws in stream order.  The data-dependent fills make one
 draw per masked position, in index order, and loop in Python only over
 the masked positions; between two of them they advance the prefix state
 in bulk.  Once lov's prefix holds every symbol, its remaining
@@ -61,7 +60,8 @@ class EngineConfig:
     not be applied is refused: a two_stage config with p_obf > 0 and no
     stage noise, and stage noise on any other method.
     order is the superstring order of sbu/sl_sbu/two_stage, checked by
-    obfuscate; gamma is the plov tilt; gap is the manp window width.
+    obfuscate; gamma is the plov tilt; gap is the manp window width, which
+    manp needs and every other method refuses.
     """
 
     method: str
@@ -80,6 +80,8 @@ class EngineConfig:
         if self.method == "manp":
             # It scores symbols against the trailing window of h predecessors.
             _check_at_least(self.gap, 1, "a finite gap h", "manp needs")
+        elif self.gap is not None:
+            raise ValueError(f"gap applies to manp only, not {self.method}, got {self.gap}")
         a, b = self.stage_noise
         if self.method == "two_stage":
             _check_noise(a, "stage noise")
@@ -167,14 +169,8 @@ def manp_choose(seen: np.ndarray, window: np.ndarray, gen: np.random.Generator) 
     return int(best[gen.integers(best.size)])
 
 
-def _fill_independent(z, mask, alphabet_size, config, gens, settled) -> None:
-    z[mask] = np.concatenate([_replacement_stream(gen, alphabet_size, config,
-                                                  np.count_nonzero(row))
-                              for row, gen in zip(mask, gens)])
-
-
-def _fill_lov(z, mask, alphabet_size, config, gen, settled) -> None:
-    observed = np.zeros(alphabet_size, dtype=bool)
+def _fill_lov(z, mask, r, gen) -> None:
+    observed = np.zeros(r, dtype=bool)
     targets = np.flatnonzero(mask)
     prev = 0
     for j, t in enumerate(targets):
@@ -182,15 +178,14 @@ def _fill_lov(z, mask, alphabet_size, config, gen, settled) -> None:
         if observed.all():
             # Uniform from here on: one batched draw equals a scalar draw
             # per remaining position.
-            z[targets[j:]] = gen.integers(alphabet_size, size=targets.size - j)
+            z[targets[j:]] = gen.integers(r, size=targets.size - j)
             return
         z[t] = lov_choose(observed, gen)
         prev = t
 
 
-def _fill_plov(z, mask, alphabet_size, config, gens, settled) -> None:
+def _fill_plov(z, mask, r, gamma, gens) -> None:
     """plov on a row block: step j draws every row's j-th replacement at once."""
-    r = alphabet_size
     k = np.count_nonzero(mask, axis=1)
     # Rows are ranked by replacements, most first, so that the rows with a
     # j-th replacement are the first active[j] ranks.
@@ -221,7 +216,7 @@ def _fill_plov(z, mask, alphabet_size, config, gens, settled) -> None:
         flat += np.bincount(kept[edges[j]:edges[j + 1]], minlength=flat.size)
         # Inverse-CDF sampling with one uniform, as Generator.choice does; on
         # a sorted cdf, counting the entries <= u is searchsorted(side="right").
-        cdf = plov_distribution(counts[:n], config.gamma).cumsum(axis=1)
+        cdf = plov_distribution(counts[:n], gamma).cumsum(axis=1)
         cdf /= cdf[:, -1:]
         pick = (cdf <= u[:n, j, None]).sum(axis=1)
         picks[:n, j] = pick
@@ -233,9 +228,8 @@ def _fill_plov(z, mask, alphabet_size, config, gens, settled) -> None:
 _PAIR_BLOCK = 1 << 16
 
 
-def _fill_manp(z, mask, alphabet_size, config, gen, settled) -> None:
-    gap = config.gap
-    seen = np.zeros((alphabet_size, alphabet_size), dtype=bool)
+def _fill_manp(z, mask, r, gap, gen, settled) -> None:
+    seen = np.zeros((r, r), dtype=bool)
     # Offsets back to the window.  One that reaches before position 0 is
     # clipped to 0; that repeats the pair (0, v), which is in the window
     # since v < d <= gap.
@@ -253,45 +247,35 @@ def _fill_manp(z, mask, alphabet_size, config, gen, settled) -> None:
         prev = t
 
 
-def _row_by_row(fill):
-    """Lift a one-row policy (z, mask, alphabet_size, config, gen, settled)
-    to a row block: each row is filled alone from its own generator."""
-
-    def fill_rows(z, mask, alphabet_size, config, gens, settled) -> None:
-        for row, row_mask, gen in zip(z, mask, gens):
-            fill(row, row_mask, alphabet_size, config, gen, settled)
-
-    return fill_rows
-
-
-# The single-pass methods whose fill never reads z.
+# The single-pass methods whose fill never reads z: _obfuscate_rows fills
+# a row block of them with one assignment.
 _INDEPENDENT = ("iid", "sbu", "sl_sbu")
 
-# Replacement policy of each single-pass method, called as
-# policy(z, mask, alphabet_size, config, gens, settled); only manp reads settled.
-_POLICIES = {
-    **dict.fromkeys(_INDEPENDENT, _fill_independent),
-    "lov": _row_by_row(_fill_lov),
-    "plov": _fill_plov,
-    "manp": _row_by_row(_fill_manp),
-}
 
-
-def _obfuscate_rows(
-    z: np.ndarray, alphabet_size: int, config: EngineConfig, gens, settled=None
-) -> np.ndarray:
+def _obfuscate_rows(z: np.ndarray, r: int, config: EngineConfig, gens, settled=None) -> np.ndarray:
     """One pass of a single-pass method over the 2-D array z, in place.
 
-    Row i draws from gens[i], so it comes out as it would alone.  Returns
-    the mask of replaced positions.  settled, if given, tests a row's
-    filled prefix (see sim._fraction_iterations).  The caller checks the
-    superstring size cap.
+    Row i draws from gens[i] over the alphabet 0..r-1, so it comes out as
+    it would alone.  Returns the mask of replaced positions.  settled, if
+    given, tests a row's filled prefix (see sim._fraction_iterations).
+    The caller checks the superstring size cap.
     """
     uniforms = np.empty(z.shape)
     for row, gen in zip(uniforms, gens):
         gen.random(out=row)
     mask = uniforms < config.p_obf
-    _POLICIES[config.method](z, mask, alphabet_size, config, gens, settled)
+    if config.method in _INDEPENDENT:
+        z[mask] = np.concatenate([_replacement_stream(gen, r, config, k) for gen, k
+                                  in zip(gens, mask.sum(axis=1).tolist())])
+    elif config.method == "plov":
+        _fill_plov(z, mask, r, config.gamma, gens)
+    else:
+        # lov and manp fill one row at a time, each from its own generator.
+        for row, row_mask, gen in zip(z, mask, gens):
+            if config.method == "lov":
+                _fill_lov(row, row_mask, r, gen)
+            else:
+                _fill_manp(row, row_mask, r, config.gap, gen, settled)
     return mask
 
 

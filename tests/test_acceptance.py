@@ -282,7 +282,7 @@ def test_7_schedule_and_crowd_counts():
     failures = []
     # Fixed-point arithmetic of the schedule.
     sched = schedule(
-        ScheduleParams(n_users=10**4, order=2, gap=1, beta=0.5, theta=0.25,
+        ScheduleParams(n_users=10**4, order=2, beta=0.5, theta=0.25,
                        trace_length=10**4)
     )
     if not (abs(sched.noise_level - 0.1) < 1e-12 and abs(sched.scale - 100) < 1e-9):
@@ -292,7 +292,7 @@ def test_7_schedule_and_crowd_counts():
     if sched.alphabet_min > sched.alphabet_max:
         failures.append("alphabet range empty")
     try:
-        ScheduleParams(n_users=100, order=2, gap=1, beta=0.5, theta=0.5,
+        ScheduleParams(n_users=100, order=2, beta=0.5, theta=0.5,
                        trace_length=100)
         failures.append("boundary theta accepted")
     except ValueError:

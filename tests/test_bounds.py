@@ -90,7 +90,7 @@ class TestSchedule:
     def test_known_arithmetic(self):
         sched = schedule(
             ScheduleParams(
-                n_users=10**4, order=2, gap=1, beta=0.5, theta=0.25,
+                n_users=10**4, order=2, beta=0.5, theta=0.25,
                 trace_length=10**4,
             )
         )
@@ -103,17 +103,17 @@ class TestSchedule:
     def test_rejects_theta_at_boundary(self):
         with pytest.raises(ValueError):
             ScheduleParams(
-                n_users=100, order=2, gap=1, beta=0.5, theta=0.5, trace_length=100
+                n_users=100, order=2, beta=0.5, theta=0.5, trace_length=100
             )
         with pytest.raises(ValueError):
             ScheduleParams(
-                n_users=100, order=2, gap=1, beta=0.5, theta=0.0, trace_length=100
+                n_users=100, order=2, beta=0.5, theta=0.0, trace_length=100
             )
 
     def test_rejects_order_one(self):
         with pytest.raises(ValueError):
             ScheduleParams(
-                n_users=100, order=1, gap=1, beta=0.5, theta=0.1, trace_length=100
+                n_users=100, order=1, beta=0.5, theta=0.1, trace_length=100
             )
 
     @given(
@@ -130,7 +130,7 @@ class TestSchedule:
             return
         sched = schedule(
             ScheduleParams(
-                n_users=n, order=l, gap=1, beta=beta, theta=theta, trace_length=m
+                n_users=n, order=l, beta=beta, theta=theta, trace_length=m
             )
         )
         assert sched.alphabet_min <= sched.alphabet_max + 1e-9

@@ -456,8 +456,6 @@ _REFUSED = {
     "bounds_trace_too_short": ({}, ["bounds", "--which", "sbu", "--m", "5", "--h", "10"]),
     "schedule_beta_above_one": ({}, ["bounds", "--which", "schedule", "--m", "100",
                                      "--n", "100", "--beta", "1.5", "--theta", "0.1"]),
-    "schedule_gap_below_one": ({}, ["bounds", "--which", "schedule", "--m", "100", "--h", "0",
-                                    "--n", "100", "--beta", "0.5", "--theta", "0.1"]),
     "sl_sbu_obfuscate_over_the_size_cap": (
         {"in.txt": "0 1 2 0 1 2\n"},
         ["obfuscate", "--method", "sl_sbu", "--r", "5000",
@@ -474,6 +472,13 @@ _REFUSED = {
         {"in.txt": "0 1 2 0 1 2\n"},
         ["obfuscate", "--method", "iid", "--p-obf", "0", "--stage-a", "0.9", "--stage-b", "0.9",
          "--r", "20", "--in", "{dir}/in.txt", "--out", "{dir}/out.txt"]),
+    "gap_off_manp": (
+        {"in.txt": "0 1 2 0 1 2\n"},
+        ["obfuscate", "--method", "iid", "--p-obf", "0.5", "--h", "5",
+         "--r", "4", "--in", "{dir}/in.txt", "--out", "{dir}/out.txt"]),
+    "detect_without_traces": (
+        {"empty.txt": ""},
+        ["detect", "--trace-file", "{dir}/empty.txt", "--pattern", "1,2", "--r", "4"]),
     "crowd_count_without_users": _simulate(
         "[experiment]\nscenario = crowd_count\n"
         "[parameters]\nn_users = 0\n[crowd]\nmatch_probability = 0.1\nbeta = 0.5\n"),

@@ -60,7 +60,7 @@ class TestPattern:
 
 
 def schedule_params(**overrides):
-    return ScheduleParams(**{**dict(n_users=100, order=2, gap=1, beta=0.5, theta=0.1,
+    return ScheduleParams(**{**dict(n_users=100, order=2, beta=0.5, theta=0.1,
                                     trace_length=100), **overrides})
 
 
@@ -84,7 +84,6 @@ class TestParameterRules:
         (lambda: lov_bound(0, 5, 0.1), "trace_length must be >= 1, got 0"),
         (lambda: schedule_params(n_users=0), "n_users must be >= 1, got 0"),
         (lambda: schedule_params(order=1), "the schedule needs order >= 2, got 1"),
-        (lambda: schedule_params(gap=None), "gap must be >= 1, got None"),
         (lambda: schedule_params(trace_length=0), "trace_length must be >= 1, got 0"),
         (lambda: PatternStats(0, 1), "order must be >= 1, got 0"),
         (lambda: PatternStats(2, 0), "gap must be >= 1, got 0"),
@@ -93,7 +92,7 @@ class TestParameterRules:
         (lambda: plov_distribution(np.ones(3), 0.0), "gamma must be > 0, got 0.0"),
     ], ids=["alphabet_none", "pattern_gap", "bound_trace_length", "bound_order", "bound_gap",
             "bound_gap_none", "lov_bound_trace_length", "schedule_users", "schedule_order",
-            "schedule_gap_none", "schedule_trace_length", "stats_order", "stats_gap",
+            "schedule_trace_length", "stats_order", "stats_gap",
             "spec_iterations", "fraction_users", "plov_gamma"])
     def test_refuses_with_the_rule_message(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

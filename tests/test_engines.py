@@ -81,7 +81,15 @@ class TestEngineConfig:
         # Only two_stage reads its stage levels; any other method would
         # leave them unapplied.
         with pytest.raises(ValueError, match="stage noise applies to two_stage only"):
-            EngineConfig(method=method, p_obf=0.0, gap=3, stage_noise=stage_noise)
+            EngineConfig(method=method, p_obf=0.0, gap=3 if method == "manp" else None,
+                         stage_noise=stage_noise)
+
+    @pytest.mark.parametrize("method", [m for m in METHODS if m != "manp"])
+    def test_gap_off_manp_is_refused(self, method):
+        # Only manp reads a window width; any other method would leave it
+        # unapplied.
+        with pytest.raises(ValueError, match=f"gap applies to manp only, not {method}"):
+            EngineConfig(method=method, gap=3)
 
 
 class TestCommonEngineContract:
@@ -364,7 +372,8 @@ class TestDataDependentMatchReference:
     def test_bit_identical_to_per_position_reference(self, method, case):
         seed, r, m, p, gamma, gap = case
         t = random_trace(np.random.default_rng(seed), m, r)
-        cfg = EngineConfig(method=method, p_obf=p, gamma=gamma, gap=gap)
+        cfg = EngineConfig(method=method, p_obf=p, gamma=gamma,
+                           gap=gap if method == "manp" else None)
         z, mask = obfuscate(t, cfg, RandomSource(seed, (1,)), return_mask=True)
         want_z, want_mask = reference_pass(t, cfg, RandomSource(seed, (1,)))
         assert np.array_equal(mask, want_mask)
