@@ -55,6 +55,23 @@ def _pattern_found(symbols: np.ndarray, pattern_symbols, gap: int | None) -> np.
     return np.frombuffer(packed, dtype=np.uint8).reshape(lead + (w >> 3,)).any(axis=-1)
 
 
+def _found_in_list(symbols: list, pattern_symbols, gap: int) -> bool:
+    """_pattern_found for one short plain list and a finite gap, in plain
+    Python: it keeps the last position that each pattern prefix reaches,
+    and a position extends prefix j if prefix j - 1 was reached at most gap
+    positions before it."""
+    reached = [-gap - 1] * len(pattern_symbols)
+    for t, s in enumerate(symbols):
+        if s not in pattern_symbols:
+            continue
+        for j in range(len(pattern_symbols) - 1, 0, -1):
+            if s == pattern_symbols[j] and t - reached[j - 1] <= gap:
+                reached[j] = t
+        if s == pattern_symbols[0]:
+            reached[0] = t
+    return reached[-1] >= 0
+
+
 def _check_alphabet(trace: Trace, pattern: Pattern) -> None:
     if max(pattern.symbols) >= trace.alphabet.size:
         raise ValueError(f"pattern symbols exceed alphabet 0..{trace.alphabet.size - 1}")

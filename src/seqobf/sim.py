@@ -21,8 +21,9 @@ existing draws.  Fraction sample (iteration it, user u) draws its base
 trace from path (it, u, 0), if some method of the run reads it, and method
 j obfuscates it from path (it, u, 1 + j); the last index is the stream's
 purpose.  Race iteration it draws its pattern, its superstring offset and
-its iid stream, in that order, from path (it,).  Both protocols draw from
-keyed generators of their thread's pool (see seqobf.core).
+its iid stream, in that order, from path (it,), as Generator.integers would
+from the 32-bit halves of the path's raw Philox words.  Both protocols draw
+from keyed generators of their thread's pool (see seqobf.core).
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ import numpy as np
 
 from .core import (Pattern, RandomSource, _check_at_least, _check_gap, _check_noise,
                    _check_seed, _derive_keys, _generator_pool, _keyed_generators)
-from .detect import _contiguous_matches, _pattern_found
+from .detect import _contiguous_matches, _found_in_list, _pattern_found
 from .engines import _INDEPENDENT, EngineConfig, _obfuscate_rows
 from .superstring import _check_params, _shortest_first_index
 from . import bounds as bounds_mod
@@ -53,6 +54,11 @@ _ROW_BLOCK = 32
 # Symbols a race scans at once, as the rows of one array: 2 MiB of int64,
 # whatever the iteration count.
 _RACE_SCAN_SYMBOLS = 1 << 18
+# Values that a raw draw makes at once: the words and the products' low
+# halves of one slice of rows stay a small part of a race block.
+_RAW_SYMBOLS = 1 << 15
+# Binomial counts that crowd_count draws at once.
+_CROWD_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -218,7 +224,7 @@ def _fraction_iterations(
         # manp calls this, and EngineConfig refuses manp without a finite gap.
         if prefix[-1] != q[-1]:
             return False
-        return bool(_pattern_found(prefix[-(len(q) - 1) * gap - 1:], q, gap))
+        return _found_in_list(prefix[-(len(q) - 1) * gap - 1:].tolist(), q, gap)
 
     counts = np.zeros((2, len(configs)), dtype=np.int64)
     users = spec.n_users - 1
@@ -253,28 +259,107 @@ def run_fraction(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     return sweep(spec, [spec.p_obf], workers)
 
 
+def _halves(words: np.ndarray) -> np.ndarray:
+    """The 32-bit halves of raw Philox words along the last axis, the low
+    half of each word first on any host."""
+    return words.astype("<u8", copy=False).view("<u4")
+
+
+def _redraw_row(gen: np.random.Generator, halves: np.ndarray, segments) -> tuple[np.ndarray, int]:
+    """One row's values of the segments, read from halves and then from
+    gen's words, skipping rejected halves; and its unread half, or -1."""
+    values = []
+    for count, bound in segments:
+        least = (2**32 - bound) % bound
+        while count:
+            if not halves.size:
+                halves = _halves(gen.bit_generator.random_raw(-(-count // 2)))
+            product = halves.astype(np.uint64) * np.uint64(bound)
+            kept = np.flatnonzero(product.astype(np.uint32) >= least)[:count]
+            values.append(product[kept] >> 32)
+            count -= kept.size
+            halves = halves[kept[-1] + 1 if not count else halves.size:]
+    return np.concatenate(values), int(halves[0]) if halves.size else -1
+
+
+def _raw_values(
+    gens: Sequence[np.random.Generator], spare: np.ndarray, segments, out: np.ndarray
+) -> np.ndarray:
+    """Draw row i of out as gens[i].integers would, from raw words, and
+    return each row's unread half, or -1.
+
+    segments is a list of (count, bound) pairs, with bound in [2, 2**32):
+    out's columns take count values below each bound in turn.  A row reads
+    spare[i], the half its last draw left unread (-1 for none), and then
+    the halves of its generator's words, low half first, as Generator's
+    32-bit draws do.  A value is (h * b) >> 32 for a half h and bound b, and
+    a half whose product has its low 32 bits below (2**32 - b) % b is
+    rejected and skipped: Lemire's multiply-shift (ACM TOMACS 29(1), 2019),
+    as Generator.integers applies it to bounds up to 2**32.  Each row takes
+    whole words, just enough for its values, so it leaves at most one half
+    unread.  Rows holding a spare half come first: the rows of each group
+    take the same count of words, and are drawn in slices of about
+    _RAW_SYMBOLS values.  A row with a rejected half is drawn again alone
+    from the halves it read, taking more words as it needs them.
+    """
+    n, k = out.shape
+    products = out.view(np.uint64)
+    left = np.full(n, -1, dtype=np.int64)
+    held = int(np.count_nonzero(spare >= 0))
+    step = max(1, _RAW_SYMBOLS // k)
+    for start, stop, s in ((0, held, 1), (held, n, 0)):
+        words = -(-(k - s) // 2)
+        for lo in range(start, stop, step):
+            hi = min(lo + step, stop)
+            # Each row's halves, its spare half first.
+            halves = _halves(np.array([gen.bit_generator.random_raw(words)
+                                       for gen in gens[lo:hi]]))
+            if s:
+                halves = np.concatenate([spare[lo:hi, None].astype(np.uint32), halves], axis=1)
+            product = products[lo:hi]
+            rejected = np.zeros(hi - lo, dtype=bool)
+            a = 0
+            for count, bound in segments:
+                np.multiply(halves[:, a : a + count], np.uint64(bound), dtype=np.uint64,
+                            out=product[:, a : a + count])
+                rejected |= (product[:, a : a + count].astype(np.uint32)
+                             < (2**32 - bound) % bound).any(axis=1)
+                a += count
+            product >>= 32
+            if halves.shape[1] > k:
+                left[lo:hi] = halves[:, k]
+            for i in np.flatnonzero(rejected).tolist():
+                out[lo + i], left[lo + i] = _redraw_row(gens[lo + i], halves[i], segments)
+    return left
+
+
 def _scan_iid_rows(
-    gens: Sequence[np.random.Generator], patterns: np.ndarray, alphabet_size: int, chunk: int
+    gens: Sequence[np.random.Generator], patterns: np.ndarray, alphabet_size: int, chunk: int,
+    spare: np.ndarray,
 ) -> tuple[np.ndarray, int]:
     """1-based index of each row pattern's first occurrence in the iid
     stream of the row's Generator, and the number of symbols drawn, in
-    rounds of chunk symbols (see run_first_occurrence_race)."""
+    rounds of chunk symbols (see run_first_occurrence_race).  spare[i] is
+    the half that row i's last draw left unread, or -1 (see _raw_values)."""
     first = np.empty(len(gens), dtype=np.int64)
     live = np.arange(len(gens))
     carry = np.empty((live.size, 0), dtype=np.int64)
     consumed = drawn = 0
     while live.size:
+        # _raw_values takes the rows that hold a spare half first.
+        order = np.argsort(spare < 0, kind="stable")
+        live, carry, spare = live[order], carry[order], spare[order]
         x = np.empty((live.size, carry.shape[1] + chunk), dtype=np.int64)
         x[:, : carry.shape[1]] = carry
-        for i, row in enumerate(live.tolist()):
-            x[i, carry.shape[1]:] = gens[row].integers(0, alphabet_size, size=chunk)
+        spare = _raw_values([gens[row] for row in live.tolist()], spare,
+                            [(chunk, alphabet_size)], x[:, carry.shape[1]:])
         drawn += chunk * live.size
         hit = _contiguous_matches(x, patterns[live])
         at = hit.argmax(axis=1)
         found = hit[np.arange(live.size), at]
         first[live[found]] = consumed + at[found] + 1
         consumed += hit.shape[1]
-        carry, live = x[~found, hit.shape[1]:], live[~found]
+        carry, live, spare = x[~found, hit.shape[1]:], live[~found], spare[~found]
     return first, drawn
 
 
@@ -295,13 +380,18 @@ def run_first_occurrence_race(
     than 2 iterations are refused: they give no standard error.
 
     Iterations run as the rows of blocks of at most _RACE_SCAN_SYMBOLS
-    symbols.  Each row draws its pattern, one symbol per call, and its
-    superstring offset, which alone gives the superstring's index.  Then it
-    draws rounds of about 2 r^l iid symbols, each after the last l-1
-    symbols of the one before, until its pattern is found; the rows still
+    symbols.  A row's stream is one run of 32-bit halves of its raw words,
+    read in draw order by _raw_values: its l pattern symbols, its
+    superstring offset, which alone gives the superstring's index, and then
+    rounds of about 2 r^l iid symbols, each scanned after the last l-1
+    symbols of the one before, until its pattern is found.  These are the
+    values that l calls of integers(r), one of integers(r^l) and then
+    integers(0, r, size=chunk) per round would draw.  The rows still
     searching draw in lockstep, and one match per round scans each against
     its own pattern.  A draw gives the same symbols however it is split
     into calls, so the chunk size changes only the count of symbols drawn.
+    The two float64 results per iteration grow in proportion to the work,
+    about 2 r^l symbols drawn per iteration.
     """
     _check_race(alphabet_size, order, iterations)
     t0 = time.perf_counter()
@@ -315,12 +405,14 @@ def run_first_occurrence_race(
     for first in range(0, iterations, rows):
         block = np.arange(first, min(first + rows, iterations))
         gens = _keyed_generators(_derive_keys(master_seed, block[:, None]), _generator_pool())
-        patterns = np.array([gen.integers(alphabet_size) for gen in gens for _ in range(order)],
-                            dtype=np.int64).reshape(block.size, order)
+        head = np.empty((block.size, order + 1), dtype=np.int64)
+        segments = [(order, alphabet_size), (1, alphabet_size**order)]
+        spare = _raw_values(gens, np.full(block.size, -1, dtype=np.int64), segments, head)
+        patterns = head[:, :order]
         # The first superstring drawn holds every pattern, so its offset
-        # draw settles the superstring side.
-        first_super[block] = _shortest_first_index(alphabet_size, order, gens, patterns)
-        first_iid[block], n_drawn = _scan_iid_rows(gens, patterns, alphabet_size, chunk)
+        # settles the superstring side.
+        first_super[block] = _shortest_first_index(alphabet_size, order, head[:, order], patterns)
+        first_iid[block], n_drawn = _scan_iid_rows(gens, patterns, alphabet_size, chunk, spare)
         drawn += n_drawn
     record = {
         "scenario": "first_occurrence",
@@ -346,22 +438,30 @@ def run_crowd_count(spec: ExperimentSpec) -> ExperimentResult:
 
     Each of n_users users independently shares the pattern with the given
     match probability; the record holds the mean count and the frequency
-    of counts at or above the n^beta / 2 threshold.
+    of counts at or above the n^beta / 2 threshold.  The counts are drawn
+    _CROWD_CHUNK at a time, which draws what one call would, and summed as
+    integers, so the record is that of one call in memory that does not
+    grow with the iterations.
     """
     if spec.scenario != "crowd_count":
         raise ValueError(f"run_crowd_count got scenario {spec.scenario!r}")
     t0 = time.perf_counter()
     gen = RandomSource(spec.master_seed).generator
-    counts = gen.binomial(spec.n_users, spec.match_probability, size=spec.iterations)
     threshold = spec.n_users**spec.beta / 2.0
-    freq = float((counts >= threshold).mean())
+    total = above = 0
+    for start in range(0, spec.iterations, _CROWD_CHUNK):
+        size = min(_CROWD_CHUNK, spec.iterations - start)
+        counts = gen.binomial(spec.n_users, spec.match_probability, size=size)
+        total += int(counts.sum())
+        above += int(np.count_nonzero(counts >= threshold))
+    freq = above / spec.iterations
     record = {
         "scenario": spec.scenario,
         "n_users": spec.n_users,
         "match_probability": spec.match_probability,
         "beta": spec.beta,
         "iterations": spec.iterations,
-        "mean_count": float(counts.mean()),
+        "mean_count": total / spec.iterations,
         "threshold": threshold,
         "frequency_above": freq,
         "std_error": float(np.sqrt(max(freq * (1 - freq), 0.0) / spec.iterations)),

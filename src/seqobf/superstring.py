@@ -161,17 +161,15 @@ def _concat_array(
 
 
 def _shortest_first_index(
-    alphabet_size: int, order: int, gens: list[np.random.Generator], patterns: np.ndarray
+    alphabet_size: int, order: int, offsets: np.ndarray, patterns: np.ndarray
 ) -> np.ndarray:
     """1-based first index of the length-l string patterns[i] in the draw
-    that ``_shortest_array`` makes from gens[i], for a block of generators.
+    that ``_shortest_array`` makes with offset offsets[i], for a block.
 
-    Only each generator's offset draw is made.  The string at cycle
-    position s starts at symbol (s - offset) mod r^l of the draw, so one
-    gather gives the whole block."""
+    The string at cycle position s starts at symbol (s - offset) mod r^l of
+    the draw, so one gather gives the whole block."""
     start = _cycle_starts(alphabet_size, order)
     codes = patterns @ alphabet_size ** np.arange(order - 1, -1, -1)
-    offsets = np.fromiter((gen.integers(start.size) for gen in gens), np.int64, len(gens))
     return (start[codes] - offsets) % start.size + 1
 
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from seqobf.core import Alphabet, Pattern, RandomSource, Trace
 from seqobf.detect import (
-    PatternStats, _contiguous_matches, _pattern_found, first_occurrence, has_pattern,
+    PatternStats, _contiguous_matches, _found_in_list, _pattern_found, first_occurrence,
+    has_pattern,
 )
 from seqobf.superstring import _shortest_array
 from oracles import (
@@ -149,6 +150,27 @@ def test_detection_memory_is_linear_in_the_block():
         tracemalloc.stop()
     assert found.all()
     assert peak < 6 * rows * m
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("gap", [1, 3, 10])
+def test_a_plain_list_scan_agrees_with_the_kernel(order, gap):
+    # Windows as manp's settle test reads them, (l - 1) * gap + 1 symbols
+    # that end with the pattern's last symbol, and shorter and longer ones,
+    # over alphabets small enough that the pattern often occurs.
+    rng = np.random.default_rng(100 * order + gap)
+    found = 0
+    for _ in range(400):
+        r = int(rng.integers(2, 5))
+        q = tuple(rng.integers(0, r, size=order).tolist())
+        window = rng.integers(0, r, size=int(rng.integers(1, 3 * order * gap + 2)))
+        if rng.random() < 0.5:
+            window = window[-(order - 1) * gap - 1:]
+            window[-1] = q[-1]
+        want = bool(_pattern_found(window, q, gap))
+        assert _found_in_list(window.tolist(), q, gap) == want
+        found += want
+    assert 0 < found < 400
 
 
 class TestFirstOccurrence:

@@ -408,7 +408,7 @@ class TestRace:
 
         rows, chunk, pattern = 300, 4, (0, 1, 0)
         gens = [RandomSource(seed).generator for seed in range(rows)]
-        got, drawn = _scan_iid_rows(gens, np.tile(pattern, (rows, 1)), 2, chunk)
+        got, drawn = _scan_iid_rows(gens, np.tile(pattern, (rows, 1)), 2, chunk, np.full(rows, -1))
         lengths = []
         for seed in range(rows):
             replay = RandomSource(seed).generator
@@ -534,6 +534,122 @@ class TestRace:
         assert 0.5 < rec["prob_iid_later"] < 0.75
 
 
+def fresh_generators(seed, rows):
+    return [RandomSource(seed, (i,)).generator for i in range(rows)]
+
+
+# Bounds at which 2**32 % b is 0, tiny, or a quarter to a half of all
+# halves (2**31 + 1 and 3 * 2**30).
+RAW_BOUNDS = [2, 3, 10, 20, 1000, 2**16 + 1, 2**24, 2**24 - 3, 2**31 + 1, 3 * 2**30, 2**32 - 1]
+
+
+class TestRawRule:
+    """The race's raw draws equal Generator.integers on the numpy that is
+    installed: the same values, and the same place in the stream."""
+
+    @pytest.mark.parametrize("bound", RAW_BOUNDS)
+    def test_a_draw_equals_integers(self, bound):
+        sizes = np.random.default_rng(bound)
+        for seed in range(6):
+            rows, k = int(sizes.integers(1, 40)), int(sizes.integers(1, 300))
+            out = np.empty((rows, k), dtype=np.int64)
+            left = sim._raw_values(fresh_generators(seed, rows), np.full(rows, -1),
+                                   [(k, bound)], out)
+            for i, gen in enumerate(fresh_generators(seed, rows)):
+                np.testing.assert_array_equal(out[i], gen.integers(0, bound, size=k))
+                # The half left unread is the next one Generator would read.
+                if left[i] >= 0:
+                    assert left[i] == gen.integers(0, 2**32, dtype=np.uint64)
+
+    @pytest.mark.parametrize("bound", RAW_BOUNDS)
+    def test_rows_that_start_with_a_spare_half(self, bound):
+        # A first draw of odd length leaves rows with and without a spare
+        # half; the second draw continues each row's stream.
+        sizes = np.random.default_rng(bound + 1)
+        for seed in range(6):
+            rows, j, k = (int(sizes.integers(*span)) for span in ((2, 40), (1, 6), (1, 300)))
+            gens = fresh_generators(seed, rows)
+            head = np.empty((rows, j), dtype=np.int64)
+            spare = sim._raw_values(gens, np.full(rows, -1), [(j, 7)], head)
+            order = np.argsort(spare < 0, kind="stable")
+            out = np.empty((rows, k), dtype=np.int64)
+            sim._raw_values([gens[i] for i in order], spare[order], [(k, bound)], out)
+            for i, row in zip(order.tolist(), out):
+                replay = RandomSource(seed, (i,)).generator
+                np.testing.assert_array_equal(head[i], replay.integers(0, 7, size=j))
+                np.testing.assert_array_equal(row, replay.integers(0, bound, size=k))
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_segments_equal_scalar_calls_then_a_sized_one(self, l):
+        for r in (3, 10, 2**31 + 1):
+            rows = 30
+            out = np.empty((rows, l + 1 + 50), dtype=np.int64)
+            offset = min(r**l, 2**32 - 1)
+            sim._raw_values(fresh_generators(r, rows), np.full(rows, -1),
+                            [(l, r), (1, offset), (50, r)], out)
+            for i, row in enumerate(out.tolist()):
+                gen = RandomSource(r, (i,)).generator
+                want = [gen.integers(r) for _ in range(l)]
+                want.append(gen.integers(offset))
+                assert row == want + gen.integers(0, r, size=50).tolist()
+
+    def test_the_race_reads_pattern_offset_and_chunk_in_stream_order(self, monkeypatch):
+        # Each block's offsets and patterns, and its first scanned chunk.
+        blocks = []
+        first_index, matches = sim._shortest_first_index, sim._contiguous_matches
+
+        def offsets(r, l, offsets, patterns):
+            blocks.append([offsets.copy(), patterns.copy()])
+            return first_index(r, l, offsets, patterns)
+
+        def chunk(x, patterns):
+            if len(blocks[-1]) == 2:
+                blocks[-1].append(x.copy())
+            return matches(x, patterns)
+
+        monkeypatch.setattr(sim, "_shortest_first_index", offsets)
+        monkeypatch.setattr(sim, "_contiguous_matches", chunk)
+        # At (128, 2) a block holds 8 rows.
+        for r, l in ((10, 1), (10, 2), (6, 3), (128, 2)):
+            blocks.clear()
+            run_first_occurrence_race(r, l, 40, master_seed=r + l)
+            offset, pattern, first_chunk = (np.concatenate(part) for part in zip(*blocks))
+            for it in range(40):
+                gen = RandomSource(r + l, (it,)).generator
+                assert pattern[it].tolist() == [gen.integers(r) for _ in range(l)]
+                assert offset[it] == gen.integers(r**l)
+                np.testing.assert_array_equal(
+                    first_chunk[it], gen.integers(0, r, size=first_chunk.shape[1]))
+
+    def test_a_scan_with_rejections_and_carried_halves(self):
+        # At 3 * 2**30 a quarter of all halves are rejected, so in rounds
+        # of 4 symbols the rows change between holding a spare half and
+        # not.  Each pattern is read off its row's own stream, a few
+        # rounds in, so the scan ends.
+        from seqobf.sim import _scan_iid_rows
+        from oracles import naive_first_occurrence
+
+        r, l, chunk, rows = 3 * 2**30, 2, 4, 200
+        places = np.random.default_rng(5).integers(0, 6 * chunk, size=rows)
+        patterns = np.empty((rows, l), dtype=np.int64)
+        for i, at in enumerate(places.tolist()):
+            patterns[i] = RandomSource(9, (i,)).generator.integers(0, r, size=at + l)[at:]
+        got, drawn = _scan_iid_rows(fresh_generators(9, rows), patterns, r, chunk,
+                                    np.full(rows, -1))
+        total = 0
+        for i in range(rows):
+            replay = RandomSource(9, (i,)).generator
+            stream: list[int] = []
+            want = None
+            while want is None:
+                stream.extend(replay.integers(0, r, size=chunk).tolist())
+                want = naive_first_occurrence(stream, patterns[i].tolist())
+            assert got[i] == want
+            total += len(stream)
+        assert drawn == total
+        assert len(set(got.tolist())) > 10
+
+
 class TestGeneratorPools:
     """The keyed generator pool lives per thread and across calls: a run
     draws the same whether its thread's pool is new or warm, or was last
@@ -605,6 +721,38 @@ class TestCrowdCount:
         exact_tail = float(sstats.binom.sf(np.ceil(threshold) - 1, n, q))
         se_tail = np.sqrt(exact_tail * (1 - exact_tail) / iters)
         assert abs(rec["frequency_above"] - exact_tail) < 3 * se_tail + 1e-9
+
+    @pytest.mark.parametrize("iterations", [1, sim._CROWD_CHUNK - 1, sim._CROWD_CHUNK,
+                                            sim._CROWD_CHUNK + 1, 3 * sim._CROWD_CHUNK + 5])
+    def test_records_equal_one_call_across_chunk_edges(self, iterations):
+        for n, q, beta in ((400, 0.05, 0.5), (30, 0.5, 0.9), (5, 0.01, 0.1), (1, 1.0, 0.3)):
+            spec = ExperimentSpec(
+                scenario="crowd_count", alphabet_size=4, order=2, gap=1, trace_length=10,
+                p_obf=0.0, n_users=n, iterations=iterations, master_seed=iterations % 7,
+                match_probability=q, beta=beta,
+            )
+            counts = RandomSource(spec.master_seed).generator.binomial(n, q, size=iterations)
+            threshold = n**beta / 2.0
+            freq = float((counts >= threshold).mean())
+            rec = run_crowd_count(spec).records[0]
+            assert rec["mean_count"] == float(counts.mean())
+            assert rec["frequency_above"] == freq
+            assert rec["std_error"] == float(np.sqrt(max(freq * (1 - freq), 0.0) / iterations))
+
+    def test_memory_does_not_grow_with_the_iterations(self):
+        spec = ExperimentSpec(
+            scenario="crowd_count", alphabet_size=4, order=2, gap=1, trace_length=10,
+            p_obf=0.0, n_users=10, iterations=10**7, master_seed=3,
+            match_probability=0.1, beta=0.5,
+        )
+        tracemalloc.start()
+        try:
+            run_crowd_count(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One chunk of int64 counts and its bool test, with room to spare.
+        assert peak < 4 * 8 * sim._CROWD_CHUNK
 
 
 class TestSweepAndDispatch:
