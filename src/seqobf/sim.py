@@ -265,21 +265,46 @@ def _halves(words: np.ndarray) -> np.ndarray:
     return words.astype("<u8", copy=False).view("<u4")
 
 
-def _redraw_row(gen: np.random.Generator, halves: np.ndarray, segments) -> tuple[np.ndarray, int]:
-    """One row's values of the segments, read from halves and then from
-    gen's words, skipping rejected halves; and its unread half, or -1."""
-    values = []
-    for count, bound in segments:
-        least = (2**32 - bound) % bound
+def _passes(halves: np.ndarray, bound: int, least: int, out=None) -> np.ndarray:
+    """Which halves Lemire's rule keeps for bound: those whose product with
+    bound has low 32 bits of at least least = (2**32 - bound) % bound."""
+    return np.greater_equal(np.multiply(halves, np.uint32(bound), dtype=np.uint32), least, out=out)
+
+
+def _kept_halves(gen: np.random.Generator, halves: np.ndarray, segments) -> tuple[list, int]:
+    """The halves that one row keeps for the segments (see _raw_values),
+    read from halves and then from gen's words; and its unread half, or -1."""
+    kept = []
+    for count, bound, least in segments:
         while count:
             if not halves.size:
                 halves = _halves(gen.bit_generator.random_raw(-(-count // 2)))
-            product = halves.astype(np.uint64) * np.uint64(bound)
-            kept = np.flatnonzero(product.astype(np.uint32) >= least)[:count]
-            values.append(product[kept] >> 32)
-            count -= kept.size
-            halves = halves[kept[-1] + 1 if not count else halves.size:]
-    return np.concatenate(values), int(halves[0]) if halves.size else -1
+            at = np.flatnonzero(_passes(halves, bound, least))[:count]
+            kept.append(halves[at])
+            count -= at.size
+            halves = halves[at[-1] + 1 if not count else halves.size :]
+    return kept, int(halves[0]) if halves.size else -1
+
+
+def _finish_row(gen: np.random.Generator, halves: np.ndarray, tail: np.ndarray,
+                passed: np.ndarray, segments) -> int:
+    """Mend one row of a _raw_values slice that read a rejected half, and
+    return its unread half, or -1.  halves are the row's first k halves,
+    tail the half after them if it holds one, and passed says which halves
+    passed.  Up to the end of the first segment with a rejected half, the
+    halves that passed stand, moved up; the rest are read from the halves
+    after that segment and then from gen's words."""
+    a = 0
+    for s, (count, bound, least) in enumerate(segments):
+        if not passed[a : a + count].all():
+            break
+        a += count
+    kept = halves[a : a + count][passed[a : a + count]]
+    more, left = _kept_halves(gen, np.concatenate([halves[a + count :], tail]),
+                              [(count - kept.size, bound, least), *segments[s + 1 :]])
+    halves[a : a + kept.size] = kept
+    halves[a + kept.size :] = np.concatenate(more)
+    return left
 
 
 def _raw_values(
@@ -289,47 +314,57 @@ def _raw_values(
     return each row's unread half, or -1.
 
     segments is a list of (count, bound) pairs, with bound in [2, 2**32):
-    out's columns take count values below each bound in turn.  A row reads
-    spare[i], the half its last draw left unread (-1 for none), and then
-    the halves of its generator's words, low half first, as Generator's
-    32-bit draws do.  A value is (h * b) >> 32 for a half h and bound b, and
-    a half whose product has its low 32 bits below (2**32 - b) % b is
-    rejected and skipped: Lemire's multiply-shift (ACM TOMACS 29(1), 2019),
-    as Generator.integers applies it to bounds up to 2**32.  Each row takes
-    whole words, just enough for its values, so it leaves at most one half
-    unread.  Rows holding a spare half come first: the rows of each group
-    take the same count of words, and are drawn in slices of about
-    _RAW_SYMBOLS values.  A row with a rejected half is drawn again alone
-    from the halves it read, taking more words as it needs them.
+    out's k columns take count values below each bound in turn.  A row
+    reads spare[i], the half its last draw left unread (-1 for none), and
+    then the halves of its generator's words, low half first, as
+    Generator's 32-bit draws do.  A value is (h * b) >> 32 for a half h and
+    bound b, and a half whose product has its low 32 bits below
+    (2**32 - b) % b is rejected and skipped: Lemire's multiply-shift (ACM
+    TOMACS 29(1), 2019), as Generator.integers applies it to bounds up to
+    2**32.  Every row takes the ceil(k / 2) words that k values need when
+    no half is rejected, so a row can hold a spare half only for an even k.
+    Rows are drawn in slices of about _RAW_SYMBOLS values; a row that reads
+    a rejected half is mended alone (_finish_row) and takes more words, and
+    it too leaves at most one half unread.
     """
     n, k = out.shape
+    if k % 2 and (spare >= 0).any():
+        raise ValueError(f"a row holding a spare half draws an even count of values, not {k}")
+    segments = [(count, bound, (2**32 - bound) % bound) for count, bound in segments]
+    words = -(-k // 2)
     products = out.view(np.uint64)
-    left = np.full(n, -1, dtype=np.int64)
-    held = int(np.count_nonzero(spare >= 0))
+    left = np.empty(n, dtype=np.int64)
     step = max(1, _RAW_SYMBOLS // k)
-    for start, stop, s in ((0, held, 1), (held, n, 0)):
-        words = -(-(k - s) // 2)
-        for lo in range(start, stop, step):
-            hi = min(lo + step, stop)
-            # Each row's halves, its spare half first.
-            halves = _halves(np.array([gen.bit_generator.random_raw(words)
-                                       for gen in gens[lo:hi]]))
-            if s:
-                halves = np.concatenate([spare[lo:hi, None].astype(np.uint32), halves], axis=1)
-            product = products[lo:hi]
-            rejected = np.zeros(hi - lo, dtype=bool)
-            a = 0
-            for count, bound in segments:
-                np.multiply(halves[:, a : a + count], np.uint64(bound), dtype=np.uint64,
-                            out=product[:, a : a + count])
-                rejected |= (product[:, a : a + count].astype(np.uint32)
-                             < (2**32 - bound) % bound).any(axis=1)
-                a += count
-            product >>= 32
-            if halves.shape[1] > k:
-                left[lo:hi] = halves[:, k]
-            for i in np.flatnonzero(rejected).tolist():
-                out[lo + i], left[lo + i] = _redraw_row(gens[lo + i], halves[i], segments)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        # Each row's spare half, then the halves of its words.  A row reads
+        # from column 0 if it holds a spare half, else from column 1; the
+        # rows of a slice mostly agree.
+        buffer = np.empty((hi - lo, words + 1), dtype="<u8")
+        buffer[:, 1:] = [gen.bit_generator.random_raw(words) for gen in gens[lo:hi]]
+        stream = buffer.view("<u4")[:, 1:]
+        stream[:, 0] = spare[lo:hi]
+        skip = spare[lo:hi] < 0
+        if (skip == skip[0]).all():
+            halves = stream[:, int(skip[0]) : int(skip[0]) + k]
+        else:
+            halves = np.where(skip[:, None], stream[:, 1 : k + 1], stream[:, :k])
+        # A row leaves its last half unread unless it skipped column 0 and k is even.
+        left[lo:hi] = np.where(skip & (k % 2 == 0), -1, stream[:, -1].astype(np.int64))
+        passed = np.empty((hi - lo, k), dtype=bool)
+        a = 0
+        for count, bound, least in segments:
+            _passes(halves[:, a : a + count], bound, least, out=passed[:, a : a + count])
+            a += count
+        for i in np.flatnonzero(~passed.all(axis=1)).tolist():
+            left[lo + i] = _finish_row(gens[lo + i], halves[i], stream[i, int(skip[i]) + k :],
+                                       passed[i], segments)
+        product, a = products[lo:hi], 0
+        for count, bound, _ in segments:
+            np.multiply(halves[:, a : a + count], np.uint64(bound), dtype=np.uint64,
+                        out=product[:, a : a + count])
+            a += count
+        product >>= 32
     return left
 
 
@@ -346,9 +381,6 @@ def _scan_iid_rows(
     carry = np.empty((live.size, 0), dtype=np.int64)
     consumed = drawn = 0
     while live.size:
-        # _raw_values takes the rows that hold a spare half first.
-        order = np.argsort(spare < 0, kind="stable")
-        live, carry, spare = live[order], carry[order], spare[order]
         x = np.empty((live.size, carry.shape[1] + chunk), dtype=np.int64)
         x[:, : carry.shape[1]] = carry
         spare = _raw_values([gens[row] for row in live.tolist()], spare,

@@ -563,21 +563,28 @@ class TestRawRule:
 
     @pytest.mark.parametrize("bound", RAW_BOUNDS)
     def test_rows_that_start_with_a_spare_half(self, bound):
-        # A first draw of odd length leaves rows with and without a spare
-        # half; the second draw continues each row's stream.
+        # A first draw at 3 * 2**30, where a quarter of all halves are
+        # rejected, leaves rows with and without a spare half in one slice;
+        # a second draw of even length continues each row's stream.
         sizes = np.random.default_rng(bound + 1)
         for seed in range(6):
-            rows, j, k = (int(sizes.integers(*span)) for span in ((2, 40), (1, 6), (1, 300)))
+            rows, j, k = (int(sizes.integers(*span)) for span in ((2, 40), (1, 6), (1, 150)))
             gens = fresh_generators(seed, rows)
             head = np.empty((rows, j), dtype=np.int64)
-            spare = sim._raw_values(gens, np.full(rows, -1), [(j, 7)], head)
-            order = np.argsort(spare < 0, kind="stable")
-            out = np.empty((rows, k), dtype=np.int64)
-            sim._raw_values([gens[i] for i in order], spare[order], [(k, bound)], out)
-            for i, row in zip(order.tolist(), out):
+            spare = sim._raw_values(gens, np.full(rows, -1), [(j, 3 * 2**30)], head)
+            out = np.empty((rows, 2 * k), dtype=np.int64)
+            sim._raw_values(gens, spare, [(2 * k, bound)], out)
+            for i, row in enumerate(out):
                 replay = RandomSource(seed, (i,)).generator
-                np.testing.assert_array_equal(head[i], replay.integers(0, 7, size=j))
-                np.testing.assert_array_equal(row, replay.integers(0, bound, size=k))
+                np.testing.assert_array_equal(head[i], replay.integers(0, 3 * 2**30, size=j))
+                np.testing.assert_array_equal(row, replay.integers(0, bound, size=2 * k))
+
+    def test_a_spare_half_needs_an_even_draw(self):
+        # Every row takes ceil(k / 2) words, one too many for a row that
+        # holds a spare half when k is odd.
+        with pytest.raises(ValueError, match="even count"):
+            sim._raw_values(fresh_generators(0, 2), np.array([-1, 5]), [(3, 10)],
+                            np.empty((2, 3), dtype=np.int64))
 
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_segments_equal_scalar_calls_then_a_sized_one(self, l):
