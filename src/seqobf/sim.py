@@ -54,8 +54,8 @@ _ROW_BLOCK = 32
 # Symbols a race scans at once, as the rows of one array: 2 MiB of int64,
 # whatever the iteration count.
 _RACE_SCAN_SYMBOLS = 1 << 18
-# Values that a raw draw makes at once: the words and the products' low
-# halves of one slice of rows stay a small part of a race block.
+# Values that a raw draw makes at once: the words and the rejection test
+# of one slice of rows stay a small part of a race block.
 _RAW_SYMBOLS = 1 << 15
 # Binomial counts that crowd_count draws at once.
 _CROWD_CHUNK = 1 << 16
