@@ -183,10 +183,17 @@ def schedule(params: ScheduleParams) -> Schedule:
 
 @dataclass(frozen=True)
 class FirstOccurrenceExpectation:
-    """Expected index of a random pattern's first contiguous occurrence."""
+    """Expected index of a uniform random pattern's first contiguous
+    occurrence in each pure noise stream.
+
+    Averaged over patterns, the iid stream's mean is exactly r^l, not a
+    lower bound: a fixed pattern's mean is the sum of r^k over the lengths
+    k of its prefixes that are also suffixes, itself included, less l - 1.
+    So a pattern with no self-overlap averages r^l - l + 1, and one symbol
+    repeated l times the most."""
 
     superstring_stream: float  # exactly (r^l + 1) / 2
-    iid_stream_lower: float    # at least r^l
+    iid_stream_lower: float    # exactly r^l, averaged over patterns
 
 
 def expected_first_occurrence(

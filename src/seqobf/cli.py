@@ -106,28 +106,39 @@ def _cmd_detect(args) -> int:
     return 0
 
 
+# The flags that each bound reads besides --m, and the defaults of those
+# that have one.  A bound refuses a set flag that it does not read.
+_BOUND_FLAGS = {"sbu": ("r", "l", "h", "p"), "slsbu": ("r", "l", "h", "p"),
+                "lov": ("r", "p"), "schedule": ("n", "l", "beta", "theta")}
+_BOUND_DEFAULTS = {"r": 2, "l": 2, "h": 1, "p": 0.0}
+
+
 def _cmd_bounds(args) -> int:
+    reads = _BOUND_FLAGS[args.which]
+    for flag in ("r", "l", "h", "p", "n", "beta", "theta"):
+        if flag not in reads and getattr(args, flag) is not None:
+            raise ValueError(f"the {args.which} bound does not read --{flag}")
+    kv = {flag: _BOUND_DEFAULTS.get(flag) if getattr(args, flag) is None else getattr(args, flag)
+          for flag in reads}
     if args.which == "schedule":
-        if args.n is None or args.beta is None or args.theta is None:
+        if None in kv.values():
             raise ValueError("schedule requires --n, --beta and --theta")
         sched = bounds_mod.schedule(bounds_mod.ScheduleParams(
-            n_users=args.n, order=args.l, beta=args.beta, theta=args.theta, trace_length=args.m))
-        record = {"n": args.n, "l": args.l, "beta": args.beta, "theta": args.theta,
-                  "m": args.m, **dataclasses.asdict(sched)}
+            n_users=kv["n"], order=kv["l"], beta=kv["beta"], theta=kv["theta"],
+            trace_length=args.m))
+        record = {**kv, "m": args.m, **dataclasses.asdict(sched)}
     else:
         if args.which == "lov":
-            value = bounds_mod.lov_bound(args.m, args.r, args.p)
+            value = bounds_mod.lov_bound(args.m, kv["r"], kv["p"])
         else:
             params = bounds_mod.BoundParams(
-                trace_length=args.m, alphabet_size=args.r, order=args.l,
-                gap=args.gap, p_obf=args.p,
+                trace_length=args.m, alphabet_size=kv["r"], order=kv["l"],
+                gap=kv["h"], p_obf=kv["p"],
             )
             fn = bounds_mod.bound_sbu if args.which == "sbu" else bounds_mod.bound_slsbu
             value = fn(params)
-        record = {"which": args.which, "m": args.m, "r": args.r, "l": args.l,
-                  "h": args.gap, "p": args.p, "value": value}
-    _print_config("bounds", which=args.which, m=args.m, r=args.r, l=args.l,
-                  h=args.gap, p=args.p, n=args.n, beta=args.beta, theta=args.theta)
+        record = {"which": args.which, "m": args.m, **kv, "value": value}
+    _print_config("bounds", which=args.which, m=args.m, **kv)
     sim_mod.write_csv([record], sys.stdout)
     return 0
 
@@ -274,10 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="evaluate closed-form guarantees")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--l", type=int, default=2)
-    p.add_argument("--h", dest="gap", type=int, default=1)
-    p.add_argument("--p", type=float, default=0.0)
+    p.add_argument("--r", type=int, default=None)
+    p.add_argument("--l", type=int, default=None)
+    p.add_argument("--h", type=int, default=None)
+    p.add_argument("--p", type=float, default=None)
     p.add_argument("--which", choices=("sbu", "slsbu", "lov", "schedule"),
                    required=True)
     p.add_argument("--n", type=int, default=None)

@@ -16,17 +16,32 @@ of that hash from SeedSequence and mixes in many paths at once, and a
 Philox with such a key draws what RandomSource(master_seed, path).generator
 draws; the engines and protocols below the public API take such bare
 Generators.  Re-keying a built generator is cheaper than building one, so
-``_generator_pool`` keeps a pool of them per thread, and
-``_keyed_generators`` re-keys the pool for each block of keys, growing it
-first if the block is larger.  A pool grows to its thread's largest block
-and lives as long as the thread, at about 800 bytes per generator.  It is
-not re-entrant: re-keying it makes the generators of its last block stale,
-so a caller holds one block at a time.
+each thread keeps a pool of them, and ``_keyed_generators`` re-keys its
+thread's pool for each block of keys, growing it first if the block is
+larger.  A pool grows to its thread's largest block and lives as long as
+the thread, at about 800 bytes per generator.  It is not re-entrant:
+re-keying it makes the generators of its last block stale, so a caller
+holds one block at a time.
+
+``_raw_values`` draws rows of bounded integers from keyed generators'
+raw Philox words, as Generator.integers would; no code outside it and its
+helpers reads those words.  Its stream contract:
+
+* a keyed generator starts with no pending half;
+* 32-bit draws read the halves of each word, the low half first;
+* a value below a bound b in [2, 2**32) is (h * b) >> 32 for a half h,
+  and a half whose product has its low 32 bits below (2**32 - b) % b is
+  rejected and skipped: Lemire's multiply-shift ("Fast Random Integer
+  Generation in an Interval", ACM TOMACS 29(1), 2019), which is how
+  Generator.integers draws below bounds up to 2**32;
+* a row carries at most one unread half from one draw to its next;
+* a row that holds one draws an even count of values.
 """
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -185,17 +200,14 @@ class _Pool(threading.local):
 _pool = _Pool()
 
 
-def _generator_pool() -> list:
-    """This thread's pool of keyed generators."""
-    return _pool.generators
-
-
-def _keyed_generators(keys: np.ndarray, pool: list) -> list:
+def _keyed_generators(keys: np.ndarray) -> list:
     """The generators of the (n, 2) keys from _derive_keys, drawing as a fresh
     Philox of each key would.
 
-    Pool grows to at least n generators, and its first n are re-keyed to
-    the state a fresh Philox holds (the key, counter 0, an empty buffer)."""
+    This thread's pool grows to at least n generators, and its first n are
+    re-keyed to the state a fresh Philox holds (the key, counter 0, an
+    empty buffer)."""
+    pool = _pool.generators
     pool.extend(np.random.Generator(np.random.Philox(0)) for _ in range(len(keys) - len(pool)))
     state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
              "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
@@ -203,6 +215,117 @@ def _keyed_generators(keys: np.ndarray, pool: list) -> list:
         state["state"]["key"] = key
         gen.bit_generator.state = state
     return pool[: len(keys)]
+
+
+# Values that a raw draw makes at once: the words and the rejection test
+# of one slice of rows stay a small part of a race block.
+_RAW_SYMBOLS = 1 << 15
+
+
+def _halves(words: np.ndarray) -> np.ndarray:
+    """The 32-bit halves of raw Philox words along the last axis, the low
+    half of each word first on any host."""
+    return words.astype("<u8", copy=False).view("<u4")
+
+
+def _passes(halves: np.ndarray, bound: int, least: int, out=None) -> np.ndarray:
+    """Which halves Lemire's rule keeps for bound: those whose product with
+    bound has low 32 bits of at least least = (2**32 - bound) % bound."""
+    return np.greater_equal(np.multiply(halves, np.uint32(bound), dtype=np.uint32), least, out=out)
+
+
+def _kept_halves(gen: np.random.Generator, halves: np.ndarray, segments) -> tuple[list, int]:
+    """The halves that one row keeps for the segments (see _raw_values),
+    read from halves and then from gen's words; and its unread half, or -1."""
+    kept = []
+    for count, bound, least in segments:
+        while count:
+            if not halves.size:
+                halves = _halves(gen.bit_generator.random_raw(-(-count // 2)))
+            at = np.flatnonzero(_passes(halves, bound, least))[:count]
+            kept.append(halves[at])
+            count -= at.size
+            halves = halves[at[-1] + 1 if not count else halves.size :]
+    return kept, int(halves[0]) if halves.size else -1
+
+
+def _finish_row(gen: np.random.Generator, halves: np.ndarray, tail: np.ndarray,
+                passed: np.ndarray, segments) -> int:
+    """Mend one row of a _raw_values slice that read a rejected half, and
+    return its unread half, or -1.  halves are the row's first k halves,
+    tail the half after them if it holds one, and passed says which halves
+    passed.  Up to the end of the first segment with a rejected half, the
+    halves that passed stand, moved up; the rest are read from the halves
+    after that segment and then from gen's words."""
+    a = 0
+    for s, (count, bound, least) in enumerate(segments):
+        if not passed[a : a + count].all():
+            break
+        a += count
+    kept = halves[a : a + count][passed[a : a + count]]
+    more, left = _kept_halves(gen, np.concatenate([halves[a + count :], tail]),
+                              [(count - kept.size, bound, least), *segments[s + 1 :]])
+    halves[a : a + kept.size] = kept
+    halves[a + kept.size :] = np.concatenate(more)
+    return left
+
+
+def _raw_values(
+    gens: Sequence[np.random.Generator], spare: np.ndarray, segments, out: np.ndarray
+) -> np.ndarray:
+    """Draw row i of out as gens[i].integers would, from raw words, and
+    return each row's unread half, or -1.
+
+    segments is a list of (count, bound) pairs, with bound in [2, 2**32):
+    out's k columns take count values below each bound in turn.  A row
+    reads spare[i], the half its last draw left unread (-1 for none), and
+    then the halves of its generator's words, under the stream contract in
+    the module docstring.  Every row takes the ceil(k / 2) words that k
+    values need when no half is rejected, so a row can hold a spare half
+    only for an even k.
+    Rows are drawn in slices of about _RAW_SYMBOLS values; a row that reads
+    a rejected half is mended alone (_finish_row) and takes more words, and
+    it too leaves at most one half unread.
+    """
+    n, k = out.shape
+    if k % 2 and (spare >= 0).any():
+        raise ValueError(f"a row holding a spare half draws an even count of values, not {k}")
+    segments = [(count, bound, (2**32 - bound) % bound) for count, bound in segments]
+    words = -(-k // 2)
+    products = out.view(np.uint64)
+    left = np.empty(n, dtype=np.int64)
+    step = max(1, _RAW_SYMBOLS // k)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        # Each row's spare half, then the halves of its words.  A row reads
+        # from column 0 if it holds a spare half, else from column 1; the
+        # rows of a slice mostly agree.
+        buffer = np.empty((hi - lo, words + 1), dtype="<u8")
+        buffer[:, 1:] = [gen.bit_generator.random_raw(words) for gen in gens[lo:hi]]
+        stream = buffer.view("<u4")[:, 1:]
+        stream[:, 0] = spare[lo:hi]
+        skip = spare[lo:hi] < 0
+        if (skip == skip[0]).all():
+            halves = stream[:, int(skip[0]) : int(skip[0]) + k]
+        else:
+            halves = np.where(skip[:, None], stream[:, 1 : k + 1], stream[:, :k])
+        # A row leaves its last half unread unless it skipped column 0 and k is even.
+        left[lo:hi] = np.where(skip & (k % 2 == 0), -1, stream[:, -1].astype(np.int64))
+        passed = np.empty((hi - lo, k), dtype=bool)
+        a = 0
+        for count, bound, least in segments:
+            _passes(halves[:, a : a + count], bound, least, out=passed[:, a : a + count])
+            a += count
+        for i in np.flatnonzero(~passed.all(axis=1)).tolist():
+            left[lo + i] = _finish_row(gens[lo + i], halves[i], stream[i, int(skip[i]) + k :],
+                                       passed[i], segments)
+        product, a = products[lo:hi], 0
+        for count, bound, _ in segments:
+            np.multiply(halves[:, a : a + count], np.uint64(bound), dtype=np.uint64,
+                        out=product[:, a : a + count])
+            a += count
+        product >>= 32
+    return left
 
 
 # The constants of numpy's SeedSequence (numpy/random/bit_generator.pyx).

@@ -21,9 +21,9 @@ existing draws.  Fraction sample (iteration it, user u) draws its base
 trace from path (it, u, 0), if some method of the run reads it, and method
 j obfuscates it from path (it, u, 1 + j); the last index is the stream's
 purpose.  Race iteration it draws its pattern, its superstring offset and
-its iid stream, in that order, from path (it,), as Generator.integers would
-from the 32-bit halves of the path's raw Philox words.  Both protocols draw
-from keyed generators of their thread's pool (see seqobf.core).
+its iid stream, in that order, from path (it,), as Generator.integers would,
+by core._raw_values under the stream contract in seqobf.core's docstring.
+Both protocols draw from keyed generators (core._keyed_generators).
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import (Pattern, RandomSource, _check_at_least, _check_gap, _check_noise,
-                   _check_seed, _derive_keys, _generator_pool, _keyed_generators)
+                   _check_seed, _derive_keys, _keyed_generators, _raw_values)
 from .detect import _contiguous_matches, _found_in_list, _pattern_found
 from .engines import _INDEPENDENT, EngineConfig, _obfuscate_rows
 from .superstring import _check_params, _shortest_first_index
@@ -54,9 +54,6 @@ _ROW_BLOCK = 32
 # Symbols a race scans at once, as the rows of one array: 2 MiB of int64,
 # whatever the iteration count.
 _RACE_SCAN_SYMBOLS = 1 << 18
-# Values that a raw draw makes at once: the words and the rejection test
-# of one slice of rows stay a small part of a race block.
-_RAW_SYMBOLS = 1 << 15
 # Binomial counts that crowd_count draws at once.
 _CROWD_CHUNK = 1 << 16
 
@@ -244,10 +241,10 @@ def _fraction_iterations(
             # pool is re-keyed for the next: its base traces, then each config.
             if reads_base:
                 x = np.stack([_base_symbols(spec, gen, pool)
-                              for gen in _keyed_generators(keys[rows, 0], _generator_pool())])
+                              for gen in _keyed_generators(keys[rows, 0])])
             for j, config in enumerate(configs):
                 purpose = 1 + j % len(spec.methods)
-                gens = _keyed_generators(keys[rows, purpose], _generator_pool())
+                gens = _keyed_generators(keys[rows, purpose])
                 z = np.zeros(shape, np.int64) if config.method in _INDEPENDENT else x.copy()
                 counts[1, j] += np.count_nonzero(_obfuscate_rows(z, r, config, gens, settled))
                 counts[0, j] += np.count_nonzero(_pattern_found(z, q, gap))
@@ -259,115 +256,6 @@ def run_fraction(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     return sweep(spec, [spec.p_obf], workers)
 
 
-def _halves(words: np.ndarray) -> np.ndarray:
-    """The 32-bit halves of raw Philox words along the last axis, the low
-    half of each word first on any host."""
-    return words.astype("<u8", copy=False).view("<u4")
-
-
-def _passes(halves: np.ndarray, bound: int, least: int, out=None) -> np.ndarray:
-    """Which halves Lemire's rule keeps for bound: those whose product with
-    bound has low 32 bits of at least least = (2**32 - bound) % bound."""
-    return np.greater_equal(np.multiply(halves, np.uint32(bound), dtype=np.uint32), least, out=out)
-
-
-def _kept_halves(gen: np.random.Generator, halves: np.ndarray, segments) -> tuple[list, int]:
-    """The halves that one row keeps for the segments (see _raw_values),
-    read from halves and then from gen's words; and its unread half, or -1."""
-    kept = []
-    for count, bound, least in segments:
-        while count:
-            if not halves.size:
-                halves = _halves(gen.bit_generator.random_raw(-(-count // 2)))
-            at = np.flatnonzero(_passes(halves, bound, least))[:count]
-            kept.append(halves[at])
-            count -= at.size
-            halves = halves[at[-1] + 1 if not count else halves.size :]
-    return kept, int(halves[0]) if halves.size else -1
-
-
-def _finish_row(gen: np.random.Generator, halves: np.ndarray, tail: np.ndarray,
-                passed: np.ndarray, segments) -> int:
-    """Mend one row of a _raw_values slice that read a rejected half, and
-    return its unread half, or -1.  halves are the row's first k halves,
-    tail the half after them if it holds one, and passed says which halves
-    passed.  Up to the end of the first segment with a rejected half, the
-    halves that passed stand, moved up; the rest are read from the halves
-    after that segment and then from gen's words."""
-    a = 0
-    for s, (count, bound, least) in enumerate(segments):
-        if not passed[a : a + count].all():
-            break
-        a += count
-    kept = halves[a : a + count][passed[a : a + count]]
-    more, left = _kept_halves(gen, np.concatenate([halves[a + count :], tail]),
-                              [(count - kept.size, bound, least), *segments[s + 1 :]])
-    halves[a : a + kept.size] = kept
-    halves[a + kept.size :] = np.concatenate(more)
-    return left
-
-
-def _raw_values(
-    gens: Sequence[np.random.Generator], spare: np.ndarray, segments, out: np.ndarray
-) -> np.ndarray:
-    """Draw row i of out as gens[i].integers would, from raw words, and
-    return each row's unread half, or -1.
-
-    segments is a list of (count, bound) pairs, with bound in [2, 2**32):
-    out's k columns take count values below each bound in turn.  A row
-    reads spare[i], the half its last draw left unread (-1 for none), and
-    then the halves of its generator's words, low half first, as
-    Generator's 32-bit draws do.  A value is (h * b) >> 32 for a half h and
-    bound b, and a half whose product has its low 32 bits below
-    (2**32 - b) % b is rejected and skipped: Lemire's multiply-shift (ACM
-    TOMACS 29(1), 2019), as Generator.integers applies it to bounds up to
-    2**32.  Every row takes the ceil(k / 2) words that k values need when
-    no half is rejected, so a row can hold a spare half only for an even k.
-    Rows are drawn in slices of about _RAW_SYMBOLS values; a row that reads
-    a rejected half is mended alone (_finish_row) and takes more words, and
-    it too leaves at most one half unread.
-    """
-    n, k = out.shape
-    if k % 2 and (spare >= 0).any():
-        raise ValueError(f"a row holding a spare half draws an even count of values, not {k}")
-    segments = [(count, bound, (2**32 - bound) % bound) for count, bound in segments]
-    words = -(-k // 2)
-    products = out.view(np.uint64)
-    left = np.empty(n, dtype=np.int64)
-    step = max(1, _RAW_SYMBOLS // k)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        # Each row's spare half, then the halves of its words.  A row reads
-        # from column 0 if it holds a spare half, else from column 1; the
-        # rows of a slice mostly agree.
-        buffer = np.empty((hi - lo, words + 1), dtype="<u8")
-        buffer[:, 1:] = [gen.bit_generator.random_raw(words) for gen in gens[lo:hi]]
-        stream = buffer.view("<u4")[:, 1:]
-        stream[:, 0] = spare[lo:hi]
-        skip = spare[lo:hi] < 0
-        if (skip == skip[0]).all():
-            halves = stream[:, int(skip[0]) : int(skip[0]) + k]
-        else:
-            halves = np.where(skip[:, None], stream[:, 1 : k + 1], stream[:, :k])
-        # A row leaves its last half unread unless it skipped column 0 and k is even.
-        left[lo:hi] = np.where(skip & (k % 2 == 0), -1, stream[:, -1].astype(np.int64))
-        passed = np.empty((hi - lo, k), dtype=bool)
-        a = 0
-        for count, bound, least in segments:
-            _passes(halves[:, a : a + count], bound, least, out=passed[:, a : a + count])
-            a += count
-        for i in np.flatnonzero(~passed.all(axis=1)).tolist():
-            left[lo + i] = _finish_row(gens[lo + i], halves[i], stream[i, int(skip[i]) + k :],
-                                       passed[i], segments)
-        product, a = products[lo:hi], 0
-        for count, bound, _ in segments:
-            np.multiply(halves[:, a : a + count], np.uint64(bound), dtype=np.uint64,
-                        out=product[:, a : a + count])
-            a += count
-        product >>= 32
-    return left
-
-
 def _scan_iid_rows(
     gens: Sequence[np.random.Generator], patterns: np.ndarray, alphabet_size: int, chunk: int,
     spare: np.ndarray,
@@ -375,12 +263,23 @@ def _scan_iid_rows(
     """1-based index of each row pattern's first occurrence in the iid
     stream of the row's Generator, and the number of symbols drawn, in
     rounds of chunk symbols (see run_first_occurrence_race).  spare[i] is
-    the half that row i's last draw left unread, or -1 (see _raw_values)."""
+    the half that row i's last draw left unread, or -1 (the stream contract
+    in seqobf.core's docstring).
+
+    A row that has scanned more than 200 l r^l symbols raises RuntimeError,
+    so a broken draw fails instead of running forever.  Those symbols hold
+    200 r^l disjoint l-blocks, each the pattern with probability r^-l, so
+    a correct draw reaches the cap with probability below e^-200."""
+    order = patterns.shape[1]
+    cap = 200 * order * alphabet_size**order
     first = np.empty(len(gens), dtype=np.int64)
     live = np.arange(len(gens))
     carry = np.empty((live.size, 0), dtype=np.int64)
     consumed = drawn = 0
     while live.size:
+        if consumed > cap:
+            raise RuntimeError(f"{live.size} iid streams hold no pattern in their first "
+                               f"{consumed} symbols, over 200 l r^l = {cap}: the draw is broken")
         x = np.empty((live.size, carry.shape[1] + chunk), dtype=np.int64)
         x[:, : carry.shape[1]] = carry
         spare = _raw_values([gens[row] for row in live.tolist()], spare,
@@ -412,11 +311,12 @@ def run_first_occurrence_race(
     than 2 iterations are refused: they give no standard error.
 
     Iterations run as the rows of blocks of at most _RACE_SCAN_SYMBOLS
-    symbols.  A row's stream is one run of 32-bit halves of its raw words,
-    read in draw order by _raw_values: its l pattern symbols, its
-    superstring offset, which alone gives the superstring's index, and then
-    rounds of about 2 r^l iid symbols, each scanned after the last l-1
-    symbols of the one before, until its pattern is found.  These are the
+    symbols.  A row's stream is one run of values, read in draw order by
+    _raw_values under the stream contract in seqobf.core's docstring: its l
+    pattern symbols, its superstring offset, which alone gives the
+    superstring's index, and then rounds of about 2 r^l iid symbols, each
+    scanned after the last l-1 symbols of the one before, until its pattern
+    is found or _scan_iid_rows' cap is passed.  These are the
     values that l calls of integers(r), one of integers(r^l) and then
     integers(0, r, size=chunk) per round would draw.  The rows still
     searching draw in lockstep, and one match per round scans each against
@@ -436,7 +336,7 @@ def run_first_occurrence_race(
     drawn = 0
     for first in range(0, iterations, rows):
         block = np.arange(first, min(first + rows, iterations))
-        gens = _keyed_generators(_derive_keys(master_seed, block[:, None]), _generator_pool())
+        gens = _keyed_generators(_derive_keys(master_seed, block[:, None]))
         head = np.empty((block.size, order + 1), dtype=np.int64)
         segments = [(order, alphabet_size), (1, alphabet_size**order)]
         spare = _raw_values(gens, np.full(block.size, -1, dtype=np.int64), segments, head)

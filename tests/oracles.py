@@ -16,7 +16,7 @@ library's ``de_bruijn`` cycle, which is checked on its own.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import mpmath
@@ -238,3 +238,76 @@ def race_records_reference(r: int, l: int, iterations: int, seed: int) -> tuple[
         "se_first_superstring": float(first_super.std(ddof=1) / np.sqrt(n)),
         "prob_iid_later": float((first_iid > first_super).mean()),
     },)
+
+
+def pattern_borders(pattern) -> tuple[int, ...]:
+    """The lengths k < l of the pattern's prefixes that are also suffixes:
+    its autocorrelation, less the whole pattern."""
+    l = len(pattern)
+    return tuple(k for k in range(1, l) if tuple(pattern[:k]) == tuple(pattern[l - k :]))
+
+
+def first_occurrence_law(pattern, r: int, steps: int) -> tuple[np.ndarray, float]:
+    """P(T > u) for u = 1..steps, and E[T], where T is the 1-based index of
+    the pattern's first contiguous occurrence in an iid uniform stream over
+    r symbols.
+
+    The stream drives the pattern's KMP automaton, whose state j < l is the
+    longest suffix read so far that is a prefix of the pattern, and l the
+    match.  T > u when the automaton has not matched after u + l - 1
+    symbols, and E[T] is the automaton's expected time to match, less l - 1.
+    """
+    pattern = tuple(pattern)
+    l = len(pattern)
+    move = np.zeros((l + 1, l + 1))
+    for j, c in product(range(l), range(r)):
+        seen = pattern[:j] + (c,)
+        k = next(k for k in range(j + 1, -1, -1) if seen[j + 1 - k :] == pattern[:k])
+        move[j, k] += 1 / r
+    move[l, l] = 1.0
+    state = np.zeros(l + 1)
+    state[0] = 1.0
+    survival = np.empty(steps + l - 1)
+    for n in range(survival.size):
+        state = state @ move
+        survival[n] = state[:l].sum()
+    to_match = np.linalg.solve(np.eye(l) - move[:l, :l], np.ones(l))[0]
+    return survival[l - 1 :], float(to_match) - (l - 1)
+
+
+def brute_force_first_occurrence_survival(pattern, r: int, steps: int) -> np.ndarray:
+    """P(T > u) for u = 1..steps, as first_occurrence_law defines it, by
+    enumerating every stream of steps + l - 1 symbols."""
+    l = len(pattern)
+    streams = np.array(list(product(range(r), repeat=steps + l - 1)), dtype=np.int64)
+    hit = np.ones((len(streams), steps), dtype=bool)
+    for j, symbol in enumerate(pattern):
+        hit &= streams[:, j : j + steps] == symbol
+    first = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, steps + 1)
+    return np.array([(first > u).mean() for u in range(1, steps + 1)])
+
+
+def race_exact(r: int, l: int) -> dict:
+    """The exact values of the race's mean_first_iid, mean_first_superstring
+    and prob_iid_later, for a pattern drawn uniformly from the r^l.
+
+    The superstring's index S is uniform on 1..r^l, whatever the pattern,
+    with mean (r^l + 1) / 2, and independent of the iid index T, so
+    P(T > S) = r^-l sum_{u=1..r^l} P(T > u).  Averaged over patterns,
+    E[T] is exactly r^l.  T's law depends only on the pattern's borders
+    (L. J. Guibas and A. M. Odlyzko, "String overlaps, pattern matching,
+    and nontransitive games", JCTA 30(2), 1981), so each class of patterns
+    with the same borders is solved once, on one of its members.
+    """
+    n = r**l
+    classes: dict = {}
+    for pattern in product(range(r), repeat=l):
+        count, member = classes.get(pattern_borders(pattern), (0, pattern))
+        classes[pattern_borders(pattern)] = (count + 1, member)
+    mean_iid = later = 0.0
+    for count, member in classes.values():
+        survival, mean = first_occurrence_law(member, r, n)
+        mean_iid += count / n * mean
+        later += count / n * survival.sum() / n
+    return {"mean_first_iid": mean_iid, "mean_first_superstring": (n + 1) / 2,
+            "prob_iid_later": float(later)}

@@ -127,6 +127,26 @@ class TestBounds:
         code, *_ = run_cli(capsys, "bounds", "--m", "100", "--which", "schedule")
         assert code == 2
 
+    @pytest.mark.parametrize("which, flags, unread", [
+        ("sbu", ["--n", "100"], "--n"),
+        ("slsbu", ["--r", "20", "--theta", "0.1"], "--theta"),
+        ("lov", ["--r", "5", "--p", "0.1", "--l", "9", "--h", "0"], "--l"),
+        ("schedule", ["--n", "10000", "--beta", "0.5", "--theta", "0.25", "--r", "999"], "--r"),
+    ])
+    def test_a_flag_the_bound_does_not_read_is_refused(self, capsys, which, flags, unread):
+        code, out, err = run_cli(capsys, "bounds", "--which", which, "--m", "10000", *flags)
+        assert code == 2
+        assert out == ""
+        assert f"does not read {unread}" in err
+
+    def test_a_row_holds_only_the_flags_its_bound_reads(self, capsys):
+        _, out, _ = run_cli(capsys, "bounds", "--which", "lov", "--m", "100", "--r", "5")
+        assert out.splitlines()[0] == "# bounds which=lov m=100 r=5 p=0.0"
+        assert data_lines(out)[0] == "which,m,r,p,value"
+        _, out, _ = run_cli(capsys, "bounds", "--which", "schedule", "--m", "100",
+                            "--n", "100", "--beta", "0.5", "--theta", "0.1")
+        assert out.splitlines()[0] == "# bounds which=schedule m=100 n=100 l=2 beta=0.5 theta=0.1"
+
 
 class TestObfuscateAndDetect:
     def test_round_trip(self, tmp_path, capsys):

@@ -5,9 +5,10 @@ import re
 import numpy as np
 import pytest
 
+from seqobf import core
 from seqobf.bounds import BoundParams, ScheduleParams, lov_bound
 from seqobf.core import (
-    Alphabet, Pattern, RandomSource, Trace, _derive_keys, _keyed_generators,
+    Alphabet, Pattern, RandomSource, Trace, _derive_keys, _keyed_generators, _raw_values,
 )
 from seqobf.detect import PatternStats
 from seqobf.engines import plov_distribution
@@ -167,9 +168,10 @@ class TestDeriveKeys:
         with pytest.raises(ValueError):
             _derive_keys(-1, [[0]])
 
-    def test_keyed_generator_draws_as_random_source(self):
+    def test_keyed_generator_draws_as_random_source(self, monkeypatch):
+        monkeypatch.setattr(core._pool, "generators", [])
         path = (4, 17, 2)
-        keyed = _keyed_generators(_derive_keys(2**40 + 7, [path]), [])[0]
+        keyed = _keyed_generators(_derive_keys(2**40 + 7, [path]))[0]
         plain = RandomSource(2**40 + 7, path).generator
         assert np.array_equal(keyed.random(1000), plain.random(1000))
         assert np.array_equal(keyed.integers(0, 20, size=1000), plain.integers(0, 20, size=1000))
@@ -181,9 +183,10 @@ def draw_everything(gen):
 
 
 class TestKeyedGenerators:
-    def test_a_re_keyed_generator_draws_as_a_fresh_one(self):
+    def test_a_re_keyed_generator_draws_as_a_fresh_one(self, monkeypatch):
+        monkeypatch.setattr(core._pool, "generators", [])
         keys = _derive_keys(2**40 + 7, np.arange(6)[:, None])
-        pool = _keyed_generators(keys[:3], [])
+        pool = _keyed_generators(keys[:3])
         for gen in pool:
             # An odd count of small-bound integers leaves half a 64-bit word
             # buffered, which the re-key must drop.
@@ -191,17 +194,85 @@ class TestKeyedGenerators:
             gen.random()
             gen.permutation(11)
             assert gen.bit_generator.state["has_uint32"] == 1
-        for i, gen in enumerate(_keyed_generators(keys[3:], pool), start=3):
+        for i, gen in enumerate(_keyed_generators(keys[3:]), start=3):
             assert draw_everything(gen) == draw_everything(RandomSource(2**40 + 7, (i,)).generator)
 
-    def test_the_pool_grows_only_past_its_largest_block(self):
+    def test_the_pool_grows_only_past_its_largest_block(self, monkeypatch):
+        monkeypatch.setattr(core._pool, "generators", [])
+        pool = core._pool.generators
         keys = _derive_keys(3, np.arange(40)[:, None])
-        pool: list = []
-        first = _keyed_generators(keys[:5], pool)
+        first = _keyed_generators(keys[:5])
         assert len(pool) == 5
-        again = _keyed_generators(keys[5:8], pool)
+        again = _keyed_generators(keys[5:8])
         assert len(pool) == 5 and all(a is b for a, b in zip(again, first))
-        grown = _keyed_generators(keys[8:20], pool)
+        grown = _keyed_generators(keys[8:20])
         assert len(pool) == 12 and all(a is b for a, b in zip(grown, first))
         for i, gen in enumerate(grown, start=8):
             assert draw_everything(gen) == draw_everything(RandomSource(3, (i,)).generator)
+
+
+def fresh_generators(seed, rows):
+    return [RandomSource(seed, (i,)).generator for i in range(rows)]
+
+
+# Bounds at which 2**32 % b is 0, tiny, or a quarter to a half of all
+# halves (2**31 + 1 and 3 * 2**30).
+RAW_BOUNDS = [2, 3, 10, 20, 1000, 2**16 + 1, 2**24, 2**24 - 3, 2**31 + 1, 3 * 2**30, 2**32 - 1]
+
+
+class TestRawRule:
+    """Raw draws equal Generator.integers on the numpy that is installed:
+    the same values, and the same place in the stream."""
+
+    @pytest.mark.parametrize("bound", RAW_BOUNDS)
+    def test_a_draw_equals_integers(self, bound):
+        sizes = np.random.default_rng(bound)
+        for seed in range(6):
+            rows, k = int(sizes.integers(1, 40)), int(sizes.integers(1, 300))
+            out = np.empty((rows, k), dtype=np.int64)
+            left = _raw_values(fresh_generators(seed, rows), np.full(rows, -1),
+                                   [(k, bound)], out)
+            for i, gen in enumerate(fresh_generators(seed, rows)):
+                np.testing.assert_array_equal(out[i], gen.integers(0, bound, size=k))
+                # The half left unread is the next one Generator would read.
+                if left[i] >= 0:
+                    assert left[i] == gen.integers(0, 2**32, dtype=np.uint64)
+
+    @pytest.mark.parametrize("bound", RAW_BOUNDS)
+    def test_rows_that_start_with_a_spare_half(self, bound):
+        # A first draw at 3 * 2**30, where a quarter of all halves are
+        # rejected, leaves rows with and without a spare half in one slice;
+        # a second draw of even length continues each row's stream.
+        sizes = np.random.default_rng(bound + 1)
+        for seed in range(6):
+            rows, j, k = (int(sizes.integers(*span)) for span in ((2, 40), (1, 6), (1, 150)))
+            gens = fresh_generators(seed, rows)
+            head = np.empty((rows, j), dtype=np.int64)
+            spare = _raw_values(gens, np.full(rows, -1), [(j, 3 * 2**30)], head)
+            out = np.empty((rows, 2 * k), dtype=np.int64)
+            _raw_values(gens, spare, [(2 * k, bound)], out)
+            for i, row in enumerate(out):
+                replay = RandomSource(seed, (i,)).generator
+                np.testing.assert_array_equal(head[i], replay.integers(0, 3 * 2**30, size=j))
+                np.testing.assert_array_equal(row, replay.integers(0, bound, size=2 * k))
+
+    def test_a_spare_half_needs_an_even_draw(self):
+        # Every row takes ceil(k / 2) words, one too many for a row that
+        # holds a spare half when k is odd.
+        with pytest.raises(ValueError, match="even count"):
+            _raw_values(fresh_generators(0, 2), np.array([-1, 5]), [(3, 10)],
+                            np.empty((2, 3), dtype=np.int64))
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_segments_equal_scalar_calls_then_a_sized_one(self, l):
+        for r in (3, 10, 2**31 + 1):
+            rows = 30
+            out = np.empty((rows, l + 1 + 50), dtype=np.int64)
+            offset = min(r**l, 2**32 - 1)
+            _raw_values(fresh_generators(r, rows), np.full(rows, -1),
+                            [(l, r), (1, offset), (50, r)], out)
+            for i, row in enumerate(out.tolist()):
+                gen = RandomSource(r, (i,)).generator
+                want = [gen.integers(r) for _ in range(l)]
+                want.append(gen.integers(offset))
+                assert row == want + gen.integers(0, r, size=50).tolist()

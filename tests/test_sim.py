@@ -458,9 +458,10 @@ class TestRace:
 
     @pytest.mark.parametrize("r", [2, 3, 10, 20, 2**16, 2**24])
     def test_a_draw_gives_the_same_symbols_however_it_is_split(self, r):
-        # The race draws its pattern as l scalar calls and an iid stream in
-        # chunks of any size it likes, and keeps records bit for bit only
-        # because of this.
+        # The race makes no integers calls, but race_records_reference in
+        # tests/oracles.py draws the pattern in one sized call and the iid
+        # stream in chunks of r^l, and it matches the race's records bit for
+        # bit only because of this.
         l = 2 if r < 2**16 else 1
         splits = np.random.default_rng(r)
         for it in range(40):
@@ -514,6 +515,63 @@ class TestRace:
         with pytest.raises(ValueError, match="iterations >= 2"):
             run_first_occurrence_race(3, 2, iterations)
 
+    def test_a_draw_that_never_finds_its_pattern_fails(self, monkeypatch):
+        # Every pattern is (1, 1) and every iid symbol 0.  At (3, 2) a round
+        # scans 64 symbols, so the cap of 200 l r^l symbols falls in round
+        # 57; the fake stops far past it, so a race without a cap fails
+        # here instead of running forever.
+        r, l = 3, 2
+        cap_rounds = -(-200 * l * r**l // 64)
+        rounds = 0
+
+        def never(gens, spare, segments, out):
+            nonlocal rounds
+            if len(segments) == 1:
+                rounds += 1
+                if rounds > 4 * cap_rounds:
+                    raise AssertionError("the race drew four times its cap")
+            out[:] = 1 if len(segments) > 1 else 0
+            return np.full(len(gens), -1)
+
+        monkeypatch.setattr(sim, "_raw_values", never)
+        with pytest.raises(RuntimeError, match="the draw is broken"):
+            run_first_occurrence_race(r, l, 2)
+        assert rounds == cap_rounds
+
+    def test_the_exact_race_equals_enumeration(self):
+        from oracles import (brute_force_first_occurrence_survival, first_occurrence_law,
+                             pattern_borders, race_exact)
+
+        for r, l in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3)):
+            n, later = r**l, 0.0
+            for pattern in product(range(r), repeat=l):
+                survival, mean = first_occurrence_law(pattern, r, n)
+                np.testing.assert_allclose(
+                    survival, brute_force_first_occurrence_survival(pattern, r, n), rtol=1e-12)
+                # E[T] is the sum of r^k over the pattern's borders and
+                # itself, less l - 1.
+                assert mean == pytest.approx(
+                    sum(r**k for k in (*pattern_borders(pattern), l)) - l + 1, rel=1e-12)
+                later += survival.sum() / n**2
+            exact = race_exact(r, l)
+            assert exact["prob_iid_later"] == pytest.approx(later, rel=1e-12)
+            assert exact["mean_first_iid"] == pytest.approx(n, rel=1e-12)
+            assert exact["mean_first_superstring"] == (n + 1) / 2
+
+    @pytest.mark.parametrize("r, l", [(2, 1), (3, 2), (2, 3), (5, 2), (4, 3)])
+    def test_the_race_matches_its_exact_statistics(self, r, l):
+        from oracles import race_exact
+
+        n = 20_000
+        rec = run_first_occurrence_race(r, l, n, master_seed=26).records[0]
+        exact = race_exact(r, l)
+        p = rec["prob_iid_later"]
+        se = {"mean_first_iid": rec["se_first_iid"],
+              "mean_first_superstring": rec["se_first_superstring"],
+              "prob_iid_later": np.sqrt(p * (1 - p) / n)}
+        for name, want in exact.items():
+            assert abs(rec[name] - want) <= 4.5 * se[name], (name, rec[name], want)
+
     def test_order_one_superstring_mean(self):
         res = run_first_occurrence_race(2, 1, 4000, master_seed=6)
         rec = res.records[0]
@@ -538,67 +596,9 @@ def fresh_generators(seed, rows):
     return [RandomSource(seed, (i,)).generator for i in range(rows)]
 
 
-# Bounds at which 2**32 % b is 0, tiny, or a quarter to a half of all
-# halves (2**31 + 1 and 3 * 2**30).
-RAW_BOUNDS = [2, 3, 10, 20, 1000, 2**16 + 1, 2**24, 2**24 - 3, 2**31 + 1, 3 * 2**30, 2**32 - 1]
-
-
 class TestRawRule:
-    """The race's raw draws equal Generator.integers on the numpy that is
-    installed: the same values, and the same place in the stream."""
-
-    @pytest.mark.parametrize("bound", RAW_BOUNDS)
-    def test_a_draw_equals_integers(self, bound):
-        sizes = np.random.default_rng(bound)
-        for seed in range(6):
-            rows, k = int(sizes.integers(1, 40)), int(sizes.integers(1, 300))
-            out = np.empty((rows, k), dtype=np.int64)
-            left = sim._raw_values(fresh_generators(seed, rows), np.full(rows, -1),
-                                   [(k, bound)], out)
-            for i, gen in enumerate(fresh_generators(seed, rows)):
-                np.testing.assert_array_equal(out[i], gen.integers(0, bound, size=k))
-                # The half left unread is the next one Generator would read.
-                if left[i] >= 0:
-                    assert left[i] == gen.integers(0, 2**32, dtype=np.uint64)
-
-    @pytest.mark.parametrize("bound", RAW_BOUNDS)
-    def test_rows_that_start_with_a_spare_half(self, bound):
-        # A first draw at 3 * 2**30, where a quarter of all halves are
-        # rejected, leaves rows with and without a spare half in one slice;
-        # a second draw of even length continues each row's stream.
-        sizes = np.random.default_rng(bound + 1)
-        for seed in range(6):
-            rows, j, k = (int(sizes.integers(*span)) for span in ((2, 40), (1, 6), (1, 150)))
-            gens = fresh_generators(seed, rows)
-            head = np.empty((rows, j), dtype=np.int64)
-            spare = sim._raw_values(gens, np.full(rows, -1), [(j, 3 * 2**30)], head)
-            out = np.empty((rows, 2 * k), dtype=np.int64)
-            sim._raw_values(gens, spare, [(2 * k, bound)], out)
-            for i, row in enumerate(out):
-                replay = RandomSource(seed, (i,)).generator
-                np.testing.assert_array_equal(head[i], replay.integers(0, 3 * 2**30, size=j))
-                np.testing.assert_array_equal(row, replay.integers(0, bound, size=2 * k))
-
-    def test_a_spare_half_needs_an_even_draw(self):
-        # Every row takes ceil(k / 2) words, one too many for a row that
-        # holds a spare half when k is odd.
-        with pytest.raises(ValueError, match="even count"):
-            sim._raw_values(fresh_generators(0, 2), np.array([-1, 5]), [(3, 10)],
-                            np.empty((2, 3), dtype=np.int64))
-
-    @pytest.mark.parametrize("l", [1, 2, 3])
-    def test_segments_equal_scalar_calls_then_a_sized_one(self, l):
-        for r in (3, 10, 2**31 + 1):
-            rows = 30
-            out = np.empty((rows, l + 1 + 50), dtype=np.int64)
-            offset = min(r**l, 2**32 - 1)
-            sim._raw_values(fresh_generators(r, rows), np.full(rows, -1),
-                            [(l, r), (1, offset), (50, r)], out)
-            for i, row in enumerate(out.tolist()):
-                gen = RandomSource(r, (i,)).generator
-                want = [gen.integers(r) for _ in range(l)]
-                want.append(gen.integers(offset))
-                assert row == want + gen.integers(0, r, size=50).tolist()
+    """The race reads its pattern, offset and chunks in stream order, also
+    where halves are rejected; core's TestRawRule checks the draw itself."""
 
     def test_the_race_reads_pattern_offset_and_chunk_in_stream_order(self, monkeypatch):
         # Each block's offsets and patterns, and its first scanned chunk.
@@ -671,7 +671,7 @@ class TestGeneratorPools:
         race = run_first_occurrence_race(10, 2, 300, master_seed=3)
         fraction = run_fraction(fraction_spec(**cls.POOL_SPEC))
         runs = [(res.records, res.counters) for res in (race, fraction)]
-        return runs, len(core._generator_pool())
+        return runs, len(core._pool.generators)
 
     def in_threads(self, count):
         barrier = threading.Barrier(count)
