@@ -282,12 +282,14 @@ def _raw_values(
     then the halves of its generator's words, under the stream contract in
     the module docstring.  Every row takes the ceil(k / 2) words that k
     values need when no half is rejected, so a row can hold a spare half
-    only for an even k.
+    only for an even k.  A draw of k = 0 reads no words and returns spare.
     Rows are drawn in slices of about _RAW_SYMBOLS values; a row that reads
     a rejected half is mended alone (_finish_row) and takes more words, and
     it too leaves at most one half unread.
     """
     n, k = out.shape
+    if not k:
+        return spare
     if k % 2 and (spare >= 0).any():
         raise ValueError(f"a row holding a spare half draws an even count of values, not {k}")
     segments = [(count, bound, (2**32 - bound) % bound) for count, bound in segments]

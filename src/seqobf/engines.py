@@ -15,6 +15,19 @@ read the symbols they replace.  The single-pass ones, listed in
 * sbu      — a concatenation-form covering superstring consumed in order;
 * sl_sbu   — a shortest covering superstring consumed in order.
 
+Row i's fill is the first k_i values of its method's stream
+(``_replacement_stream``), drawn after the mask, one Generator call per row
+and superstring.  A caller that owns its generators and re-keys them before
+they are read again, as the fraction protocol does, passes owned=True; iid
+and sl_sbu then fill the whole block from one raw draw (core._raw_values)
+and one gather, each row drawing what the block's longest row needs.  A
+row's first k values do not depend on how many values follow them, so each
+row comes out as it would alone.  Raw draws take bounds below 2**32, so an
+iid alphabet of 2**32 symbols or more stays on the per-row path; sl_sbu's
+bound r^l is capped far below it.  sbu draws a permutation per superstring,
+and one-trace obfuscate leaves its source's generator where integers would,
+so both always take the per-row path.
+
 two_stage, an iid pass and then an sl_sbu pass over its output, is
 data-independent too (see EngineConfig).
 
@@ -42,8 +55,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RandomSource, Trace, _check_at_least, _check_noise
-from .superstring import _check_params, _concat_array, _shortest_array
+from .core import RandomSource, Trace, _check_at_least, _check_noise, _raw_values
+from .superstring import _canonical_cycle, _check_params, _concat_array, _shortest_array
 
 METHODS = ("iid", "sbu", "sl_sbu", "two_stage", "lov", "plov", "manp")
 
@@ -99,11 +112,13 @@ class EngineConfig:
 def _replacement_stream(
     gen: np.random.Generator, alphabet_size: int, config: EngineConfig, count: int
 ) -> np.ndarray:
-    """The first `count` replacement symbols of a data-independent method.
+    """The first `count` replacement symbols of a data-independent method,
+    the per-row path of a fill.
 
-    iid draws them in one call.  sbu and sl_sbu concatenate independent
-    superstrings of their form, drawing a fresh one whenever the previous
-    is used up; each draw gathers only the symbols that the stream uses.
+    iid draws them in one integers call.  sbu and sl_sbu concatenate
+    independent superstrings of their form, drawing a fresh one whenever the
+    previous is used up; each draw gathers only the symbols that the stream
+    uses.  _block_stream draws the same iid and sl_sbu values for a block.
     """
     if config.method == "iid":
         return gen.integers(0, alphabet_size, size=count)
@@ -115,6 +130,31 @@ def _replacement_stream(
     if not parts:
         return np.empty(0, dtype=np.int64)
     return np.concatenate(parts)
+
+
+def _block_stream(gens, r: int, config: EngineConfig, k: np.ndarray) -> np.ndarray:
+    """Row i's first k[i] replacements of iid or sl_sbu, as _replacement_stream
+    draws them from gens[i] after the mask, in row i of an (n, max k) array.
+
+    Every row draws to the longest row from raw words (core._raw_values),
+    starting with no pending half, since the mask takes whole words.  So
+    the generators hold unread values and a stale half afterwards, and must
+    be re-keyed before they are read again.  sl_sbu draws ceil(max k / L)
+    superstring offsets at bound r^l per row, with L = r^l + l - 1; symbol j
+    of row i is then cycle[(offset[i, j // L] + j % L) % r^l].
+    """
+    kmax = int(k.max(initial=0))
+    spare = np.full(len(gens), -1, dtype=np.int64)
+    if config.method == "iid":
+        values = np.empty((len(gens), kmax), dtype=np.int64)
+        _raw_values(gens, spare, [(kmax, r)], values)
+        return values
+    cycle = _canonical_cycle(r, config.order)
+    length = cycle.size + config.order - 1
+    offsets = np.empty((len(gens), -(-kmax // length)), dtype=np.int64)
+    _raw_values(gens, spare, [(offsets.shape[1], cycle.size)], offsets)
+    j = np.arange(kmax)
+    return cycle[(offsets[:, j // length] + j % length) % cycle.size]
 
 
 def lov_choose(observed: np.ndarray, gen: np.random.Generator) -> int:
@@ -252,12 +292,15 @@ def _fill_manp(z, mask, r, gap, gen, settled) -> None:
 _INDEPENDENT = ("iid", "sbu", "sl_sbu")
 
 
-def _obfuscate_rows(z: np.ndarray, r: int, config: EngineConfig, gens, settled=None) -> np.ndarray:
+def _obfuscate_rows(z: np.ndarray, r: int, config: EngineConfig, gens, settled=None, *,
+                    owned: bool = False) -> np.ndarray:
     """One pass of a single-pass method over the 2-D array z, in place.
 
     Row i draws from gens[i] over the alphabet 0..r-1, so it comes out as
     it would alone.  Returns the mask of replaced positions.  settled, if
     given, tests a row's filled prefix (see sim._fraction_iterations).
+    owned says that the caller re-keys gens before reading them again, so
+    iid and sl_sbu may fill the block from raw words (_block_stream).
     The caller checks the superstring size cap.
     """
     uniforms = np.empty(z.shape)
@@ -265,8 +308,14 @@ def _obfuscate_rows(z: np.ndarray, r: int, config: EngineConfig, gens, settled=N
         gen.random(out=row)
     mask = uniforms < config.p_obf
     if config.method in _INDEPENDENT:
-        z[mask] = np.concatenate([_replacement_stream(gen, r, config, k) for gen, k
-                                  in zip(gens, mask.sum(axis=1).tolist())])
+        k = mask.sum(axis=1)
+        # Raw draws take bounds below 2**32; sl_sbu's r^l is capped far below.
+        if owned and config.method != "sbu" and r < 2**32:
+            values = _block_stream(gens, r, config, k)
+            z[mask] = values[np.arange(values.shape[1]) < k[:, None]]
+        else:
+            z[mask] = np.concatenate([_replacement_stream(gen, r, config, n)
+                                      for gen, n in zip(gens, k.tolist())])
     elif config.method == "plov":
         _fill_plov(z, mask, r, config.gamma, gens)
     else:

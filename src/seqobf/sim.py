@@ -20,9 +20,12 @@ worker count and adding iterations, users or methods never perturbs
 existing draws.  Fraction sample (iteration it, user u) draws its base
 trace from path (it, u, 0), if some method of the run reads it, and method
 j obfuscates it from path (it, u, 1 + j); the last index is the stream's
-purpose.  Race iteration it draws its pattern, its superstring offset and
-its iid stream, in that order, from path (it,), as Generator.integers would,
-by core._raw_values under the stream contract in seqobf.core's docstring.
+purpose.  A fraction block's iid and sl_sbu replacements come from one raw
+draw after the masks (engines._block_stream), the values that one integers
+call per row and superstring would give.  Race iteration it draws its
+pattern, its superstring offset and its iid stream, in that order, from
+path (it,), as Generator.integers would, by core._raw_values under the
+stream contract in seqobf.core's docstring.
 Both protocols draw from keyed generators (core._keyed_generators).
 """
 from __future__ import annotations
@@ -107,10 +110,14 @@ class ExperimentResult:
     """Per-cell records, total wall-clock seconds and work counters.
 
     For the fraction protocol the counters are "samples", and per method
-    "replacements.<method>" (positions replaced) and "hits.<method>"
-    (samples whose obfuscated trace holds the pattern), summed over
-    workers and over a sweep's cells.  The race's counters are listed at
-    run_first_occurrence_race.  Other scenarios count nothing.
+    "replacements.<method>" (positions replaced, which are the stream
+    symbols used) and "hits.<method>" (samples whose obfuscated trace holds
+    the pattern); sbu and sl_sbu add "superstrings.<method>", the
+    superstrings drawn: ceil(k / L) for a sample with k replacements, where
+    a superstring holds L = l r^l symbols for sbu and r^l + l - 1 for
+    sl_sbu.  All are summed over workers and over a sweep's cells.  The
+    race's counters are listed at run_first_occurrence_race.  Other
+    scenarios count nothing.
     """
 
     records: tuple[dict, ...]
@@ -175,6 +182,13 @@ def _base_symbols(
     return symbols[start : start + spec.trace_length]
 
 
+def _superstring_length(method: str, r: int, l: int) -> int:
+    """Symbols in one superstring that method draws, or 0 if it draws none."""
+    if method == "sbu":
+        return l * r**l
+    return r**l + l - 1 if method == "sl_sbu" else 0
+
+
 def _fraction_iterations(
     spec: ExperimentSpec,
     pattern: Pattern,
@@ -183,8 +197,8 @@ def _fraction_iterations(
     stop: int,
     pool: list[np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Pattern hits and replacements of each config over iterations
-    [start, stop), as the rows of a (2, len(configs)) array.
+    """Pattern hits, replacements and superstrings drawn of each config over
+    iterations [start, stop), as the rows of a (3, len(configs)) array.
 
     User 0 is the target.  The estimate counts only the other users, so
     the target's trace is never drawn; sample s is user 1 + s % (n - 1) of
@@ -223,7 +237,8 @@ def _fraction_iterations(
             return False
         return _found_in_list(prefix[-(len(q) - 1) * gap - 1:].tolist(), q, gap)
 
-    counts = np.zeros((2, len(configs)), dtype=np.int64)
+    counts = np.zeros((3, len(configs)), dtype=np.int64)
+    sizes = [_superstring_length(config.method, r, spec.order) for config in configs]
     users = spec.n_users - 1
     purposes = np.arange(1 + len(spec.methods))
     reads_base = any(config.method not in _INDEPENDENT for config in configs)
@@ -239,6 +254,7 @@ def _fraction_iterations(
             shape = (len(keys[rows]), spec.trace_length)
             # A block's generators are drawn from in full before the thread's
             # pool is re-keyed for the next: its base traces, then each config.
+            # No generator is read again unkeyed, so the fills own them.
             if reads_base:
                 x = np.stack([_base_symbols(spec, gen, pool)
                               for gen in _keyed_generators(keys[rows, 0])])
@@ -246,8 +262,12 @@ def _fraction_iterations(
                 purpose = 1 + j % len(spec.methods)
                 gens = _keyed_generators(keys[rows, purpose])
                 z = np.zeros(shape, np.int64) if config.method in _INDEPENDENT else x.copy()
-                counts[1, j] += np.count_nonzero(_obfuscate_rows(z, r, config, gens, settled))
+                k = np.count_nonzero(_obfuscate_rows(z, r, config, gens, settled, owned=True),
+                                     axis=1)
                 counts[0, j] += np.count_nonzero(_pattern_found(z, q, gap))
+                counts[1, j] += k.sum()
+                if sizes[j]:
+                    counts[2, j] += np.sum(-(-k // sizes[j]))
     return counts
 
 
@@ -449,12 +469,15 @@ def sweep(
     else:
         with ProcessPoolExecutor(max_workers=workers) as executor:
             parts = list(executor.map(_fraction_iterations, *zip(*runs)))
-    hits, replaced = sum(parts, np.zeros((2, len(cells)), dtype=np.int64))
+    hits, replaced, drawn = sum(parts, np.zeros((3, len(cells)), dtype=np.int64))
     samples = spec.iterations * (spec.n_users - 1)
     records: list[dict] = []
     counters = {"samples": len(grid) * samples} if grid else {}
-    for (p, method), h, k in zip(product(grid, spec.methods), hits, replaced):
-        for name, count in ((f"hits.{method}", h), (f"replacements.{method}", k)):
+    for (p, method), h, k, d in zip(product(grid, spec.methods), hits, replaced, drawn):
+        named = [(f"hits.{method}", h), (f"replacements.{method}", k)]
+        if _superstring_length(method, spec.alphabet_size, spec.order):
+            named.append((f"superstrings.{method}", d))
+        for name, count in named:
             counters[name] = counters.get(name, 0) + int(count)
         estimate = h / samples
         records.append({

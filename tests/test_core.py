@@ -263,6 +263,16 @@ class TestRawRule:
             _raw_values(fresh_generators(0, 2), np.array([-1, 5]), [(3, 10)],
                             np.empty((2, 3), dtype=np.int64))
 
+    def test_a_zero_column_draw_reads_no_words(self):
+        # A fraction block in which no position is masked draws no values.
+        gens = fresh_generators(4, 3)
+        spare = np.array([-1, 7, -1])
+        left = _raw_values(gens, spare, [(0, 10)], np.empty((3, 0), dtype=np.int64))
+        np.testing.assert_array_equal(left, spare)
+        for gen, fresh in zip(gens, fresh_generators(4, 3)):
+            np.testing.assert_array_equal(gen.bit_generator.random_raw(4),
+                                          fresh.bit_generator.random_raw(4))
+
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_segments_equal_scalar_calls_then_a_sized_one(self, l):
         for r in (3, 10, 2**31 + 1):

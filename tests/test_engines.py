@@ -224,6 +224,103 @@ class TestIndependentEngines:
             assert verify_superstring(z.symbols[i * block : (i + 1) * block], r, l)
 
 
+def refuse_raw_draws(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a raw draw was made")
+
+    monkeypatch.setattr(engines, "_raw_values", refused)
+
+
+# (method, r, l, p, m, rows) of a row block.
+BLOCK_CASES = [
+    ("iid", 20, 2, 0.1, 1000, 32),  # the canonical cell's block
+    ("sl_sbu", 20, 2, 0.1, 1000, 32),
+    ("iid", 7, 2, 0.03, 60, 20),  # rows with no replacement
+    ("sl_sbu", 7, 2, 0.03, 60, 20),
+    ("iid", 5, 1, 0.5, 40, 1),  # one row
+    ("sl_sbu", 5, 2, 0.5, 40, 1),
+    ("sl_sbu", 3, 2, 0.9, 200, 12),  # about 18 superstrings of 10 symbols a row
+    ("sl_sbu", 2, 1, 1.0, 30, 3),  # 15 superstrings of 2 symbols a row
+    ("iid", 2**31 + 1, 2, 0.5, 300, 9),  # about half of all halves rejected
+    ("iid", 6, 2, 0.0, 50, 4),  # nothing to draw
+    ("sl_sbu", 2, 3, 0.0, 50, 4),
+]
+
+
+def block_counts(case):
+    """Each row's replacement count k in a block of the case."""
+    _, _, _, p, m, rows = case
+    return np.array([np.count_nonzero(RandomSource(5, (i,)).generator.random(m) < p)
+                     for i in range(rows)])
+
+
+class TestBlockFill:
+    """A block that owns its generators fills iid and sl_sbu from raw words,
+    bit for bit as the per-row path does on the same keys."""
+
+    @staticmethod
+    def both_paths(r, config, m, rows):
+        """(z, mask) of the owned block path and then of the per-row path."""
+        out = []
+        for owned in (True, False):
+            z = np.zeros((rows, m), dtype=np.int64)
+            gens = [RandomSource(5, (i,)).generator for i in range(rows)]
+            out.append((z, engines._obfuscate_rows(z, r, config, gens, owned=owned)))
+        return out
+
+    @pytest.mark.parametrize("case", BLOCK_CASES, ids=lambda c: "{}-r{}-l{}-p{}-m{}x{}".format(*c))
+    def test_block_equals_rows(self, case, monkeypatch):
+        method, r, l, p, m, rows = case
+        config = EngineConfig(method, p_obf=p, order=l)
+        raw_calls = []
+        raw_values = engines._raw_values
+
+        def counted(*args):
+            raw_calls.append(args[3].shape)
+            return raw_values(*args)
+
+        monkeypatch.setattr(engines, "_raw_values", counted)
+        (z, mask), (want_z, want_mask) = self.both_paths(r, config, m, rows)
+        np.testing.assert_array_equal(mask, want_mask)
+        np.testing.assert_array_equal(z, want_z)
+        np.testing.assert_array_equal(mask.sum(axis=1), block_counts(case))
+        # Only the owned path draws raw words: one draw of the whole block.
+        kmax = int(mask.sum(axis=1).max())
+        length = r**l + l - 1
+        assert raw_calls == [(rows, kmax if method == "iid" else -(-kmax // length))]
+
+    def test_cases_cover_empty_rows_one_row_and_several_superstrings(self):
+        counts = {case: block_counts(case) for case in BLOCK_CASES}
+        assert any(0 in k and k.max() > 0 for k in counts.values())
+        assert any(case[5] == 1 and k.max() > 0 for case, k in counts.items())
+        assert any(case[0] == "sl_sbu" and k.min() > 3 * (case[1]**case[2] + case[2] - 1)
+                   for case, k in counts.items())
+
+    def test_an_alphabet_of_2_to_the_32_or_more_stays_on_integers(self, monkeypatch):
+        # Raw draws take bounds below 2**32.
+        refuse_raw_draws(monkeypatch)
+        (z, mask), (want_z, want_mask) = self.both_paths(
+            2**32 + 5, EngineConfig("iid", p_obf=0.3), 100, 8)
+        np.testing.assert_array_equal(mask, want_mask)
+        np.testing.assert_array_equal(z, want_z)
+        assert z.max() > 2**31
+
+    @pytest.mark.parametrize("method", ("iid", "sl_sbu"))
+    def test_one_trace_obfuscate_draws_no_raw_words(self, method, monkeypatch):
+        refuse_raw_draws(monkeypatch)
+        trace = random_trace(np.random.default_rng(3), 300, 6)
+        source = RandomSource(9, (4,))
+        z = obfuscate(trace, EngineConfig(method, p_obf=0.5, order=2), source)
+        replay = RandomSource(9, (4,)).generator
+        mask = replay.random(300) < 0.5
+        want = _replacement_stream(replay, 6, EngineConfig(method, order=2), mask.sum())
+        np.testing.assert_array_equal(z.symbols[mask], want)
+        # The source stands where the integers calls left it, unread half and all.
+        halves = [gen.integers(0, 2**32, dtype=np.uint64, size=3).tolist()
+                  for gen in (source.generator, replay)]
+        assert halves[0] == halves[1]
+
+
 class TestLov:
     def test_uniform_over_missing_symbols(self):
         observed = np.zeros(4, dtype=bool)

@@ -30,8 +30,14 @@ def digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
+def hashed_counters(counters) -> dict:
+    """The counters that the hashes cover: the superstring counts came later,
+    and TestFractionCounters in test_sim.py checks them by hand count."""
+    return {name: n for name, n in counters.items() if not name.startswith("superstrings.")}
+
+
 def result_digest(result) -> str:
-    return digest([list(result.records), result.counters])
+    return digest([list(result.records), hashed_counters(result.counters)])
 
 
 def golden_spec(name, tmp_path) -> ExperimentSpec:
@@ -61,7 +67,7 @@ def sweep_digests(label, plan, workers, tmp_path) -> dict:
     result = sweep(golden_spec(plan["spec"], tmp_path), plan["p_values"], workers)
     text = io.StringIO()
     write_csv(result.records, text)
-    return {f"{label} counters w{workers}": digest(result.counters),
+    return {f"{label} counters w{workers}": digest(hashed_counters(result.counters)),
             f"{label} csv w{workers}": hashlib.sha256(text.getvalue().encode()).hexdigest()}
 
 

@@ -378,6 +378,30 @@ class TestFractionCounters:
         spec = fraction_spec(iterations=7, n_users=8)
         assert run_fraction(spec, workers=1).counters == run_fraction(spec, workers=3).counters
 
+    def test_superstrings_match_a_hand_count(self):
+        # A superstring holds l r^l = 18 symbols for sbu and r^l + l - 1 =
+        # 10 for sl_sbu; a sample with k replacements draws ceil(k / L).
+        spec = fraction_spec(alphabet_size=3, order=2, trace_length=25, p_obf=0.5,
+                             methods=("iid", "sbu", "sl_sbu"), n_users=4, iterations=3)
+        want = {"sbu": 0, "sl_sbu": 0}
+        for it, u in product(range(3), range(1, 4)):
+            for j, (method, size) in enumerate((("sbu", 18), ("sl_sbu", 10)), start=2):
+                k = np.count_nonzero(RandomSource(77, (it, u, j)).generator.random(25) < 0.5)
+                want[method] += -(-k // size)
+        counters = run_fraction(spec).counters
+        assert {name: n for name, n in counters.items() if name.startswith("superstrings.")} == {
+            "superstrings.sbu": want["sbu"], "superstrings.sl_sbu": want["sl_sbu"]}
+        # Some samples here take two sl_sbu superstrings but one sbu.
+        assert want["sbu"] < want["sl_sbu"]
+        full = run_fraction(replace(spec, p_obf=1.0)).counters
+        assert (full["superstrings.sbu"], full["superstrings.sl_sbu"]) == (9 * 2, 9 * 3)
+
+    def test_superstrings_are_equal_at_any_worker_count(self):
+        spec = fraction_spec(methods=("sbu", "sl_sbu", "lov"), iterations=7, n_users=8)
+        serial, parallel = (run_fraction(spec, workers=w).counters for w in (1, 3))
+        assert serial == parallel
+        assert serial["superstrings.sbu"] > 0 and "superstrings.lov" not in serial
+
     def test_sweep_sums_its_cells(self):
         spec = fraction_spec(iterations=2)
         cells = [run_fraction(fraction_spec(iterations=2, p_obf=p)).counters for p in (0.1, 0.3)]
@@ -396,6 +420,18 @@ def test_memory_of_an_iteration_is_bounded_by_its_row_blocks():
         tracemalloc.stop()
     whole_iteration = (spec.n_users - 1) * spec.trace_length * 8
     assert peak < whole_iteration / 10
+
+
+def test_an_alphabet_of_2_to_the_32_or_more_keeps_its_records():
+    # Raw draws take bounds below 2**32, so iid fills these blocks row by row
+    # with Generator.integers; the figures are those of that fill.
+    result = run_fraction(fraction_spec(alphabet_size=2**32 + 5, methods=("iid",), iterations=3))
+    assert result.records == ({
+        "scenario": "fraction", "method": "iid", "m": 200, "r": 2**32 + 5, "l": 2, "h": 5,
+        "p_obf": 0.2, "iterations": 3, "n_users": 20, "samples": 57, "estimate": 0.0,
+        "std_error": 0.0,
+    },)
+    assert result.counters == {"samples": 57, "hits.iid": 0, "replacements.iid": 2289}
 
 
 class TestRace:
