@@ -16,14 +16,8 @@ from .superstring import (
     shortest_superstring,
     verify_superstring,
 )
-from .detect import PatternStats, first_occurrence, has_pattern
-from .engines import (
-    EngineConfig,
-    lov_choose,
-    manp_choose,
-    obfuscate,
-    plov_distribution,
-)
+from .detect import first_occurrence, has_pattern
+from .engines import EngineConfig, obfuscate
 from .bounds import (
     BoundParams,
     Schedule,
@@ -50,9 +44,8 @@ __all__ = [
     "Alphabet", "Pattern", "RandomSource", "Trace",
     "Superstring", "concat_superstring", "de_bruijn",
     "shortest_superstring", "verify_superstring",
-    "PatternStats", "first_occurrence", "has_pattern",
-    "EngineConfig", "lov_bound", "lov_choose", "manp_choose", "obfuscate",
-    "plov_distribution",
+    "first_occurrence", "has_pattern",
+    "EngineConfig", "lov_bound", "obfuscate",
     "BoundParams", "Schedule", "ScheduleParams", "bound_sbu", "bound_slsbu",
     "expected_first_occurrence", "schedule",
     "ExperimentResult", "ExperimentSpec",

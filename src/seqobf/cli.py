@@ -22,7 +22,7 @@ from . import ingest as ingest_mod
 from . import sim as sim_mod
 from .core import Pattern, RandomSource
 from .detect import first_occurrence, has_pattern
-from .engines import EngineConfig, obfuscate
+from .engines import _READS, METHODS, EngineConfig, obfuscate
 from .superstring import concat_superstring, shortest_superstring
 
 _KIND_ALIASES = {"shortest": "shortest", "concat": "concatenation",
@@ -65,21 +65,36 @@ def _read_traces(path, r: int) -> list:
     return traces
 
 
+def _refuse_unread(args, who: str, flags, reads) -> None:
+    """Refuse a set flag of flags that who does not read, naming the flag."""
+    for flag in flags:
+        if flag not in reads and getattr(args, flag.replace("-", "_")) is not None:
+            raise ValueError(f"{who} does not read --{flag}")
+
+
+# The obfuscate flag of each EngineConfig value.  A method reads the flags
+# of the values that it reads (engines._READS) and refuses the others.
+_ENGINE_FLAGS = {"p-obf": "p_obf", "l": "order", "gamma": "gamma", "h": "gap",
+                 "stage-a": "stage_noise", "stage-b": "stage_noise"}
+
+
 def _cmd_obfuscate(args) -> int:
+    reads = _READS[args.method]
+    _refuse_unread(args, f"the {args.method} method", _ENGINE_FLAGS,
+                   [flag for flag, name in _ENGINE_FLAGS.items() if name in reads])
+    if "stage_noise" in reads and args.stage_a is None and args.stage_b is None:
+        raise ValueError("two_stage takes its noise from --stage-a and --stage-b: set one")
+    given = {"p_obf": 0.1 if args.p_obf is None else args.p_obf, "order": args.l,
+             "gamma": args.gamma, "gap": args.h,
+             "stage_noise": (args.stage_a or 0.0, args.stage_b or 0.0)}
+    config = EngineConfig(args.method, **{name: given[name] for name in reads
+                                          if given[name] is not None})
     traces = _read_traces(args.infile, args.r)
-    config = EngineConfig(
-        method=args.method,
-        p_obf=args.p_obf,
-        order=args.l,
-        gamma=args.gamma,
-        gap=args.gap,
-        stage_noise=(args.stage_a, args.stage_b),
-    )
     source = RandomSource(args.seed)
     out = [obfuscate(trace, config, source.derive(u)) for u, trace in enumerate(traces)]
     _print_config(
-        "obfuscate", **dataclasses.asdict(config), r=args.r, seed=args.seed,
-        infile=args.infile, outfile=args.outfile,
+        "obfuscate", method=args.method, **{name: getattr(config, name) for name in reads},
+        r=args.r, seed=args.seed, infile=args.infile, outfile=args.outfile,
     )
     ingest_mod.write_trace_file(args.outfile, out)
     print(f"wrote {len(out)} obfuscated traces to {args.outfile}")
@@ -94,12 +109,11 @@ def _cmd_detect(args) -> int:
     traces = _read_traces(args.trace_file, args.r)
     records = []
     for idx, trace in enumerate(traces):
-        found = has_pattern(trace, pattern)
+        # At gap 1 one contiguous scan answers both columns.
         first = first_occurrence(trace, pattern) if args.gap == 1 else None
-        records.append(
-            {"trace": idx, "contains": found,
-             "first_index": "" if first is None else first}
-        )
+        found = first is not None if args.gap == 1 else has_pattern(trace, pattern)
+        records.append({"trace": idx, "contains": found,
+                        "first_index": "" if first is None else first})
     _print_config("detect", trace_file=args.trace_file,
                   pattern=",".join(map(str, symbols)), h=args.gap, r=args.r)
     sim_mod.write_csv(records, sys.stdout)
@@ -115,9 +129,8 @@ _BOUND_DEFAULTS = {"r": 2, "l": 2, "h": 1, "p": 0.0}
 
 def _cmd_bounds(args) -> int:
     reads = _BOUND_FLAGS[args.which]
-    for flag in ("r", "l", "h", "p", "n", "beta", "theta"):
-        if flag not in reads and getattr(args, flag) is not None:
-            raise ValueError(f"the {args.which} bound does not read --{flag}")
+    _refuse_unread(args, f"the {args.which} bound", ("r", "l", "h", "p", "n", "beta", "theta"),
+                   reads)
     kv = {flag: _BOUND_DEFAULTS.get(flag) if getattr(args, flag) is None else getattr(args, flag)
           for flag in reads}
     if args.which == "schedule":
@@ -256,18 +269,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=_default_seed())
     p.set_defaults(fn=_cmd_gen_superstring)
 
-    p = sub.add_parser("obfuscate", help="obfuscate a trace file")
-    p.add_argument("--method", required=True)
-    p.add_argument("--p-obf", dest="p_obf", type=float, default=0.1)
-    p.add_argument("--gamma", type=float, default=0.1)
-    p.add_argument("--h", dest="gap", type=_parse_gap, default=None,
-                   help="manp's window width; only manp reads it")
-    p.add_argument("--l", type=int, default=2)
+    p = sub.add_parser("obfuscate", help="obfuscate a trace file", description=(
+        "Obfuscate a trace file. A method refuses a flag that it does not read."))
+    p.add_argument("--method", required=True, choices=METHODS)
+    p.add_argument("--p-obf", type=float, help="noise level of all but two_stage, or 0.1")
+    p.add_argument("--gamma", type=float, help="plov's tilt, or 0.1")
+    p.add_argument("--h", type=_parse_gap, help="manp's window width")
+    p.add_argument("--l", type=int, help="order of sbu, sl_sbu and two_stage, or 2")
     p.add_argument("--r", type=int, required=True,
                    help="alphabet size: noise is drawn from 0..r-1, and every "
                         "input symbol must be below r")
-    p.add_argument("--stage-a", dest="stage_a", type=float, default=0.0)
-    p.add_argument("--stage-b", dest="stage_b", type=float, default=0.0)
+    p.add_argument("--stage-a", type=float, help="two_stage's iid level, or 0")
+    p.add_argument("--stage-b", type=float, help="two_stage's sl_sbu level, or 0")
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)

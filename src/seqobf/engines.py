@@ -58,23 +58,30 @@ import numpy as np
 from .core import RandomSource, Trace, _check_at_least, _check_noise, _raw_values
 from .superstring import _canonical_cycle, _check_params, _concat_array, _shortest_array
 
-METHODS = ("iid", "sbu", "sl_sbu", "two_stage", "lov", "plov", "manp")
+# The EngineConfig values that each method reads besides its tag, in field
+# order.  Every rule on which values a method takes reads this table.
+_READS = {"iid": ("p_obf",), "sbu": ("p_obf", "order"), "sl_sbu": ("p_obf", "order"),
+          "two_stage": ("order", "stage_noise"), "lov": ("p_obf",),
+          "plov": ("p_obf", "gamma"), "manp": ("p_obf", "gap")}
+METHODS = tuple(_READS)
 
 
 @dataclass(frozen=True)
 class EngineConfig:
     """Method tag plus its parameters.
 
-    p_obf applies to every method except two_stage, whose per-stage noise
+    p_obf is the noise level of every method but two_stage, whose per-stage
     levels (a, b) come from stage_noise: an iid pass at a on
     source.derive(0), then an sl_sbu pass at b on source.derive(1), so
     setting either level to zero leaves the other stage's draws unchanged.
-    A position is touched with probability a + b - a*b.  Noise that would
-    not be applied is refused: a two_stage config with p_obf > 0 and no
-    stage noise, and stage noise on any other method.
-    order is the superstring order of sbu/sl_sbu/two_stage, checked by
-    obfuscate; gamma is the plov tilt; gap is the manp window width, which
-    manp needs and every other method refuses.
+    A position is touched with probability a + b - a*b.  order is the
+    superstring order of sbu/sl_sbu/two_stage, checked by obfuscate; gamma
+    is the plov tilt; gap is the manp window width, which manp needs.
+
+    A value that the method does not read is refused when it is set: p_obf
+    above 0 on two_stage, a gap off manp, stage noise off two_stage.  order
+    and gamma have defaults that cannot be told from a set value, so only
+    the command line refuses them off their methods.
     """
 
     method: str
@@ -85,28 +92,27 @@ class EngineConfig:
     stage_noise: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
+        if self.method not in _READS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+        reads = _READS[self.method]
         _check_noise(self.p_obf)
-        if self.method == "plov" and self.gamma <= 0.0:
+        if "gamma" in reads and self.gamma <= 0.0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if self.method == "manp":
+        if "gap" in reads:
             # It scores symbols against the trailing window of h predecessors.
             _check_at_least(self.gap, 1, "a finite gap h", "manp needs")
-        elif self.gap is not None:
-            raise ValueError(f"gap applies to manp only, not {self.method}, got {self.gap}")
-        a, b = self.stage_noise
-        if self.method == "two_stage":
+        if "stage_noise" in reads:
+            a, b = self.stage_noise
             _check_noise(a, "stage noise")
             _check_noise(b, "stage noise")
-            if self.p_obf > 0.0 and a == 0.0 and b == 0.0:
-                raise ValueError(
-                    f"two_stage ignores p_obf={self.p_obf} and both of its "
-                    "stage noise levels are 0"
-                )
-        elif a or b:
-            raise ValueError(f"stage noise applies to two_stage only, not {self.method}, "
-                             f"got {self.stage_noise}")
+        # Stage levels compare by value, so a list of them is set as a tuple is.
+        for field, label, is_set in (("p_obf", "p_obf", self.p_obf > 0.0),
+                                     ("gap", "gap", self.gap is not None),
+                                     ("stage_noise", "stage noise", any(self.stage_noise))):
+            if is_set and field not in reads:
+                readers = ", ".join(m for m in METHODS if field in _READS[m])
+                raise ValueError(f"{label} applies to {readers} only, not {self.method}, "
+                                 f"got {getattr(self, field)}")
 
 
 def _replacement_stream(
@@ -343,7 +349,7 @@ def obfuscate(
     """
     z = trace.symbols[None, :].copy()
     r = trace.alphabet.size
-    if config.method in ("sbu", "sl_sbu", "two_stage"):
+    if "order" in _READS[config.method]:
         _check_params(r, config.order)
     if config.method == "two_stage":
         a, b = config.stage_noise

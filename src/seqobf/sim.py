@@ -43,7 +43,7 @@ import numpy as np
 from .core import (Pattern, RandomSource, _check_at_least, _check_gap, _check_noise,
                    _check_seed, _derive_keys, _keyed_generators, _raw_values)
 from .detect import _contiguous_matches, _found_in_list, _pattern_found
-from .engines import _INDEPENDENT, EngineConfig, _obfuscate_rows
+from .engines import _INDEPENDENT, _READS, EngineConfig, _obfuscate_rows
 from .superstring import _check_params, _shortest_first_index
 from . import bounds as bounds_mod
 from . import ingest as ingest_mod
@@ -153,13 +153,12 @@ def _fraction_plan(spec: ExperimentSpec) -> tuple[Pattern, list[EngineConfig]]:
     if spec.trace_file is not None and r - l < 2:
         raise ValueError(f"an ingested pool is read over the reduced alphabet of r - l "
                          f"symbols, which needs r - l >= 2, got r={r}, l={l}")
-    if {"sbu", "sl_sbu"} & set(spec.methods):
+    # Each method is given only the values that it reads (engines._READS).
+    if any("order" in _READS.get(method, ()) for method in spec.methods):
         _check_params(r, l)
-    configs = [
-        EngineConfig(method=method, p_obf=spec.p_obf, order=l, gamma=spec.gamma,
-                     gap=spec.gap if method == "manp" else None)
-        for method in spec.methods
-    ]
+    values = {"p_obf": spec.p_obf, "order": l, "gamma": spec.gamma, "gap": spec.gap}
+    configs = [EngineConfig(method, **{name: values[name] for name in _READS.get(method, ())})
+               for method in spec.methods]
     return Pattern(tuple(range(r - l, r)), gap=spec.gap), configs
 
 

@@ -206,7 +206,7 @@ def _check_mask_fidelity(failures):
     gen = np.random.default_rng(777)
     for method in METHODS:
         config = EngineConfig(
-            method=method, p_obf=0.5, order=2,
+            method=method, p_obf=0.0 if method == "two_stage" else 0.5, order=2,
             gap=4 if method == "manp" else None,
             stage_noise=(0.3, 0.2) if method == "two_stage" else (0.0, 0.0),
         )

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from seqobf.cli import main
+from seqobf.sim import run_first_occurrence_race, write_csv
 from seqobf.superstring import verify_superstring
 
 
@@ -208,6 +209,25 @@ class TestObfuscateAndDetect:
         assert "two_stage" in err
         assert not dst.exists()
 
+    @pytest.mark.parametrize("method, flags, values", [
+        ("iid", [], "p_obf=0.1"),
+        ("sbu", ["--l", "3"], "p_obf=0.1 order=3"),
+        ("sl_sbu", ["--p-obf", "0.2"], "p_obf=0.2 order=2"),
+        ("two_stage", ["--stage-b", "0.3"], "order=2 stage_noise=0.0,0.3"),
+        ("lov", [], "p_obf=0.1"),
+        ("plov", ["--gamma", "0.5"], "p_obf=0.1 gamma=0.5"),
+        ("manp", ["--h", "3"], "p_obf=0.1 gap=3"),
+    ])
+    def test_config_line_holds_only_the_values_the_method_reads(self, tmp_path, capsys,
+                                                                method, flags, values):
+        src, dst = tmp_path / "in.txt", tmp_path / "out.txt"
+        src.write_text("0 1 2 3\n")
+        code, out, _ = run_cli(capsys, "obfuscate", "--method", method, *flags, "--r", "4",
+                               "--seed", "0", "--in", str(src), "--out", str(dst))
+        assert code == 0
+        assert out.splitlines()[0] == (f"# obfuscate method={method} {values} r=4 seed=0 "
+                                       f"infile={src} outfile={dst}")
+
     def test_alphabet_size_is_required(self, tmp_path, capsys):
         src = tmp_path / "in.txt"
         dst = tmp_path / "out.txt"
@@ -356,6 +376,16 @@ class TestSimulateAndIngest:
         first = out.splitlines()[0].split()
         assert all(token in first for token in expected)
 
+    def test_a_race_spec_writes_its_one_record(self, tmp_path, capsys):
+        spec = tmp_path / "exp.ini"
+        spec.write_text("[experiment]\nscenario = first_occurrence\niterations = 40\n"
+                        "seed = 5\n[parameters]\nr = 3\nl = 2\n")
+        out_csv = tmp_path / "res.csv"
+        code, _, _ = run_cli(capsys, "simulate", "--spec", str(spec), "--out", str(out_csv))
+        assert code == 0
+        write_csv(run_first_occurrence_race(3, 2, 40, 5).records, tmp_path / "race.csv")
+        assert out_csv.read_text() == (tmp_path / "race.csv").read_text()
+
     def test_two_stage_in_a_spec_is_a_usage_error(self, tmp_path, capsys):
         spec = tmp_path / "exp.ini"
         spec.write_text(
@@ -444,6 +474,22 @@ def _simulate(spec, *flags, **files):
             ["simulate", "--spec", "{dir}/exp.ini", "--out", "{dir}/out.csv", *flags])
 
 
+def _obfuscate(method, *flags):
+    return ({"in.txt": "0 1 2 0 1 2\n"},
+            ["obfuscate", "--method", method, *flags, "--r", "4",
+             "--in", "{dir}/in.txt", "--out", "{dir}/out.txt"])
+
+
+# A method given a flag that it does not read: the last flag given.
+_UNREAD = {
+    "p_obf_on_two_stage": ("two_stage", ["--stage-a", "0.2", "--p-obf", "0.9"]),
+    "gamma_off_plov": ("iid", ["--gamma", "0.5"]),
+    "order_off_the_superstring_methods": ("plov", ["--l", "3"]),
+    "a_zero_stage_level_off_two_stage": ("lov", ["--stage-a", "0"]),
+    "window_off_manp": ("sl_sbu", ["--h", "3"]),
+}
+
+
 _REFUSED = {
     "race_over_the_size_cap": _simulate(
         "[experiment]\nscenario = first_occurrence\niterations = 3\n"
@@ -496,6 +542,7 @@ _REFUSED = {
         {"in.txt": "0 1 2 0 1 2\n"},
         ["obfuscate", "--method", "iid", "--p-obf", "0.5", "--h", "5",
          "--r", "4", "--in", "{dir}/in.txt", "--out", "{dir}/out.txt"]),
+    **{name: _obfuscate(method, *flags) for name, (method, flags) in _UNREAD.items()},
     "detect_without_traces": (
         {"empty.txt": ""},
         ["detect", "--trace-file", "{dir}/empty.txt", "--pattern", "1,2", "--r", "4"]),
@@ -522,6 +569,15 @@ def test_a_usage_error_prints_nothing_and_writes_no_file(tmp_path, capsys, files
     assert err.startswith("seqobf: ")
     assert out == ""
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)
+
+
+@pytest.mark.parametrize("method,flags", list(_UNREAD.values()), ids=list(_UNREAD))
+def test_a_flag_the_method_does_not_read_is_named(tmp_path, capsys, method, flags):
+    (tmp_path / "in.txt").write_text("0 1 2 3\n")
+    code, _, err = run_cli(capsys, "obfuscate", "--method", method, *flags, "--r", "4",
+                           "--in", str(tmp_path / "in.txt"), "--out", str(tmp_path / "out.txt"))
+    assert code == 2
+    assert f"the {method} method does not read {flags[-2]}" in err
 
 
 @pytest.mark.parametrize("extra,named", [

@@ -42,8 +42,9 @@ def manp_state(stats, alphabet_size):
 
 
 def config_for(method, p_obf, r=6):
+    # two_stage reads no p_obf: its noise comes from its stage levels.
     return EngineConfig(
-        method=method, p_obf=p_obf, order=2, gamma=0.1,
+        method=method, p_obf=0.0 if method == "two_stage" else p_obf, order=2, gamma=0.1,
         gap=3 if method == "manp" else None,
         stage_noise=(0.2, 0.3) if method == "two_stage" else (0.0, 0.0),
     )
@@ -71,9 +72,18 @@ class TestEngineConfig:
             EngineConfig(method="two_stage", stage_noise=(0.5, 1.5))
 
     def test_two_stage_rejects_noise_it_would_not_apply(self):
+        # two_stage reads no p_obf, whatever its stage levels are.
         with pytest.raises(ValueError, match="two_stage"):
             EngineConfig(method="two_stage", p_obf=0.3)
-        EngineConfig(method="two_stage", p_obf=0.3, stage_noise=(0.0, 0.2))
+        with pytest.raises(ValueError, match="p_obf applies to .* only, not two_stage"):
+            EngineConfig(method="two_stage", p_obf=0.3, stage_noise=(0.0, 0.2))
+        EngineConfig(method="two_stage")
+
+    def test_stage_levels_compare_by_value(self):
+        # A list of levels, as a JSON file gives them, is read as a tuple is.
+        EngineConfig(method="iid", p_obf=0.1, stage_noise=[0.0, 0.0])
+        with pytest.raises(ValueError, match="stage noise applies to two_stage only"):
+            EngineConfig(method="iid", p_obf=0.1, stage_noise=[0.0, 0.2])
 
     @pytest.mark.parametrize("method", [m for m in METHODS if m != "two_stage"])
     @pytest.mark.parametrize("stage_noise", [(0.9, 0.9), (0.0, 0.2)])

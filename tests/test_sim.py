@@ -817,6 +817,15 @@ class TestSweepAndDispatch:
         with pytest.raises(ValueError, match="run_fraction got scenario 'first_occurrence'"):
             runner(fraction_spec(scenario="first_occurrence", iterations=2))
 
+    def test_run_dispatches_a_race_spec_to_the_race(self):
+        spec = fraction_spec(scenario="first_occurrence", alphabet_size=4, order=2,
+                             iterations=50, master_seed=31)
+        assert run(spec).records == run_first_occurrence_race(4, 2, 50, 31).records
+
+    def test_crowd_count_refuses_another_scenario(self):
+        with pytest.raises(ValueError, match="run_crowd_count got scenario 'fraction'"):
+            run_crowd_count(fraction_spec(iterations=2))
+
     def test_a_sweep_builds_its_plan_once(self, monkeypatch):
         spec = fraction_spec(methods=("iid", "manp"), iterations=2)
         built = []
