@@ -56,12 +56,23 @@ class BoundParams:
         return self.trace_length - self.gap * (self.order - 1)
 
 
+# Placement terms that _placement_sum holds at once.
+_TERM_CHUNK = 1 << 16
+
+
 def _placement_sum(gp: float, k_max: int, stride: int) -> float:
-    """Sum of 1 - exp(-(1 - alpha*stride/gp)^2 * gp / 2) for alpha=0..k_max."""
-    alphas = np.arange(k_max + 1, dtype=np.float64)
-    delta = 1.0 - alphas * stride / gp
-    terms = 1.0 - np.exp(-0.5 * delta * delta * gp)
-    return float(math.fsum(terms))
+    """Sum of 1 - exp(-(1 - alpha*stride/gp)^2 * gp / 2) for alpha=0..k_max.
+
+    The terms are made _TERM_CHUNK at a time and fed to one math.fsum,
+    which rounds the whole sum once, so the chunks change no bit of it.
+    """
+
+    def chunk(lo: int) -> list[float]:
+        alphas = np.arange(lo, min(lo + _TERM_CHUNK, k_max + 1), dtype=np.float64)
+        delta = 1.0 - alphas * stride / gp
+        return (1.0 - np.exp(-0.5 * delta * delta * gp)).tolist()
+
+    return math.fsum(t for lo in range(0, k_max + 1, _TERM_CHUNK) for t in chunk(lo))
 
 
 def _bound(params: BoundParams, stride: int) -> float:

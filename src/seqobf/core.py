@@ -28,6 +28,8 @@ raw Philox words, as Generator.integers would; no code outside it and its
 helpers reads those words.  Its stream contract:
 
 * a keyed generator starts with no pending half;
+* a double (Generator.random) reads a whole word and leaves a pending
+  half pending;
 * 32-bit draws read the halves of each word, the low half first;
 * a value below a bound b in [2, 2**32) is (h * b) >> 32 for a half h,
   and a half whose product has its low 32 bits below (2**32 - b) % b is

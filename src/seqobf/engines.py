@@ -16,17 +16,19 @@ read the symbols they replace.  The single-pass ones, listed in
 * sl_sbu   — a shortest covering superstring consumed in order.
 
 Row i's fill is the first k_i values of its method's stream
-(``_replacement_stream``), drawn after the mask, one Generator call per row
-and superstring.  A caller that owns its generators and re-keys them before
-they are read again, as the fraction protocol does, passes owned=True; iid
-and sl_sbu then fill the whole block from one raw draw (core._raw_values)
-and one gather, each row drawing what the block's longest row needs.  A
-row's first k values do not depend on how many values follow them, so each
-row comes out as it would alone.  Raw draws take bounds below 2**32, so an
-iid alphabet of 2**32 symbols or more stays on the per-row path; sl_sbu's
-bound r^l is capped far below it.  sbu draws a permutation per superstring,
-and one-trace obfuscate leaves its source's generator where integers would,
-so both always take the per-row path.
+(``_replacement_stream``), drawn after the mask.  The row count picks the
+path.  One row draws them with one Generator call per superstring, or one
+for iid, and leaves its generator where those calls would; a raw draw's
+fixed cost outweighs its gain there.  A block of two or more rows fills
+iid and sl_sbu from one raw draw (core._raw_values, under the stream
+contract in seqobf.core's docstring) and one gather, each row drawing
+what the block's longest row needs.  That leaves its generators stale, so
+its caller re-keys them before they are read again, as the fraction
+protocol does.  A row's first k values do not depend on how many values
+follow them, so each row comes out as it would alone.  sbu draws a
+permutation per superstring, and raw draws take bounds below 2**32, so
+sbu and an iid alphabet of 2**32 symbols or more always take the per-row
+path; sl_sbu's bound r^l is capped far below it.
 
 two_stage, an iid pass and then an sl_sbu pass over its output, is
 data-independent too (see EngineConfig).
@@ -56,7 +58,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RandomSource, Trace, _check_at_least, _check_noise, _raw_values
-from .superstring import _canonical_cycle, _check_params, _concat_array, _shortest_array
+from .superstring import (_canonical_cycle, _check_params, _concat_array, _shortest_array,
+                          _superstring_length)
 
 # The EngineConfig values that each method reads besides its tag, in field
 # order.  Every rule on which values a method takes reads this table.
@@ -142,12 +145,11 @@ def _block_stream(gens, r: int, config: EngineConfig, k: np.ndarray) -> np.ndarr
     """Row i's first k[i] replacements of iid or sl_sbu, as _replacement_stream
     draws them from gens[i] after the mask, in row i of an (n, max k) array.
 
-    Every row draws to the longest row from raw words (core._raw_values),
-    starting with no pending half, since the mask takes whole words.  So
-    the generators hold unread values and a stale half afterwards, and must
-    be re-keyed before they are read again.  sl_sbu draws ceil(max k / L)
-    superstring offsets at bound r^l per row, with L = r^l + l - 1; symbol j
-    of row i is then cycle[(offset[i, j // L] + j % L) % r^l].
+    Every row draws to the longest row from raw words (core._raw_values)
+    with no pending half: its keyed generator had none, and the mask's
+    doubles leave it so.  sl_sbu draws ceil(max k / L) superstring offsets
+    at bound r^l per row, with L the superstring's length; symbol j of row
+    i is then cycle[(offset[i, j // L] + j % L) % r^l].
     """
     kmax = int(k.max(initial=0))
     spare = np.full(len(gens), -1, dtype=np.int64)
@@ -156,7 +158,7 @@ def _block_stream(gens, r: int, config: EngineConfig, k: np.ndarray) -> np.ndarr
         _raw_values(gens, spare, [(kmax, r)], values)
         return values
     cycle = _canonical_cycle(r, config.order)
-    length = cycle.size + config.order - 1
+    length = _superstring_length("shortest", r, config.order)
     offsets = np.empty((len(gens), -(-kmax // length)), dtype=np.int64)
     _raw_values(gens, spare, [(offsets.shape[1], cycle.size)], offsets)
     j = np.arange(kmax)
@@ -296,18 +298,20 @@ def _fill_manp(z, mask, r, gap, gen, settled) -> None:
 # The single-pass methods whose fill never reads z: _obfuscate_rows fills
 # a row block of them with one assignment.
 _INDEPENDENT = ("iid", "sbu", "sl_sbu")
+# The superstring form that each superstring method draws.
+_SUPERSTRING_KIND = {"sbu": "concatenation", "sl_sbu": "shortest"}
 
 
-def _obfuscate_rows(z: np.ndarray, r: int, config: EngineConfig, gens, settled=None, *,
-                    owned: bool = False) -> np.ndarray:
+def _obfuscate_rows(z: np.ndarray, r: int, config: EngineConfig, gens, settled=None) -> np.ndarray:
     """One pass of a single-pass method over the 2-D array z, in place.
 
     Row i draws from gens[i] over the alphabet 0..r-1, so it comes out as
     it would alone.  Returns the mask of replaced positions.  settled, if
     given, tests a row's filled prefix (see sim._fraction_iterations).
-    owned says that the caller re-keys gens before reading them again, so
-    iid and sl_sbu may fill the block from raw words (_block_stream).
-    The caller checks the superstring size cap.
+    A block of two or more rows fills iid and sl_sbu from raw words
+    (_block_stream) and leaves gens stale, so the caller re-keys them
+    before reading them again; one row leaves its generator where
+    Generator.integers would.  The caller checks the superstring size cap.
     """
     uniforms = np.empty(z.shape)
     for row, gen in zip(uniforms, gens):
@@ -316,7 +320,7 @@ def _obfuscate_rows(z: np.ndarray, r: int, config: EngineConfig, gens, settled=N
     if config.method in _INDEPENDENT:
         k = mask.sum(axis=1)
         # Raw draws take bounds below 2**32; sl_sbu's r^l is capped far below.
-        if owned and config.method != "sbu" and r < 2**32:
+        if len(z) > 1 and config.method != "sbu" and r < 2**32:
             values = _block_stream(gens, r, config, k)
             z[mask] = values[np.arange(values.shape[1]) < k[:, None]]
         else:

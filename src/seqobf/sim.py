@@ -20,13 +20,12 @@ worker count and adding iterations, users or methods never perturbs
 existing draws.  Fraction sample (iteration it, user u) draws its base
 trace from path (it, u, 0), if some method of the run reads it, and method
 j obfuscates it from path (it, u, 1 + j); the last index is the stream's
-purpose.  A fraction block's iid and sl_sbu replacements come from one raw
-draw after the masks (engines._block_stream), the values that one integers
-call per row and superstring would give.  Race iteration it draws its
-pattern, its superstring offset and its iid stream, in that order, from
-path (it,), as Generator.integers would, by core._raw_values under the
-stream contract in seqobf.core's docstring.
-Both protocols draw from keyed generators (core._keyed_generators).
+purpose.  Race iteration it draws its pattern, its superstring offset and
+its iid stream, in that order, from path (it,).  Both protocols draw from
+keyed generators (core._keyed_generators) and read raw words as
+Generator.integers would, under the stream contract in seqobf.core's
+docstring: the race for all its draws, and a fraction block for its iid
+and sl_sbu replacements (engines._obfuscate_rows).
 """
 from __future__ import annotations
 
@@ -43,8 +42,8 @@ import numpy as np
 from .core import (Pattern, RandomSource, _check_at_least, _check_gap, _check_noise,
                    _check_seed, _derive_keys, _keyed_generators, _raw_values)
 from .detect import _contiguous_matches, _found_in_list, _pattern_found
-from .engines import _INDEPENDENT, _READS, EngineConfig, _obfuscate_rows
-from .superstring import _check_params, _shortest_first_index
+from .engines import _INDEPENDENT, _READS, _SUPERSTRING_KIND, EngineConfig, _obfuscate_rows
+from .superstring import _check_params, _shortest_first_index, _superstring_length
 from . import bounds as bounds_mod
 from . import ingest as ingest_mod
 
@@ -114,10 +113,10 @@ class ExperimentResult:
     symbols used) and "hits.<method>" (samples whose obfuscated trace holds
     the pattern); sbu and sl_sbu add "superstrings.<method>", the
     superstrings drawn: ceil(k / L) for a sample with k replacements, where
-    a superstring holds L = l r^l symbols for sbu and r^l + l - 1 for
-    sl_sbu.  All are summed over workers and over a sweep's cells.  The
-    race's counters are listed at run_first_occurrence_race.  Other
-    scenarios count nothing.
+    L is the length of one superstring of the method's form
+    (seqobf.superstring).  All are summed over workers and over a sweep's
+    cells.  The race's counters are listed at run_first_occurrence_race.
+    Other scenarios count nothing.
     """
 
     records: tuple[dict, ...]
@@ -181,13 +180,6 @@ def _base_symbols(
     return symbols[start : start + spec.trace_length]
 
 
-def _superstring_length(method: str, r: int, l: int) -> int:
-    """Symbols in one superstring that method draws, or 0 if it draws none."""
-    if method == "sbu":
-        return l * r**l
-    return r**l + l - 1 if method == "sl_sbu" else 0
-
-
 def _fraction_iterations(
     spec: ExperimentSpec,
     pattern: Pattern,
@@ -237,7 +229,8 @@ def _fraction_iterations(
         return _found_in_list(prefix[-(len(q) - 1) * gap - 1:].tolist(), q, gap)
 
     counts = np.zeros((3, len(configs)), dtype=np.int64)
-    sizes = [_superstring_length(config.method, r, spec.order) for config in configs]
+    sizes = {method: _superstring_length(kind, r, spec.order)
+             for method, kind in _SUPERSTRING_KIND.items()}
     users = spec.n_users - 1
     purposes = np.arange(1 + len(spec.methods))
     reads_base = any(config.method not in _INDEPENDENT for config in configs)
@@ -253,7 +246,8 @@ def _fraction_iterations(
             shape = (len(keys[rows]), spec.trace_length)
             # A block's generators are drawn from in full before the thread's
             # pool is re-keyed for the next: its base traces, then each config.
-            # No generator is read again unkeyed, so the fills own them.
+            # No generator is read again unkeyed, so a block fill may leave
+            # them stale (engines._obfuscate_rows).
             if reads_base:
                 x = np.stack([_base_symbols(spec, gen, pool)
                               for gen in _keyed_generators(keys[rows, 0])])
@@ -261,12 +255,11 @@ def _fraction_iterations(
                 purpose = 1 + j % len(spec.methods)
                 gens = _keyed_generators(keys[rows, purpose])
                 z = np.zeros(shape, np.int64) if config.method in _INDEPENDENT else x.copy()
-                k = np.count_nonzero(_obfuscate_rows(z, r, config, gens, settled, owned=True),
-                                     axis=1)
+                k = np.count_nonzero(_obfuscate_rows(z, r, config, gens, settled), axis=1)
                 counts[0, j] += np.count_nonzero(_pattern_found(z, q, gap))
                 counts[1, j] += k.sum()
-                if sizes[j]:
-                    counts[2, j] += np.sum(-(-k // sizes[j]))
+                if config.method in sizes:
+                    counts[2, j] += np.sum(-(-k // sizes[config.method]))
     return counts
 
 
@@ -285,12 +278,13 @@ def _scan_iid_rows(
     the half that row i's last draw left unread, or -1 (the stream contract
     in seqobf.core's docstring).
 
-    A row that has scanned more than 200 l r^l symbols raises RuntimeError,
-    so a broken draw fails instead of running forever.  Those symbols hold
-    200 r^l disjoint l-blocks, each the pattern with probability r^-l, so
-    a correct draw reaches the cap with probability below e^-200."""
+    A row that has scanned more than 200 l r^l symbols, the length of 200
+    concatenation superstrings, raises RuntimeError, so a broken draw fails
+    instead of running forever.  Those symbols hold 200 r^l disjoint
+    l-blocks, each the pattern with probability r^-l, so a correct draw
+    reaches the cap with probability below e^-200."""
     order = patterns.shape[1]
-    cap = 200 * order * alphabet_size**order
+    cap = 200 * _superstring_length("concatenation", alphabet_size, order)
     first = np.empty(len(gens), dtype=np.int64)
     live = np.arange(len(gens))
     carry = np.empty((live.size, 0), dtype=np.int64)
@@ -474,7 +468,7 @@ def sweep(
     counters = {"samples": len(grid) * samples} if grid else {}
     for (p, method), h, k, d in zip(product(grid, spec.methods), hits, replaced, drawn):
         named = [(f"hits.{method}", h), (f"replacements.{method}", k)]
-        if _superstring_length(method, spec.alphabet_size, spec.order):
+        if method in _SUPERSTRING_KIND:
             named.append((f"superstrings.{method}", d))
         for name, count in named:
             counters[name] = counters.get(name, 0) + int(count)

@@ -32,6 +32,13 @@ _TABLE_CACHE_BYTES = 2**28
 _tables: OrderedDict = OrderedDict()
 
 
+def _superstring_length(kind: str, alphabet_size: int, order: int) -> int:
+    """Symbols in one (r, l)-superstring of the kind: l r^l in concatenation
+    form, r^l + l - 1 in shortest form."""
+    n = alphabet_size**order
+    return order * n if kind == "concatenation" else n + order - 1
+
+
 def _check_params(alphabet_size: int, order: int) -> None:
     Alphabet(alphabet_size)
     _check_at_least(order, 1, "order")
@@ -57,11 +64,7 @@ class Superstring:
         arr = np.asarray(self.symbols, dtype=np.int64).copy()
         arr.flags.writeable = False
         object.__setattr__(self, "symbols", arr)
-        expected = (
-            self.order * self.alphabet_size**self.order
-            if self.kind == "concatenation"
-            else self.alphabet_size**self.order + self.order - 1
-        )
+        expected = _superstring_length(self.kind, self.alphabet_size, self.order)
         if arr.size != expected:
             raise ValueError(
                 f"{self.kind} superstring for r={self.alphabet_size}, "
@@ -137,7 +140,7 @@ def _shortest_array(
     """
     cycle = _canonical_cycle(alphabet_size, order)
     offset = int(gen.integers(cycle.size))
-    length = cycle.size + order - 1
+    length = _superstring_length("shortest", alphabet_size, order)
     if count is not None:
         length = min(length, count)
     return cycle[(offset + np.arange(length)) % cycle.size]
@@ -198,7 +201,7 @@ def concat_superstring(
     refused.
     """
     _check_params(alphabet_size, order)
-    if order * alphabet_size**order > SIZE_CAP:
+    if _superstring_length("concatenation", alphabet_size, order) > SIZE_CAP:
         raise ValueError(
             f"{order}*{alphabet_size}^{order} exceeds the size cap of {SIZE_CAP} symbols"
         )

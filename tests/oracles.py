@@ -311,3 +311,62 @@ def race_exact(r: int, l: int) -> dict:
         later += count / n * survival.sum() / n
     return {"mean_first_iid": mean_iid, "mean_first_superstring": (n + 1) / 2,
             "prob_iid_later": float(later)}
+
+
+def iid_fraction_exact(m: int, r: int, l: int, gap: int | None, p: float) -> float:
+    """The exact probability that the fraction protocol's iid method puts
+    the reserved pattern q = (r-l, ..., r-1) into a non-target trace of
+    length m, within the gap (None for none).
+
+    A non-target trace holds no reserved symbol, and iid replaces each
+    position with probability p by a uniform symbol, so each position
+    holds q_j with probability p/r, for each j, independently of the rest.
+    A dynamic program runs over the positions.  Its state holds, for each
+    prefix length j < l, how far back the last position that completes
+    q_0..q_{j-1} lies, capped at gap + 1, where it reaches no later
+    position; the latest completion reaches furthest.  With no gap it holds
+    only whether the prefix has been completed.
+    """
+    far = 2 if gap is None else gap + 1
+
+    def older(ages, done=None) -> int:
+        """The index of the state one position on, with prefix length
+        done + 1 completed there if done is given."""
+        aged = tuple(a if gap is None else min(a + 1, far) for a in ages)
+        return index[aged if done is None else aged[:done] + (1,) + aged[done + 1:]]
+
+    states = list(product(range(1, far + 1), repeat=l - 1))
+    index = {state: i for i, state in enumerate(states)}
+    found = len(states)
+    move = np.zeros((found + 1, found + 1))
+    move[found, found] = 1.0
+    for i, state in enumerate(states):
+        move[i, older(state)] += 1.0 - l * p / r
+        for j in range(l):
+            # q_j completes prefix j + 1 if prefix j is complete within reach.
+            if j and state[j - 1] == far:
+                move[i, older(state)] += p / r
+            else:
+                move[i, found if j == l - 1 else older(state, j)] += p / r
+    start = np.zeros(found + 1)
+    start[index[(far,) * (l - 1)]] = 1.0
+    return float((start @ np.linalg.matrix_power(move, m))[found])
+
+
+def brute_force_iid_fraction(m: int, r: int, l: int, gap: int | None, p: Fraction) -> Fraction:
+    """iid_fraction_exact by enumeration: every mask over a trace of m
+    zeros, a symbol outside the pattern, and every assignment of the r
+    symbols to the masked positions, each checked by
+    brute_force_has_pattern."""
+    pattern = list(range(r - l, r))
+    total = Fraction(0)
+    for k in range(m + 1):
+        hits = 0
+        for masked in combinations(range(m), k):
+            for values in product(range(r), repeat=k):
+                z = [0] * m
+                for t, v in zip(masked, values):
+                    z[t] = v
+                hits += brute_force_has_pattern(z, pattern, gap)
+        total += hits * p**k * (1 - p) ** (m - k) / r**k
+    return total

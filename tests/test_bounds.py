@@ -1,4 +1,7 @@
 """Closed-form bound evaluation and the parameter schedule."""
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from seqobf.core import Alphabet, Pattern, RandomSource, Trace
 from seqobf.detect import has_pattern
 from seqobf.engines import EngineConfig, obfuscate
+from seqobf import bounds
 from seqobf.bounds import (
     BoundParams,
     ScheduleParams,
@@ -84,6 +88,27 @@ class TestBoundProperties:
             assert by_m == sorted(by_m)
             by_p = [bound_slsbu(params(1000, r, l, h, p)) for p in (0.10, 0.15, 0.30)]
             assert by_p == sorted(by_p)
+
+
+class TestBoundMemory:
+    @pytest.mark.parametrize("bound", [bound_sbu, bound_slsbu])
+    def test_peak_does_not_grow_with_the_trace_length(self, bound):
+        # One float per placement would peak at 15 MiB at m = 10**6 here.
+        for m in (250_000, 1_000_000):
+            tracemalloc.start()
+            try:
+                bound(params(m, 1000, 3, 10, 0.5))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20, (m, peak)
+
+    @pytest.mark.parametrize("k_max,stride", [(0, 1), (65_535, 1), (65_536, 3), (200_001, 1)])
+    def test_chunked_sum_equals_the_sum_of_all_terms_at_once(self, k_max, stride):
+        gp = 250_000.5
+        delta = 1.0 - np.arange(k_max + 1, dtype=np.float64) * stride / gp
+        want = math.fsum(1.0 - np.exp(-0.5 * delta * delta * gp))
+        assert bounds._placement_sum(gp, k_max, stride) == want
 
 
 class TestSchedule:

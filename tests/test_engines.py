@@ -247,14 +247,21 @@ BLOCK_CASES = [
     ("sl_sbu", 20, 2, 0.1, 1000, 32),
     ("iid", 7, 2, 0.03, 60, 20),  # rows with no replacement
     ("sl_sbu", 7, 2, 0.03, 60, 20),
-    ("iid", 5, 1, 0.5, 40, 1),  # one row
-    ("sl_sbu", 5, 2, 0.5, 40, 1),
     ("sl_sbu", 3, 2, 0.9, 200, 12),  # about 18 superstrings of 10 symbols a row
     ("sl_sbu", 2, 1, 1.0, 30, 3),  # 15 superstrings of 2 symbols a row
     ("iid", 2**31 + 1, 2, 0.5, 300, 9),  # about half of all halves rejected
     ("iid", 6, 2, 0.0, 50, 4),  # nothing to draw
     ("sl_sbu", 2, 3, 0.0, 50, 4),
+    ("iid", 5, 1, 0.5, 40, 2),  # the fewest rows that a block holds
 ]
+# The same, for a call on one row.
+ONE_ROW_CASES = [
+    ("iid", 5, 1, 0.5, 40, 1),
+    ("sl_sbu", 5, 2, 0.5, 40, 1),
+    ("sl_sbu", 3, 2, 0.9, 200, 1),  # about 18 superstrings
+    ("iid", 2**31 + 1, 2, 0.5, 300, 1),  # about half of all halves rejected
+]
+CASE_ID = "{}-r{}-l{}-p{}-m{}x{}".format
 
 
 def block_counts(case):
@@ -265,20 +272,23 @@ def block_counts(case):
 
 
 class TestBlockFill:
-    """A block that owns its generators fills iid and sl_sbu from raw words,
-    bit for bit as the per-row path does on the same keys."""
+    """The row count picks the fill path.  A block of two or more rows fills
+    iid and sl_sbu from raw words, bit for bit as the same rows filled one
+    at a time; one row draws with Generator.integers."""
 
     @staticmethod
-    def both_paths(r, config, m, rows):
-        """(z, mask) of the owned block path and then of the per-row path."""
-        out = []
-        for owned in (True, False):
-            z = np.zeros((rows, m), dtype=np.int64)
-            gens = [RandomSource(5, (i,)).generator for i in range(rows)]
-            out.append((z, engines._obfuscate_rows(z, r, config, gens, owned=owned)))
-        return out
+    def block_and_rows(r, config, m, rows):
+        """(z, mask) of one call on the whole block, then of one call per row."""
+        z = np.zeros((rows, m), dtype=np.int64)
+        mask = engines._obfuscate_rows(
+            z, r, config, [RandomSource(5, (i,)).generator for i in range(rows)])
+        row_z = np.zeros_like(z)
+        row_mask = np.concatenate([
+            engines._obfuscate_rows(row_z[i : i + 1], r, config, [RandomSource(5, (i,)).generator])
+            for i in range(rows)])
+        return (z, mask), (row_z, row_mask)
 
-    @pytest.mark.parametrize("case", BLOCK_CASES, ids=lambda c: "{}-r{}-l{}-p{}-m{}x{}".format(*c))
+    @pytest.mark.parametrize("case", BLOCK_CASES, ids=lambda c: CASE_ID(*c))
     def test_block_equals_rows(self, case, monkeypatch):
         method, r, l, p, m, rows = case
         config = EngineConfig(method, p_obf=p, order=l)
@@ -290,30 +300,61 @@ class TestBlockFill:
             return raw_values(*args)
 
         monkeypatch.setattr(engines, "_raw_values", counted)
-        (z, mask), (want_z, want_mask) = self.both_paths(r, config, m, rows)
+        (z, mask), (want_z, want_mask) = self.block_and_rows(r, config, m, rows)
         np.testing.assert_array_equal(mask, want_mask)
         np.testing.assert_array_equal(z, want_z)
         np.testing.assert_array_equal(mask.sum(axis=1), block_counts(case))
-        # Only the owned path draws raw words: one draw of the whole block.
+        # One raw draw of the whole block, and none for the rows alone.
         kmax = int(mask.sum(axis=1).max())
         length = r**l + l - 1
         assert raw_calls == [(rows, kmax if method == "iid" else -(-kmax // length))]
 
+    @pytest.mark.parametrize("case", ONE_ROW_CASES, ids=lambda c: CASE_ID(*c))
+    def test_one_row_draws_as_integers_does(self, case, monkeypatch):
+        method, r, l, p, m, _ = case
+        config = EngineConfig(method, p_obf=p, order=l)
+        refuse_raw_draws(monkeypatch)
+        z = np.zeros((1, m), dtype=np.int64)
+        gen = RandomSource(5, (0,)).generator
+        mask = engines._obfuscate_rows(z, r, config, [gen])
+        replay = RandomSource(5, (0,)).generator
+        want_mask = replay.random(m) < p
+        want = _replacement_stream(replay, r, config, want_mask.sum())
+        np.testing.assert_array_equal(mask[0], want_mask)
+        np.testing.assert_array_equal(z[0, want_mask], want)
+        # The generator stands where the integers calls left it, unread half and all.
+        halves = [g.integers(0, 2**32, dtype=np.uint64, size=3).tolist() for g in (gen, replay)]
+        assert halves[0] == halves[1]
+
     def test_cases_cover_empty_rows_one_row_and_several_superstrings(self):
-        counts = {case: block_counts(case) for case in BLOCK_CASES}
+        assert all(case[5] >= 2 for case in BLOCK_CASES)
+        assert all(case[5] == 1 for case in ONE_ROW_CASES)
+        counts = {case: block_counts(case) for case in BLOCK_CASES + ONE_ROW_CASES}
         assert any(0 in k and k.max() > 0 for k in counts.values())
-        assert any(case[5] == 1 and k.max() > 0 for case, k in counts.items())
-        assert any(case[0] == "sl_sbu" and k.min() > 3 * (case[1]**case[2] + case[2] - 1)
-                   for case, k in counts.items())
+        assert all(k.max() > 0 for case, k in counts.items() if case in ONE_ROW_CASES)
+        for cases in (BLOCK_CASES, ONE_ROW_CASES):
+            assert any(case[0] == "sl_sbu"
+                       and counts[case].min() > 3 * (case[1]**case[2] + case[2] - 1)
+                       for case in cases)
 
     def test_an_alphabet_of_2_to_the_32_or_more_stays_on_integers(self, monkeypatch):
         # Raw draws take bounds below 2**32.
         refuse_raw_draws(monkeypatch)
-        (z, mask), (want_z, want_mask) = self.both_paths(
+        (z, mask), (want_z, want_mask) = self.block_and_rows(
             2**32 + 5, EngineConfig("iid", p_obf=0.3), 100, 8)
         np.testing.assert_array_equal(mask, want_mask)
         np.testing.assert_array_equal(z, want_z)
         assert z.max() > 2**31
+
+    def test_an_sbu_block_stays_on_integers(self, monkeypatch):
+        # sbu draws a permutation per superstring.
+        refuse_raw_draws(monkeypatch)
+        (z, mask), (want_z, want_mask) = self.block_and_rows(
+            4, EngineConfig("sbu", p_obf=0.6, order=2), 120, 6)
+        np.testing.assert_array_equal(mask, want_mask)
+        np.testing.assert_array_equal(z, want_z)
+        # Each row runs past its first superstring of l r^l symbols.
+        assert mask.sum(axis=1).min() > 2 * 4**2
 
     @pytest.mark.parametrize("method", ("iid", "sl_sbu"))
     def test_one_trace_obfuscate_draws_no_raw_words(self, method, monkeypatch):

@@ -4,6 +4,7 @@ import threading
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -28,7 +29,8 @@ from seqobf.sim import (
     sweep,
     write_csv,
 )
-from oracles import fraction_counts_reference, manp_policy_reference
+from oracles import (brute_force_iid_fraction, fraction_counts_reference, iid_fraction_exact,
+                     manp_policy_reference)
 
 
 def fraction_spec(**overrides):
@@ -357,6 +359,45 @@ class TestDataDependentRowsStopOnceSettled:
                 assert np.array_equal(mask, want_mask)
                 assert np.array_equal(z.symbols, want)
         assert len(picks) == counters["replacements.manp"]
+
+
+# (m, r, l, gap, p) of iid fraction cells: each pattern length with gaps 1, 3
+# and None, and a longer trace at gap 10.
+IID_EXACT_CELLS = [
+    (30, 6, 1, 1, 0.2), (40, 6, 1, 3, 0.1), (25, 4, 1, None, 0.15),
+    (60, 5, 2, 1, 0.4), (60, 6, 2, 3, 0.3), (40, 6, 2, None, 0.2),
+    (100, 4, 3, 1, 0.8), (80, 5, 3, 3, 0.6), (50, 6, 3, None, 0.5),
+    (200, 8, 2, 10, 0.2),
+]
+
+
+class TestIidFractionExact:
+    """The fraction protocol's iid estimate against its exact value."""
+
+    @pytest.mark.parametrize("m,r,l,gap", [
+        (8, 2, 1, None), (8, 2, 1, 3), (7, 3, 2, 1), (7, 3, 2, 3), (6, 3, 2, None),
+        (5, 3, 2, 2), (6, 4, 3, 1), (6, 4, 3, 3), (5, 4, 3, None),
+    ])
+    def test_the_exact_value_equals_enumeration(self, m, r, l, gap):
+        for p in (Fraction(1, 3), Fraction(3, 4), Fraction(1)):
+            want = brute_force_iid_fraction(m, r, l, gap, p)
+            assert iid_fraction_exact(m, r, l, gap, float(p)) == pytest.approx(want, rel=1e-12)
+
+    def test_the_exact_value_at_test_4s_cells(self):
+        # m 1000, r 20, l 2 at (h, p) = (10, 0.1), (5, 0.1) and (10, 0.05).
+        got = [iid_fraction_exact(1000, 20, 2, h, p) for h, p in ((10, 0.1), (5, 0.1), (10, 0.05))]
+        assert [round(value, 4) for value in got] == [0.2119, 0.1150, 0.0590]
+
+    @pytest.mark.parametrize("i", range(len(IID_EXACT_CELLS)))
+    def test_the_estimate_is_within_4_5_standard_errors(self, i):
+        m, r, l, gap, p = IID_EXACT_CELLS[i]
+        spec = fraction_spec(alphabet_size=r, order=l, gap=gap, trace_length=m, p_obf=p,
+                             methods=("iid",), n_users=41, iterations=100,
+                             master_seed=2900 + i)
+        rec = run_fraction(spec).records[0]
+        exact = iid_fraction_exact(m, r, l, gap, p)
+        assert 0.1 < exact < 0.9
+        assert abs(rec["estimate"] - exact) <= 4.5 * rec["std_error"], (rec["estimate"], exact)
 
 
 class TestFractionCounters:
