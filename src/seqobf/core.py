@@ -24,8 +24,13 @@ re-keying it makes the generators of its last block stale, so a caller
 holds one block at a time.
 
 ``_raw_values`` draws rows of bounded integers from keyed generators'
-raw Philox words, as Generator.integers would; no code outside it and its
-helpers reads those words.  Its stream contract:
+raw Philox words, as Generator.integers would.  A fill whose bounds
+depend on the values it draws, such as lov's, takes its rows' words as
+halves (``_row_halves``) and applies Lemire's rule to them (``_below``);
+``_HalfReader`` reads one row's values on from such halves and then from
+its generator, which mends a row that read a rejected half.  No code
+outside these functions and their helpers reads raw words.  The stream
+contract:
 
 * a keyed generator starts with no pending half;
 * a double (Generator.random) reads a whole word and leaves a pending
@@ -35,7 +40,8 @@ helpers reads those words.  Its stream contract:
   and a half whose product has its low 32 bits below (2**32 - b) % b is
   rejected and skipped: Lemire's multiply-shift ("Fast Random Integer
   Generation in an Interval", ACM TOMACS 29(1), 2019), which is how
-  Generator.integers draws below bounds up to 2**32;
+  Generator.integers draws below bounds up to 2**32; a value below 1
+  reads no half and is 0;
 * a row carries at most one unread half from one draw to its next;
 * a row that holds one draws an even count of values.
 """
@@ -236,9 +242,10 @@ def _passes(halves: np.ndarray, bound: int, least: int, out=None) -> np.ndarray:
     return np.greater_equal(np.multiply(halves, np.uint32(bound), dtype=np.uint32), least, out=out)
 
 
-def _kept_halves(gen: np.random.Generator, halves: np.ndarray, segments) -> tuple[list, int]:
+def _kept_halves(gen: np.random.Generator, halves: np.ndarray, segments) -> tuple[list, np.ndarray]:
     """The halves that one row keeps for the segments (see _raw_values),
-    read from halves and then from gen's words; and its unread half, or -1."""
+    read from halves and then from gen's words; and the halves it left
+    unread."""
     kept = []
     for count, bound, least in segments:
         while count:
@@ -248,7 +255,7 @@ def _kept_halves(gen: np.random.Generator, halves: np.ndarray, segments) -> tupl
             kept.append(halves[at])
             count -= at.size
             halves = halves[at[-1] + 1 if not count else halves.size :]
-    return kept, int(halves[0]) if halves.size else -1
+    return kept, halves
 
 
 def _finish_row(gen: np.random.Generator, halves: np.ndarray, tail: np.ndarray,
@@ -269,7 +276,7 @@ def _finish_row(gen: np.random.Generator, halves: np.ndarray, tail: np.ndarray,
                               [(count - kept.size, bound, least), *segments[s + 1 :]])
     halves[a : a + kept.size] = kept
     halves[a + kept.size :] = np.concatenate(more)
-    return left
+    return int(left[0]) if left.size else -1
 
 
 def _raw_values(
@@ -330,6 +337,46 @@ def _raw_values(
             a += count
         product >>= 32
     return left
+
+
+def _row_halves(gens: Sequence[np.random.Generator], words: int) -> np.ndarray:
+    """Row i holds the halves of gens[i]'s next words raw words, in stream
+    order.  A generator with no pending half reads on after them."""
+    raw = np.empty((len(gens), words), dtype="<u8")
+    raw[:] = [gen.bit_generator.random_raw(words) for gen in gens]
+    return _halves(raw)
+
+
+def _below(halves: np.ndarray, bound) -> tuple[np.ndarray, np.ndarray]:
+    """The values below bound that Lemire's rule gives on halves, and which
+    halves it keeps.  bound is an integer in [1, 2**32), or an array of
+    them that broadcasts against halves; a bound of 1 gives 0 and keeps
+    every half, though Generator.integers reads no half for it."""
+    bound = np.asarray(bound, dtype=np.uint64)
+    product = halves * bound
+    least = (np.uint64(2**32) - bound) % bound
+    return (product >> np.uint64(32)).astype(np.int64), (product & np.uint64(_WORD)) >= least
+
+
+class _HalfReader:
+    """One row's values below bounds, read as Generator.integers reads them
+    from a generator with no pending half: from halves, a run of the row's
+    halves in stream order, and then from gen's words.  A block fill that
+    read a rejected half runs the row again through this reader in place
+    of its generator."""
+
+    def __init__(self, gen: np.random.Generator, halves: np.ndarray) -> None:
+        self._gen, self._halves = gen, halves
+
+    def integers(self, bound: int, size: int | None = None):
+        """Generator.integers(bound) or integers(bound, size=size), for a
+        bound in [1, 2**32); a bound of 1 reads no half and gives zeros."""
+        values = np.zeros(1 if size is None else size, dtype=np.int64)
+        if bound > 1 and values.size:
+            kept, self._halves = _kept_halves(self._gen, self._halves,
+                                              [(values.size, bound, (2**32 - bound) % bound)])
+            values[:] = _below(np.concatenate(kept), bound)[0]
+        return values if size is not None else int(values[0])
 
 
 # The constants of numpy's SeedSequence (numpy/random/bit_generator.pyx).

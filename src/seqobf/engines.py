@@ -34,7 +34,8 @@ two_stage, an iid pass and then an sl_sbu pass over its output, is
 data-independent too (see EngineConfig).
 
 Data-dependent methods pick each replacement from the realized obfuscated
-prefix; lov and manp fill one row at a time, and plov steps a whole block:
+prefix; plov steps a whole block, lov follows the row-count rule, and
+only manp fills one row at a time:
 
 * lov  — uniform over symbols not yet present in the prefix;
 * plov — weighted toward less-frequent symbols via a tilted histogram;
@@ -49,7 +50,10 @@ the masked positions; between two of them they advance the prefix state
 in bulk.  Once lov's prefix holds every symbol, its remaining
 replacements are uniform and come from one batched integer draw, which
 yields the same values as one scalar draw per position.  plov draws each
-row's uniforms in one call the same way.
+row's uniforms in one call the same way.  One lov row makes these
+Generator calls (_fill_lov); a block of two or more rows reads the same
+values from raw words (_fill_lov_block) and, like an iid block, leaves
+its generators stale.
 """
 from __future__ import annotations
 
@@ -57,7 +61,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RandomSource, Trace, _check_at_least, _check_noise, _raw_values
+from .core import (RandomSource, Trace, _below, _check_at_least, _check_noise, _HalfReader,
+                   _raw_values, _row_halves)
 from .superstring import (_canonical_cycle, _check_params, _concat_array, _shortest_array,
                           _superstring_length)
 
@@ -232,6 +237,71 @@ def _fill_lov(z, mask, r, gen) -> None:
         prev = t
 
 
+def _fill_lov_block(z, mask, r, gens) -> None:
+    """lov on a row block from raw words, as _fill_lov fills each row.
+
+    Row i's replacements read the halves of its words after the mask, with
+    no pending half (core's stream contract): while b symbols are missing,
+    one value below b, which for b = 1 reads no half and gives 0; once
+    none is, values below r.  Each row reads the ceil(max k / 2) words
+    that the longest row's values take when no half is rejected.  Step j
+    picks every row's j-th replacement at once until the row observes
+    every symbol, and one gather then fills every row's tail.  A row that
+    read a rejected half is filled again by _fill_lov, from its halves and
+    then its generator (core._HalfReader).
+    """
+    n, m = z.shape
+    # The block's replacements in row order, at flat positions of z; row
+    # i's j-th is number first[i] + j.
+    targets = np.flatnonzero(mask)
+    k = np.bincount(targets // m, minlength=n)
+    first = np.cumsum(k) - k
+    halves = _row_halves(gens, -(-int(k.max(initial=0)) // 2))
+    values = np.empty(targets.size, dtype=np.int64)
+    symbols = z.reshape(-1)
+    observed = np.zeros((n, r), dtype=bool)
+    # Per row: the first flat position not yet observed, the halves read,
+    # the step at which its tail starts, and whether it kept every half.
+    start = np.arange(n) * m
+    read = np.zeros(n, dtype=np.int64)
+    tail = k.copy()
+    kept = np.ones(n, dtype=bool)
+    live = np.flatnonzero(k)
+    j = 0
+    while live.size:
+        # Observe each live row's kept symbols before its j-th replacement.
+        q = first[live] + j
+        t = targets[q]
+        size = t - start[live]
+        ends = np.cumsum(size)
+        pos = np.arange(ends[-1]) + np.repeat(t - ends, size)
+        observed[pos // m, symbols[pos]] = True
+        start[live] = t + 1
+        missing = ~observed[live]
+        b = np.count_nonzero(missing, axis=1)
+        some = b > 0
+        tail[live[~some]] = j
+        live, q, missing, b = live[some], q[some], missing[some], b[some]
+        v, ok = _below(halves[live, read[live]], b)
+        pick = np.argmax(np.cumsum(missing, axis=1) > v[:, None], axis=1)
+        values[q] = pick
+        observed[live, pick] = True
+        kept[live[~ok]] = False
+        read[live] += b > 1
+        j += 1
+        live = live[k[live] > j]
+    # A row's steps from its tail on read its next halves in turn.
+    c = k - tail
+    shift = np.cumsum(c) - c
+    span = np.arange(c.sum())
+    h = halves.reshape(-1)[np.repeat(np.arange(n) * halves.shape[1] + read - shift, c) + span]
+    values[np.repeat(first + tail - shift, c) + span], ok = _below(h, r)
+    kept[np.repeat(np.arange(n), c)[~ok]] = False
+    np.put(z, targets, values)
+    for i in np.flatnonzero(~kept).tolist():
+        _fill_lov(z[i], mask[i], r, _HalfReader(gens[i], halves[i]))
+
+
 def _fill_plov(z, mask, r, gamma, gens) -> None:
     """plov on a row block: step j draws every row's j-th replacement at once."""
     k = np.count_nonzero(mask, axis=1)
@@ -295,6 +365,8 @@ def _fill_manp(z, mask, r, gap, gen, settled) -> None:
         prev = t
 
 
+# Missing-set cells (rows times r) that one lov block step holds at most.
+_LOV_CELLS = 1 << 16
 # The single-pass methods whose fill never reads z: _obfuscate_rows fills
 # a row block of them with one assignment.
 _INDEPENDENT = ("iid", "sbu", "sl_sbu")
@@ -308,19 +380,21 @@ def _obfuscate_rows(z: np.ndarray, r: int, config: EngineConfig, gens, settled=N
     Row i draws from gens[i] over the alphabet 0..r-1, so it comes out as
     it would alone.  Returns the mask of replaced positions.  settled, if
     given, tests a row's filled prefix (see sim._fraction_iterations).
-    A block of two or more rows fills iid and sl_sbu from raw words
-    (_block_stream) and leaves gens stale, so the caller re-keys them
-    before reading them again; one row leaves its generator where
-    Generator.integers would.  The caller checks the superstring size cap.
+    A block of two or more rows fills iid, sl_sbu and lov from raw words
+    (_block_stream, _fill_lov_block) and leaves gens stale, so the caller
+    re-keys them before reading them again; one row leaves its generator
+    where Generator.integers would.  The caller checks the superstring
+    size cap.
     """
     uniforms = np.empty(z.shape)
     for row, gen in zip(uniforms, gens):
         gen.random(out=row)
     mask = uniforms < config.p_obf
+    # Raw draws take bounds below 2**32; sl_sbu's r^l is capped far below.
+    block = len(z) > 1 and r < 2**32
     if config.method in _INDEPENDENT:
         k = mask.sum(axis=1)
-        # Raw draws take bounds below 2**32; sl_sbu's r^l is capped far below.
-        if len(z) > 1 and config.method != "sbu" and r < 2**32:
+        if block and config.method != "sbu":
             values = _block_stream(gens, r, config, k)
             z[mask] = values[np.arange(values.shape[1]) < k[:, None]]
         else:
@@ -328,8 +402,13 @@ def _obfuscate_rows(z: np.ndarray, r: int, config: EngineConfig, gens, settled=N
                                       for gen, n in zip(gens, k.tolist())])
     elif config.method == "plov":
         _fill_plov(z, mask, r, config.gamma, gens)
+    elif config.method == "lov" and block:
+        # Slices keep the (rows, r) missing sets small as r grows.
+        rows = max(1, _LOV_CELLS // r)
+        for lo in range(0, len(z), rows):
+            _fill_lov_block(z[lo : lo + rows], mask[lo : lo + rows], r, gens[lo : lo + rows])
     else:
-        # lov and manp fill one row at a time, each from its own generator.
+        # manp, and lov on one row, fill one row at a time from its generator.
         for row, row_mask, gen in zip(z, mask, gens):
             if config.method == "lov":
                 _fill_lov(row, row_mask, r, gen)

@@ -79,15 +79,16 @@ def parse_csv(path) -> list[RawTrace]:
         if bad:
             raise ValueError(f"{path}: " + "; ".join(bad[:20]))
     out: list[RawTrace] = []
-    for user_id in per_user:
-        events = per_user[user_id]
-        if not _in_order(events):
+    for user_id, events in per_user.items():
+        # RawTrace checks the order; a user whose events it refuses is sorted.
+        try:
+            out.append(RawTrace(user_id, tuple(events)))
+        except ValueError:
             warnings.warn(
                 f"events of user {user_id!r} arrived out of order; sorting",
                 stacklevel=2,
             )
-            events = sorted(events, key=lambda e: e[0])
-        out.append(RawTrace(user_id, tuple(events)))
+            out.append(RawTrace(user_id, tuple(sorted(events, key=operator.itemgetter(0)))))
     return out
 
 

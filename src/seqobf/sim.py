@@ -24,8 +24,9 @@ purpose.  Race iteration it draws its pattern, its superstring offset and
 its iid stream, in that order, from path (it,).  Both protocols draw from
 keyed generators (core._keyed_generators) and read raw words as
 Generator.integers would, under the stream contract in seqobf.core's
-docstring: the race for all its draws, and a fraction block for its iid
-and sl_sbu replacements (engines._obfuscate_rows).
+docstring: the race for all its draws, and a fraction block for its
+synthetic base traces (_base_symbols) and its iid, sl_sbu and lov
+replacements (engines._obfuscate_rows).
 """
 from __future__ import annotations
 
@@ -171,13 +172,25 @@ def _load_trace_pool(spec: ExperimentSpec) -> list[np.ndarray]:
 
 
 def _base_symbols(
-    spec: ExperimentSpec, gen: np.random.Generator, pool: list[np.ndarray] | None
+    spec: ExperimentSpec, gens: Sequence[np.random.Generator], pool: list[np.ndarray] | None
 ) -> np.ndarray:
-    if pool is None:
-        return gen.integers(0, spec.alphabet_size - spec.order, size=spec.trace_length)
-    symbols = pool[int(gen.integers(len(pool)))]
-    start = int(gen.integers(symbols.size - spec.trace_length + 1))
-    return symbols[start : start + spec.trace_length]
+    """The base traces of a row block, row i drawn from gens[i]: a window of
+    a pool trace, at a trace and a start drawn by two scalar calls, or else
+    what integers(0, r - l, size=m) would draw.  A synthetic block reads raw
+    words (core._raw_values) and leaves gens stale; a bound of 1 draws
+    nothing and gives zeros, and one of 2**32 or more draws row by row."""
+    m, bound = spec.trace_length, spec.alphabet_size - spec.order
+    x = np.zeros((len(gens), m), dtype=np.int64)
+    if pool is not None:
+        for row, gen in zip(x, gens):
+            symbols = pool[int(gen.integers(len(pool)))]
+            start = int(gen.integers(symbols.size - m + 1))
+            row[:] = symbols[start : start + m]
+    elif 2 <= bound < 2**32:
+        _raw_values(gens, np.full(len(gens), -1, dtype=np.int64), [(m, bound)], x)
+    elif bound > 1:
+        x[:] = [gen.integers(0, bound, size=m) for gen in gens]
+    return x
 
 
 def _fraction_iterations(
@@ -249,8 +262,7 @@ def _fraction_iterations(
             # No generator is read again unkeyed, so a block fill may leave
             # them stale (engines._obfuscate_rows).
             if reads_base:
-                x = np.stack([_base_symbols(spec, gen, pool)
-                              for gen in _keyed_generators(keys[rows, 0])])
+                x = _base_symbols(spec, _keyed_generators(keys[rows, 0]), pool)
             for j, config in enumerate(configs):
                 purpose = 1 + j % len(spec.methods)
                 gens = _keyed_generators(keys[rows, purpose])

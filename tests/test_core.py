@@ -8,7 +8,8 @@ import pytest
 from seqobf import core
 from seqobf.bounds import BoundParams, ScheduleParams, lov_bound
 from seqobf.core import (
-    Alphabet, Pattern, RandomSource, Trace, _derive_keys, _keyed_generators, _raw_values,
+    Alphabet, Pattern, RandomSource, Trace, _below, _derive_keys, _HalfReader,
+    _keyed_generators, _raw_values, _row_halves,
 )
 from seqobf.detect import PatternStats
 from seqobf.engines import plov_distribution
@@ -286,3 +287,49 @@ class TestRawRule:
                 want = [gen.integers(r) for _ in range(l)]
                 want.append(gen.integers(offset))
                 assert row == want + gen.integers(0, r, size=50).tolist()
+
+    def test_row_halves_are_each_rows_next_halves(self):
+        gens = fresh_generators(3, 5)
+        halves = _row_halves(gens, 4)
+        for i, gen in enumerate(gens):
+            replay = RandomSource(3, (i,)).generator
+            assert halves[i].tolist() == replay.integers(0, 2**32, size=8, dtype=np.uint64).tolist()
+            # The generator reads on after them.
+            assert gen.integers(0, 2**32, dtype=np.uint64) == replay.integers(0, 2**32,
+                                                                              dtype=np.uint64)
+
+    @pytest.mark.parametrize("bound", [1] + RAW_BOUNDS)
+    def test_below_is_the_rule_that_integers_applies(self, bound):
+        halves = _row_halves(fresh_generators(bound % 1000, 40), 2)
+        values, kept = _below(halves, bound)
+        # A bound per row broadcasts as one bound does.
+        row_values, row_kept = _below(halves, np.full((40, 1), bound))
+        np.testing.assert_array_equal(row_values, values)
+        np.testing.assert_array_equal(row_kept, kept)
+        for i in range(40):
+            replay = RandomSource(bound % 1000, (i,)).generator
+            if bound == 1:
+                assert values[i].tolist() == [0] * 4 and kept[i].all()
+            elif kept[i].any():
+                assert values[i, kept[i].argmax()] == replay.integers(bound)
+
+    @pytest.mark.parametrize("words", [0, 1, 3])
+    def test_a_half_reader_reads_as_integers_does(self, words):
+        # lov's bounds, at most r, almost never reject a half, so the reader
+        # is driven at 3 * 2**30 and 2**31 + 1, where a quarter to a half of
+        # all halves are rejected, and at 1, which reads no half.  Rows run
+        # past the words drawn ahead of them into their generator's words.
+        choices = np.random.default_rng(words)
+        bounds = [1, 2, 7, 3 * 2**30, 2**31 + 1]
+        for seed in range(40):
+            scalars = [int(b) for b in choices.choice(bounds, size=int(choices.integers(0, 8)))]
+            r, n = int(choices.choice(bounds[1:])), int(choices.integers(0, 12))
+            gen = RandomSource(seed, (words,)).generator
+            reader = _HalfReader(gen, _row_halves([gen], words)[0])
+            got = [reader.integers(b) for b in scalars] + reader.integers(r, size=n).tolist()
+            replay = RandomSource(seed, (words,)).generator
+            want = [int(replay.integers(b)) for b in scalars] + replay.integers(r, size=n).tolist()
+            assert got == want
+            # It reads on from there, its unread halves first.
+            np.testing.assert_array_equal(reader.integers(2**31 + 1, size=3),
+                                          replay.integers(2**31 + 1, size=3))

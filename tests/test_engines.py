@@ -234,10 +234,11 @@ class TestIndependentEngines:
             assert verify_superstring(z.symbols[i * block : (i + 1) * block], r, l)
 
 
-def refuse_raw_draws(monkeypatch):
-    def refused(*args):
-        raise AssertionError("a raw draw was made")
+def refused(*args):
+    raise AssertionError("a raw draw was made")
 
+
+def refuse_raw_draws(monkeypatch):
     monkeypatch.setattr(engines, "_raw_values", refused)
 
 
@@ -262,6 +263,24 @@ ONE_ROW_CASES = [
     ("iid", 2**31 + 1, 2, 0.5, 300, 1),  # about half of all halves rejected
 ]
 CASE_ID = "{}-r{}-l{}-p{}-m{}x{}".format
+# (r, a, p, m, rows) of a lov row block whose base symbols lie in 0..a-1.
+LOV_CASES = [
+    (20, 18, 0.1, 1000, 32),  # the canonical cell's block
+    (2, 1, 0.5, 40, 6),  # one missing symbol, drawn with no half read
+    (3, 3, 0.05, 100, 10),  # rows that observe every symbol before a replacement
+    (6, 6, 0.02, 30, 12),  # rows with no replacement
+    (50, 48, 0.3, 30, 8),  # rows that never observe every symbol
+    (5, 4, 1.0, 20, 4),  # the first replacement observes nothing
+    (6, 4, 0.0, 50, 3),  # nothing to draw
+]
+LOV_ID = "lov-r{}-a{}-p{}-m{}x{}".format
+
+
+def lov_block(case):
+    """The base symbols and config of a LOV_CASES block."""
+    r, a, p, m, rows = case
+    base = np.random.default_rng(1000 * r + m).integers(0, a, size=(rows, m))
+    return base, EngineConfig("lov", p_obf=p)
 
 
 def block_counts(case):
@@ -273,16 +292,18 @@ def block_counts(case):
 
 class TestBlockFill:
     """The row count picks the fill path.  A block of two or more rows fills
-    iid and sl_sbu from raw words, bit for bit as the same rows filled one
-    at a time; one row draws with Generator.integers."""
+    iid, sl_sbu and lov from raw words, bit for bit as the same rows filled
+    one at a time; one row draws with Generator.integers."""
 
     @staticmethod
-    def block_and_rows(r, config, m, rows):
-        """(z, mask) of one call on the whole block, then of one call per row."""
-        z = np.zeros((rows, m), dtype=np.int64)
+    def block_and_rows(r, config, m, rows, base=None):
+        """(z, mask) of one call on the whole block, then of one call per
+        row, on the base symbols, or on zeros."""
+        base = np.zeros((rows, m), dtype=np.int64) if base is None else base
+        z = base.copy()
         mask = engines._obfuscate_rows(
             z, r, config, [RandomSource(5, (i,)).generator for i in range(rows)])
-        row_z = np.zeros_like(z)
+        row_z = base.copy()
         row_mask = np.concatenate([
             engines._obfuscate_rows(row_z[i : i + 1], r, config, [RandomSource(5, (i,)).generator])
             for i in range(rows)])
@@ -370,6 +391,115 @@ class TestBlockFill:
         halves = [gen.integers(0, 2**32, dtype=np.uint64, size=3).tolist()
                   for gen in (source.generator, replay)]
         assert halves[0] == halves[1]
+
+    @pytest.mark.parametrize("case", LOV_CASES, ids=lambda c: LOV_ID(*c))
+    def test_a_lov_block_equals_rows_and_reads_its_words_once(self, case, monkeypatch):
+        r, _, _, m, rows = case
+        base, config = lov_block(case)
+        reads = []
+        row_halves = engines._row_halves
+
+        def counted(gens, words):
+            reads.append((len(gens), words))
+            return row_halves(gens, words)
+
+        monkeypatch.setattr(engines, "_row_halves", counted)
+        # With no rejected half, no row is filled again.
+        monkeypatch.setattr(engines, "_HalfReader", refused)
+        (z, mask), (want_z, want_mask) = self.block_and_rows(r, config, m, rows, base)
+        np.testing.assert_array_equal(mask, want_mask)
+        np.testing.assert_array_equal(z, want_z)
+        words = -(-int(mask.sum(axis=1).max()) // 2)
+        assert reads == [(rows, words)]
+        # Each generator read its mask's m words and then its block's words.
+        gens = [RandomSource(5, (i,)).generator for i in range(rows)]
+        engines._obfuscate_rows(base.copy(), r, config, gens)
+        for i, gen in enumerate(gens):
+            fresh = RandomSource(5, (i,)).generator.bit_generator.random_raw(m + words + 1)
+            assert gen.bit_generator.random_raw() == fresh[-1]
+
+    @pytest.mark.parametrize("case", LOV_CASES, ids=lambda c: LOV_ID(*c))
+    def test_one_lov_row_reads_no_raw_words(self, case, monkeypatch):
+        r, _, p, m, _ = case
+        base, config = lov_block(case)
+        monkeypatch.setattr(engines, "_row_halves", refused)
+        refuse_raw_draws(monkeypatch)
+        z = base[:1].copy()
+        gen = RandomSource(5, (0,)).generator
+        mask = engines._obfuscate_rows(z, r, config, [gen])
+        replay = RandomSource(5, (0,)).generator
+        want_mask = replay.random(m) < p
+        want = base[0].copy()
+        engines._fill_lov(want, want_mask, r, replay)
+        np.testing.assert_array_equal(mask[0], want_mask)
+        np.testing.assert_array_equal(z[0], want)
+        # The generator stands where _fill_lov left it, unread half and all.
+        halves = [g.integers(0, 2**32, dtype=np.uint64, size=3).tolist() for g in (gen, replay)]
+        assert halves[0] == halves[1]
+
+    def test_lov_cases_cover_every_kind_of_row(self):
+        kinds = set()
+        for case in LOV_CASES:
+            r, rows = case[0], case[4]
+            base, config = lov_block(case)
+            mask = engines._obfuscate_rows(
+                base, r, config, [RandomSource(5, (i,)).generator for i in range(rows)])
+            for row, row_mask in zip(base, mask):
+                # The symbols missing before each replacement, read off the filled row.
+                missing = [r - np.unique(row[:t]).size for t in np.flatnonzero(row_mask)]
+                if not missing:
+                    kinds.add("no replacement")
+                elif missing[0] == 0:
+                    kinds.add("only a tail")
+                elif min(missing) > 0:
+                    kinds.add("never observes every symbol")
+                if 1 in missing:
+                    kinds.add("one missing symbol")
+        assert kinds == {"no replacement", "only a tail", "never observes every symbol",
+                         "one missing symbol"}
+        assert any(case[0] == 2 for case in LOV_CASES)
+
+    def test_a_lov_row_that_read_a_rejected_half_is_filled_again(self, monkeypatch):
+        # lov's bounds are at most r, so a half is practically never
+        # rejected.  Here the first row of every step and of the tails is
+        # told that its half was, and is filled again from its halves and
+        # then its generator.
+        below, reader = engines._below, engines._HalfReader
+        mended = []
+
+        def rejecting(halves, bound):
+            values, kept = below(halves, bound)
+            kept[:1] = False
+            return values, kept
+
+        def counted(gen, halves):
+            mended.append(gen)
+            return reader(gen, halves)
+
+        monkeypatch.setattr(engines, "_below", rejecting)
+        monkeypatch.setattr(engines, "_HalfReader", counted)
+        base, config = lov_block(LOV_CASES[0])
+        (z, mask), (want_z, want_mask) = self.block_and_rows(20, config, 1000, 32, base)
+        np.testing.assert_array_equal(mask, want_mask)
+        np.testing.assert_array_equal(z, want_z)
+        assert 0 < len(mended) < 32
+
+    def test_a_lov_block_steps_in_slices_as_r_grows(self, monkeypatch):
+        # Two rows of 20 symbols a slice: the missing sets stay small.
+        monkeypatch.setattr(engines, "_LOV_CELLS", 50)
+        reads = []
+        row_halves = engines._row_halves
+
+        def counted(gens, words):
+            reads.append(len(gens))
+            return row_halves(gens, words)
+
+        monkeypatch.setattr(engines, "_row_halves", counted)
+        base, config = lov_block(LOV_CASES[0])
+        (z, mask), (want_z, want_mask) = self.block_and_rows(20, config, 1000, 32, base)
+        np.testing.assert_array_equal(mask, want_mask)
+        np.testing.assert_array_equal(z, want_z)
+        assert reads == [2] * 16
 
 
 class TestLov:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqobf import ingest
 from seqobf.core import Alphabet, Trace
 from seqobf.ingest import (
     RawTrace,
@@ -48,6 +49,22 @@ class TestParseCsv:
         with pytest.warns(UserWarning):
             raws = parse_csv(write_csv(tmp_path, body))
         assert [c for _, c in raws[0].events] == ["b", "c", "d", "a"]
+
+    def test_each_user_is_checked_for_order_once(self, tmp_path, monkeypatch):
+        checks = []
+        in_order = ingest._in_order
+
+        def counted(events):
+            checks.append(len(events))
+            return in_order(events)
+
+        monkeypatch.setattr(ingest, "_in_order", counted)
+        body = "u,300,a\nv,100,b\nu,100,c\nw,5,d\nv,200,e\n"
+        with pytest.warns(UserWarning, match="'u'"):
+            raws = parse_csv(write_csv(tmp_path, body))
+        assert [len(raw) for raw in raws] == [2, 2, 1]
+        # u is checked again once sorted.
+        assert checks == [2, 2, 2, 1]
 
     def test_missing_columns_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

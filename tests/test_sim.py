@@ -733,6 +733,48 @@ class TestRawRule:
         assert drawn == total
         assert len(set(got.tolist())) > 10
 
+    # (r, l) of synthetic base traces, drawn below r - l: a bound of 1, of
+    # 2, the canonical cell's, and one that rejects about half of all halves.
+    @pytest.mark.parametrize("r, l", [(3, 2), (4, 2), (20, 2), (2**31 + 3, 2)])
+    def test_a_blocks_base_traces_equal_per_row_integers(self, r, l):
+        # 40 rows of 1000 symbols take two slices of a raw draw.
+        spec = fraction_spec(alphabet_size=r, order=l, methods=("lov",), trace_length=1000)
+        gens = fresh_generators(r % 997, 40)
+        x = sim._base_symbols(spec, gens, None)
+        for i, (row, gen) in enumerate(zip(x, gens)):
+            replay = RandomSource(r % 997, (i,)).generator
+            np.testing.assert_array_equal(row, replay.integers(0, r - l, size=1000))
+            if r - l == 1:
+                # Nothing is drawn.
+                assert gen.bit_generator.random_raw() == replay.bit_generator.random_raw()
+
+    def test_a_base_alphabet_of_2_to_the_32_or_more_draws_row_by_row(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a raw draw was made")
+
+        monkeypatch.setattr(sim, "_raw_values", refused)
+        r = 2**40
+        spec = fraction_spec(alphabet_size=r, order=1, methods=("lov",), trace_length=50)
+        x = sim._base_symbols(spec, fresh_generators(6, 4), None)
+        for i, row in enumerate(x):
+            replay = RandomSource(6, (i,)).generator
+            np.testing.assert_array_equal(row, replay.integers(0, r - 1, size=50))
+        assert x.max() > 2**32
+
+    def test_ingested_base_traces_are_windows_drawn_row_by_row(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a raw draw was made")
+
+        monkeypatch.setattr(sim, "_raw_values", refused)
+        pool = [np.random.default_rng(k).integers(0, 6, size=n) for k, n in enumerate((40, 55, 90))]
+        spec = fraction_spec(trace_length=30, methods=("lov",))
+        x = sim._base_symbols(spec, fresh_generators(4, 10), pool)
+        for i, row in enumerate(x):
+            replay = RandomSource(4, (i,)).generator
+            symbols = pool[int(replay.integers(3))]
+            start = int(replay.integers(symbols.size - 29))
+            np.testing.assert_array_equal(row, symbols[start : start + 30])
+
 
 class TestGeneratorPools:
     """The keyed generator pool lives per thread and across calls: a run
