@@ -28,9 +28,10 @@ raw Philox words, as Generator.integers would.  A fill whose bounds
 depend on the values it draws, such as lov's, takes its rows' words as
 halves (``_row_halves``) and applies Lemire's rule to them (``_below``);
 ``_HalfReader`` reads one row's values on from such halves and then from
-its generator, which mends a row that read a rejected half.  No code
-outside these functions and their helpers reads raw words.  The stream
-contract:
+its generator, which mends a row that read a rejected half.  Every one of
+them applies the rule through ``_passes`` (which halves are kept) and
+``_scaled`` (their values).  No code outside these functions and their
+helpers reads raw words.  The stream contract:
 
 * a keyed generator starts with no pending half;
 * a double (Generator.random) reads a whole word and leaves a pending
@@ -236,10 +237,26 @@ def _halves(words: np.ndarray) -> np.ndarray:
     return words.astype("<u8", copy=False).view("<u4")
 
 
-def _passes(halves: np.ndarray, bound: int, least: int, out=None) -> np.ndarray:
+# Lemire's rule in two steps: _passes keeps a half and _scaled gives its
+# value.  bound is an integer or an array of them that broadcasts against
+# halves.  Both steps name the product's dtype: under numpy 1.x's
+# value-based casting, uint32 halves times a scalar or 0-d bound would
+# otherwise multiply in 32 bits.
+
+
+def _passes(halves: np.ndarray, bound, least, out=None) -> np.ndarray:
     """Which halves Lemire's rule keeps for bound: those whose product with
     bound has low 32 bits of at least least = (2**32 - bound) % bound."""
-    return np.greater_equal(np.multiply(halves, np.uint32(bound), dtype=np.uint32), least, out=out)
+    bound = np.asarray(bound, dtype=np.uint64)
+    return np.greater_equal(np.multiply(halves, bound, dtype=np.uint32), least, out=out)
+
+
+def _scaled(halves: np.ndarray, bound, out=None) -> np.ndarray:
+    """The uint64 values (h * bound) >> 32 that Lemire's rule gives on
+    halves h."""
+    out = np.multiply(halves, np.asarray(bound, dtype=np.uint64), dtype=np.uint64, out=out)
+    out >>= np.uint64(32)
+    return out
 
 
 def _kept_halves(gen: np.random.Generator, halves: np.ndarray, segments) -> tuple[list, np.ndarray]:
@@ -330,12 +347,10 @@ def _raw_values(
         for i in np.flatnonzero(~passed.all(axis=1)).tolist():
             left[lo + i] = _finish_row(gens[lo + i], halves[i], stream[i, int(skip[i]) + k :],
                                        passed[i], segments)
-        product, a = products[lo:hi], 0
+        a = 0
         for count, bound, _ in segments:
-            np.multiply(halves[:, a : a + count], np.uint64(bound), dtype=np.uint64,
-                        out=product[:, a : a + count])
+            _scaled(halves[:, a : a + count], bound, out=products[lo:hi, a : a + count])
             a += count
-        product >>= 32
     return left
 
 
@@ -353,9 +368,8 @@ def _below(halves: np.ndarray, bound) -> tuple[np.ndarray, np.ndarray]:
     them that broadcasts against halves; a bound of 1 gives 0 and keeps
     every half, though Generator.integers reads no half for it."""
     bound = np.asarray(bound, dtype=np.uint64)
-    product = halves * bound
     least = (np.uint64(2**32) - bound) % bound
-    return (product >> np.uint64(32)).astype(np.int64), (product & np.uint64(_WORD)) >= least
+    return _scaled(halves, bound).astype(np.int64), _passes(halves, bound, least)
 
 
 class _HalfReader:

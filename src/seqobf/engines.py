@@ -365,8 +365,6 @@ def _fill_manp(z, mask, r, gap, gen, settled) -> None:
         prev = t
 
 
-# Missing-set cells (rows times r) that one lov block step holds at most.
-_LOV_CELLS = 1 << 16
 # The single-pass methods whose fill never reads z: _obfuscate_rows fills
 # a row block of them with one assignment.
 _INDEPENDENT = ("iid", "sbu", "sl_sbu")
@@ -383,8 +381,11 @@ def _obfuscate_rows(z: np.ndarray, r: int, config: EngineConfig, gens, settled=N
     A block of two or more rows fills iid, sl_sbu and lov from raw words
     (_block_stream, _fill_lov_block) and leaves gens stale, so the caller
     re-keys them before reading them again; one row leaves its generator
-    where Generator.integers would.  The caller checks the superstring
-    size cap.
+    where Generator.integers would.  One lov row keeps _fill_lov: a block's
+    steps cost the same for one row as for many, so at the canonical cell
+    a one-row block takes several times as long, and _fill_lov keeps
+    lov_choose, which perfbench/tracing.py counts, and the one-row
+    generator contract.  The caller checks the superstring size cap.
     """
     uniforms = np.empty(z.shape)
     for row, gen in zip(uniforms, gens):
@@ -403,10 +404,7 @@ def _obfuscate_rows(z: np.ndarray, r: int, config: EngineConfig, gens, settled=N
     elif config.method == "plov":
         _fill_plov(z, mask, r, config.gamma, gens)
     elif config.method == "lov" and block:
-        # Slices keep the (rows, r) missing sets small as r grows.
-        rows = max(1, _LOV_CELLS // r)
-        for lo in range(0, len(z), rows):
-            _fill_lov_block(z[lo : lo + rows], mask[lo : lo + rows], r, gens[lo : lo + rows])
+        _fill_lov_block(z, mask, r, gens)
     else:
         # manp, and lov on one row, fill one row at a time from its generator.
         for row, row_mask, gen in zip(z, mask, gens):

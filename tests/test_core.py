@@ -302,10 +302,12 @@ class TestRawRule:
     def test_below_is_the_rule_that_integers_applies(self, bound):
         halves = _row_halves(fresh_generators(bound % 1000, 40), 2)
         values, kept = _below(halves, bound)
-        # A bound per row broadcasts as one bound does.
-        row_values, row_kept = _below(halves, np.full((40, 1), bound))
-        np.testing.assert_array_equal(row_values, values)
-        np.testing.assert_array_equal(row_kept, kept)
+        # A bound per row broadcasts as one bound does, and a numpy scalar or
+        # 0-d bound, which numpy 1.x casts by value, gives what an int does.
+        for form in (lambda b: np.full((40, 1), b), np.uint64, np.asarray):
+            form_values, form_kept = _below(halves, form(bound))
+            np.testing.assert_array_equal(form_values, values)
+            np.testing.assert_array_equal(form_kept, kept)
         for i in range(40):
             replay = RandomSource(bound % 1000, (i,)).generator
             if bound == 1:

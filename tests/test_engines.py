@@ -484,23 +484,6 @@ class TestBlockFill:
         np.testing.assert_array_equal(z, want_z)
         assert 0 < len(mended) < 32
 
-    def test_a_lov_block_steps_in_slices_as_r_grows(self, monkeypatch):
-        # Two rows of 20 symbols a slice: the missing sets stay small.
-        monkeypatch.setattr(engines, "_LOV_CELLS", 50)
-        reads = []
-        row_halves = engines._row_halves
-
-        def counted(gens, words):
-            reads.append(len(gens))
-            return row_halves(gens, words)
-
-        monkeypatch.setattr(engines, "_row_halves", counted)
-        base, config = lov_block(LOV_CASES[0])
-        (z, mask), (want_z, want_mask) = self.block_and_rows(20, config, 1000, 32, base)
-        np.testing.assert_array_equal(mask, want_mask)
-        np.testing.assert_array_equal(z, want_z)
-        assert reads == [2] * 16
-
 
 class TestLov:
     def test_uniform_over_missing_symbols(self):
