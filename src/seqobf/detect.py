@@ -12,8 +12,9 @@ and masks them with the next matches, so a call makes O(l*log(min(gap, m)))
 big-int steps over rows*w bits, and stops once nothing is reached.  Its
 memory is one bool per bit, w bytes a trace, and a few ints of w/8 bytes:
 about 1.7 bytes per symbol on a block of 1 000-symbol traces at gap 10,
-and 3.3 at an unbounded gap.  One kernel decides a whole block of traces,
-and has_pattern is the one-trace case.
+and 3.3 at an unbounded gap.  One kernel decides a whole block of traces;
+has_pattern is the one-trace case, and manp's settle test in seqobf.sim
+asks it of one window.
 """
 from __future__ import annotations
 
@@ -53,23 +54,6 @@ def _pattern_found(symbols: np.ndarray, pattern_symbols, gap: int | None) -> np.
         return np.bool_(reach != 0)
     packed = reach.to_bytes(matches.size >> 3, "little")
     return np.frombuffer(packed, dtype=np.uint8).reshape(lead + (w >> 3,)).any(axis=-1)
-
-
-def _found_in_list(symbols: list, pattern_symbols, gap: int) -> bool:
-    """_pattern_found for one short plain list and a finite gap, in plain
-    Python: it keeps the last position that each pattern prefix reaches,
-    and a position extends prefix j if prefix j - 1 was reached at most gap
-    positions before it."""
-    reached = [-gap - 1] * len(pattern_symbols)
-    for t, s in enumerate(symbols):
-        if s not in pattern_symbols:
-            continue
-        for j in range(len(pattern_symbols) - 1, 0, -1):
-            if s == pattern_symbols[j] and t - reached[j - 1] <= gap:
-                reached[j] = t
-        if s == pattern_symbols[0]:
-            reached[0] = t
-    return reached[-1] >= 0
 
 
 def _check_alphabet(trace: Trace, pattern: Pattern) -> None:

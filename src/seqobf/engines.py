@@ -312,7 +312,7 @@ def _fill_plov(z, mask, r, gamma, gens) -> None:
     rank[np.argsort(-k, kind="stable")] = ranks
     steps = int(k.max(initial=0))
     active = k.size - np.searchsorted(np.sort(k), np.arange(steps), side="right")
-    row, _ = np.nonzero(mask)
+    row = np.flatnonzero(mask) // z.shape[1]
     # Row i's k_i uniforms in one draw, as k_i scalar draws would give
     # them; u[rank i, j] belongs to its j-th replacement.
     step = np.arange(row.size) - np.repeat(np.cumsum(k) - k, k)
@@ -325,7 +325,7 @@ def _fill_plov(z, mask, r, gamma, gens) -> None:
     keep = ~mask & (before < k[:, None])
     kept_step = before[keep]
     order = np.argsort(kept_step, kind="stable")
-    kept = (rank[np.nonzero(keep)[0]] * r + z[keep])[order]
+    kept = (rank[np.flatnonzero(keep) // z.shape[1]] * r + z[keep])[order]
     edges = np.searchsorted(kept_step[order], np.arange(steps + 1))
     counts = np.zeros((k.size, r))
     flat = counts.reshape(-1)

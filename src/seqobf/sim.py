@@ -42,7 +42,7 @@ import numpy as np
 
 from .core import (Pattern, RandomSource, _check_at_least, _check_gap, _check_noise,
                    _check_seed, _derive_keys, _keyed_generators, _raw_values)
-from .detect import _contiguous_matches, _found_in_list, _pattern_found
+from .detect import _contiguous_matches, _pattern_found
 from .engines import _INDEPENDENT, _READS, _SUPERSTRING_KIND, EngineConfig, _obfuscate_rows
 from .superstring import _check_params, _shortest_first_index, _superstring_length
 from . import bounds as bounds_mod
@@ -237,9 +237,7 @@ def _fraction_iterations(
         # Reserved symbols come only from replacements, so a first occurrence
         # ends at the latest one, within (l - 1) * gap positions of it.  Only
         # manp calls this, and EngineConfig refuses manp without a finite gap.
-        if prefix[-1] != q[-1]:
-            return False
-        return _found_in_list(prefix[-(len(q) - 1) * gap - 1:].tolist(), q, gap)
+        return prefix[-1] == q[-1] and bool(_pattern_found(prefix[(1 - len(q)) * gap - 1:], q, gap))
 
     counts = np.zeros((3, len(configs)), dtype=np.int64)
     sizes = {method: _superstring_length(kind, r, spec.order)

@@ -370,3 +370,82 @@ def brute_force_iid_fraction(m: int, r: int, l: int, gap: int | None, p: Fractio
                 hits += brute_force_has_pattern(z, pattern, gap)
         total += hits * p**k * (1 - p) ** (m - k) / r**k
     return total
+
+
+def lov_fraction_exact(m: int, r: int, l: int, gap: int | None, p: float) -> float:
+    """The exact probability that the fraction protocol's lov method puts
+    the reserved pattern q = (r-l, ..., r-1) into a non-target trace of
+    length m, within the gap (None for none).
+
+    A non-target trace holds no reserved symbol, and its symbols are
+    uniform over the r - l base symbols, so lov's choice at a position
+    depends on the prefix only through M, the number of base symbols not
+    yet seen, and the set of reserved symbols seen.  A chain over the
+    positions carries both and the detector's ages of iid_fraction_exact.
+    A kept position shows a new base symbol with probability M / (r - l).
+    A replaced position picks uniformly among the b = M + (l - |seen|)
+    missing symbols, or among all r when b = 0.
+    """
+    far = 2 if gap is None else gap + 1
+    base = r - l
+
+    def older(ages, j=None):
+        """The ages one position on, if the position holds q_j (None for a
+        symbol outside q), or None if q_j completes the pattern there."""
+        aged = tuple(a if gap is None else min(a + 1, far) for a in ages)
+        if j is None or (j and ages[j - 1] == far):
+            return aged
+        return None if j == l - 1 else aged[:j] + (1,) + aged[j + 1:]
+
+    states = list(product(product(range(1, far + 1), repeat=l - 1), range(base + 1),
+                          range(1 << l)))
+    index = {state: i for i, state in enumerate(states)}
+    found = len(states)
+    # The chain's moves as (from, to, probability) triples; each state has
+    # at most l + 3 of them.
+    moves = [(found, found, 1.0)]
+    for i, (ages, missing, seen) in enumerate(states):
+        def go(weight, j=None, new_base=False):
+            if weight:
+                aged = older(ages, j)
+                to = found if aged is None else index[aged, missing - new_base,
+                                                      seen | (0 if j is None else 1 << j)]
+                moves.append((i, to, weight))
+
+        go((1 - p) * missing / base, new_base=True)
+        go((1 - p) * (base - missing) / base)
+        unseen = [j for j in range(l) if not seen >> j & 1]
+        b = missing + len(unseen)
+        if b == 0:
+            go(p * base / r)
+            for j in range(l):
+                go(p / r, j)
+        else:
+            go(p * missing / b, new_base=True)
+            for j in unseen:
+                go(p / b, j)
+    source, target, weight = (np.array(column) for column in zip(*moves))
+    state = np.zeros(found + 1)
+    state[index[(far,) * (l - 1), base, 0]] = 1.0
+    for _ in range(m):
+        state = np.bincount(target, state[source] * weight, minlength=found + 1)
+    return float(state[found])
+
+
+def brute_force_lov_fraction(m: int, r: int, l: int, gap: int | None, p: Fraction) -> Fraction:
+    """lov_fraction_exact by enumeration: every base symbol at a kept
+    position, every mask, and every lov choice at a replaced position, the
+    missing symbols or all r when none is missing, each trace checked by
+    brute_force_has_pattern."""
+    pattern = list(range(r - l, r))
+    kept, replaced = (1 - p) / (r - l), p
+
+    def walk(z: list, weight: Fraction) -> Fraction:
+        if len(z) == m:
+            return weight if brute_force_has_pattern(z, pattern, gap) else Fraction(0)
+        total = sum((walk(z + [s], weight * kept) for s in range(r - l)), Fraction(0))
+        choices = [s for s in range(r) if s not in z] or list(range(r))
+        step = weight * replaced / len(choices)
+        return total + sum((walk(z + [s], step) for s in choices), Fraction(0))
+
+    return walk([], Fraction(1))

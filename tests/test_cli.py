@@ -92,6 +92,13 @@ class TestUsageErrors:
         )
         assert code == 1
 
+    def test_an_unreadable_spec_is_a_runtime_error(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--spec", str(tmp_path / "missing.ini"),
+                                 "--out", str(tmp_path / "out.csv"))
+        assert code == 1
+        assert "cannot read spec file" in err
+        assert out == ""
+
 
 class TestBounds:
     def test_reference_cell(self, capsys):
@@ -516,6 +523,8 @@ _REFUSED = {
     "negative_seed_on_bounds_table": _simulate(
         "[experiment]\nscenario = bounds_table\nseed = -1\n"
         "[parameters]\nm = 60\nr = 6\nl = 2\nh = 3\np_obf = 0.1\n"),
+    "spec_without_experiment": _simulate("[parameters]\nm = 30\nr = 6\nl = 2\nh = 3\n"),
+    "spec_without_parameters": _simulate("[experiment]\nscenario = fraction\niterations = 2\n"),
     "noise_grid_start_above_stop": _simulate(_FRACTION + "p_obf = 0.5:0.1:0.2\n"),
     "no_workers": _simulate(_FRACTION, "--workers", "0"),
     "duplicate_methods": _simulate(_FRACTION.replace("[p", "methods = iid, iid\n[p")),

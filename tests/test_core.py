@@ -40,10 +40,18 @@ class TestAlphabetAndTrace:
         with pytest.raises(ValueError):
             t.symbols[0] = 1
 
+    def test_trace_rejects_a_2d_array(self):
+        with pytest.raises(ValueError, match="1-d symbol sequence"):
+            make_trace([[0, 1], [1, 0]], 2)
+
+    def test_trace_length(self):
+        assert len(make_trace([0, 1, 0], 2)) == 3
+
     def test_trace_equality(self):
         assert make_trace([0, 1], 3) == make_trace([0, 1], 3)
         assert make_trace([0, 1], 3) != make_trace([1, 0], 3)
         assert make_trace([0, 1], 3) != make_trace([0, 1], 2)
+        assert (make_trace([0, 1], 3) == object()) is False
 
 
 class TestPattern:
@@ -59,6 +67,10 @@ class TestPattern:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Pattern((), gap=1)
+
+    def test_rejects_a_negative_symbol(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Pattern((0, -1), gap=1)
 
 
 def schedule_params(**overrides):
@@ -112,6 +124,9 @@ class TestRandomSource:
         a = root.derive(0).generator.random(64)
         b = root.derive(1).generator.random(64)
         assert not np.array_equal(a, b)
+
+    def test_repr_names_seed_and_path(self):
+        assert repr(RandomSource(3, (1, 2))) == "RandomSource(master_seed=3, path=(1, 2))"
 
     def test_derive_is_stable_under_added_siblings(self):
         # Drawing from stream 0 must not depend on stream 1 existing.

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from seqobf.core import Alphabet, Pattern, RandomSource, Trace
 from seqobf.detect import (
-    PatternStats, _contiguous_matches, _found_in_list, _pattern_found, first_occurrence,
+    PatternStats, _contiguous_matches, _pattern_found, first_occurrence,
     has_pattern,
 )
 from seqobf.superstring import _shortest_array
@@ -154,7 +154,7 @@ def test_detection_memory_is_linear_in_the_block():
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 @pytest.mark.parametrize("gap", [1, 3, 10])
-def test_a_plain_list_scan_agrees_with_the_kernel(order, gap):
+def test_the_kernel_decides_settle_windows_as_brute_force_does(order, gap):
     # Windows as manp's settle test reads them, (l - 1) * gap + 1 symbols
     # that end with the pattern's last symbol, and shorter and longer ones,
     # over alphabets small enough that the pattern often occurs.
@@ -167,8 +167,8 @@ def test_a_plain_list_scan_agrees_with_the_kernel(order, gap):
         if rng.random() < 0.5:
             window = window[-(order - 1) * gap - 1:]
             window[-1] = q[-1]
-        want = bool(_pattern_found(window, q, gap))
-        assert _found_in_list(window.tolist(), q, gap) == want
+        want = brute_force_has_pattern(window.tolist(), q, gap)
+        assert bool(_pattern_found(window, q, gap)) == want
         found += want
     assert 0 < found < 400
 

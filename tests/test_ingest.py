@@ -29,6 +29,16 @@ class TestParseCsv:
     def test_empty_file_with_header(self, tmp_path):
         assert parse_csv(write_csv(tmp_path, "")) == []
 
+    def test_a_file_without_a_header_is_refused(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="empty file, expected header"):
+            parse_csv(path)
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        raws = parse_csv(write_csv(tmp_path, "u,100,a\n\nu,200,b\n\n"))
+        assert [raw.events for raw in raws] == [((100.0, "a"), (200.0, "b"))]
+
     def test_interleaved_users_are_grouped(self, tmp_path):
         body = (
             "alice,100,tower_a\n"
@@ -150,8 +160,9 @@ class TestEncode:
             encode(self.raws(), 9)
 
     def test_min_length_filters_users(self):
-        traces, _ = encode(self.raws(), 2, min_length=3)
-        assert all(t.length >= 3 for t in traces)
+        raws = self.raws() + [RawTrace("u3", ((1.0, "a"), (2.0, "b")))]
+        traces, _ = encode(raws, 2, min_length=3)
+        assert [t.length for t in traces] == [3, 3]
 
     def test_deterministic(self):
         a = encode(self.raws(), 3)
@@ -171,6 +182,11 @@ class TestTraceFileRoundTrip:
         write_trace_file(path, traces)
         again = read_trace_file(path, 5)
         assert again == traces
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "traces.txt"
+        path.write_text("0 1\n\n   \n2\n")
+        assert [t.symbols.tolist() for t in read_trace_file(path, 3)] == [[0, 1], [2]]
 
     def test_rejects_non_integer_symbols(self, tmp_path):
         path = tmp_path / "traces.txt"

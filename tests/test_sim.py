@@ -29,7 +29,8 @@ from seqobf.sim import (
     sweep,
     write_csv,
 )
-from oracles import (brute_force_iid_fraction, fraction_counts_reference, iid_fraction_exact,
+from oracles import (brute_force_iid_fraction, brute_force_lov_fraction,
+                     fraction_counts_reference, iid_fraction_exact, lov_fraction_exact,
                      manp_policy_reference)
 
 
@@ -398,6 +399,51 @@ class TestIidFractionExact:
         exact = iid_fraction_exact(m, r, l, gap, p)
         assert 0.1 < exact < 0.9
         assert abs(rec["estimate"] - exact) <= 4.5 * rec["std_error"], (rec["estimate"], exact)
+
+
+# (m, r, l, gap, p) of lov fraction cells, as IID_EXACT_CELLS: lov sees every
+# base symbol early and then picks the missing reserved ones, so far lower
+# noise levels reach the same estimates.
+LOV_EXACT_CELLS = [
+    (30, 6, 1, 1, 0.03), (40, 6, 1, 3, 0.02), (25, 4, 1, None, 0.04),
+    (60, 5, 2, 1, 0.4), (60, 6, 2, 3, 0.15), (40, 6, 2, None, 0.05),
+    (100, 4, 3, 1, 0.6), (80, 5, 3, 3, 0.5), (50, 6, 3, None, 0.15),
+    (200, 8, 2, 10, 0.05),
+]
+
+
+class TestLovFractionExact:
+    """The fraction protocol's lov estimate against its exact value."""
+
+    @pytest.mark.parametrize("m,r,l,gap", [
+        (6, 3, 1, 1), (6, 3, 1, None), (5, 4, 2, 1), (5, 4, 2, 2), (6, 4, 2, 3),
+        (5, 3, 2, None), (4, 5, 3, 3), (5, 4, 3, 1), (5, 5, 3, None),
+    ])
+    def test_the_exact_value_equals_enumeration(self, m, r, l, gap):
+        for p in (Fraction(1, 3), Fraction(3, 4), Fraction(1)):
+            want = brute_force_lov_fraction(m, r, l, gap, p)
+            assert lov_fraction_exact(m, r, l, gap, float(p)) == pytest.approx(want, rel=1e-12)
+
+    def test_the_exact_value_at_the_canonical_cell(self):
+        assert round(lov_fraction_exact(1000, 20, 2, 10, 0.1), 5) == 0.35645
+
+    @pytest.mark.parametrize("i", range(len(LOV_EXACT_CELLS)))
+    def test_the_estimate_is_within_4_5_standard_errors(self, i):
+        m, r, l, gap, p = LOV_EXACT_CELLS[i]
+        spec = fraction_spec(alphabet_size=r, order=l, gap=gap, trace_length=m, p_obf=p,
+                             methods=("lov",), n_users=41, iterations=100,
+                             master_seed=3100 + i)
+        rec = run_fraction(spec).records[0]
+        exact = lov_fraction_exact(m, r, l, gap, p)
+        assert 0.1 < exact < 0.9
+        assert abs(rec["estimate"] - exact) <= 4.5 * rec["std_error"], (rec["estimate"], exact)
+
+    def test_the_lov_bound_holds_at_one_symbol(self):
+        # At l = 1 the pattern is one reserved symbol, whose coverage
+        # probability lov_bound bounds from below.
+        for m, r, p in product((1, 3, 10, 40, 200), (2, 3, 5, 12, 20),
+                               (0.0, 0.01, 0.1, 0.3, 0.7, 1.0)):
+            assert lov_bound(m, r, p) <= lov_fraction_exact(m, r, 1, None, p) + 1e-12, (m, r, p)
 
 
 class TestFractionCounters:
