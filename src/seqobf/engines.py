@@ -368,6 +368,9 @@ def _fill_manp(z, mask, r, gap, gen, settled) -> None:
 # The single-pass methods whose fill never reads z: _obfuscate_rows fills
 # a row block of them with one assignment.
 _INDEPENDENT = ("iid", "sbu", "sl_sbu")
+# The methods whose block fill steps all the rows of a block together, so
+# that a step costs about as much for a few rows as for many.
+_LOCKSTEP = ("lov", "plov")
 # The superstring form that each superstring method draws.
 _SUPERSTRING_KIND = {"sbu": "concatenation", "sl_sbu": "shortest"}
 

@@ -43,7 +43,8 @@ import numpy as np
 from .core import (Pattern, RandomSource, _check_at_least, _check_gap, _check_noise,
                    _check_seed, _derive_keys, _keyed_generators, _raw_values)
 from .detect import _contiguous_matches, _pattern_found
-from .engines import _INDEPENDENT, _READS, _SUPERSTRING_KIND, EngineConfig, _obfuscate_rows
+from .engines import (_INDEPENDENT, _LOCKSTEP, _READS, _SUPERSTRING_KIND, EngineConfig,
+                      _obfuscate_rows)
 from .superstring import _check_params, _shortest_first_index, _superstring_length
 from . import bounds as bounds_mod
 from . import ingest as ingest_mod
@@ -54,6 +55,10 @@ SCENARIOS = ("fraction", "first_occurrence", "bounds_table", "crowd_count")
 # users obfuscated and scanned together as the rows of one array.
 _KEY_BLOCK = 1024
 _ROW_BLOCK = 32
+# Positions that a row block holds when some config steps all its rows
+# together (engines._LOCKSTEP), unless that is fewer than _ROW_BLOCK rows:
+# 1 MiB of int64, or 32 rows of 4 096 symbols.
+_LOCKSTEP_SYMBOLS = 1 << 17
 # Symbols a race scans at once, as the rows of one array: 2 MiB of int64,
 # whatever the iteration count.
 _RACE_SCAN_SYMBOLS = 1 << 18
@@ -207,11 +212,18 @@ def _fraction_iterations(
     User 0 is the target.  The estimate counts only the other users, so
     the target's trace is never drawn; sample s is user 1 + s % (n - 1) of
     iteration s // (n - 1).  The users run as the rows of blocks of at most
-    _ROW_BLOCK; the base traces that a block draws serve all its configs,
-    and lie in the reduced alphabet by construction, so they are not
-    checked as Traces.  configs are _fraction_plan's, one cell's after
-    another, so config j draws from purpose 1 + j % len(spec.methods).
-    pool holds an ingested spec's traces from _load_trace_pool, or None.
+    _ROW_BLOCK, or, when some config steps all a block's rows together
+    (engines._LOCKSTEP), of at most _LOCKSTEP_SYMBOLS // m if that is more:
+    a lockstep step costs about as much for many rows as for few, and a
+    block then holds no more positions than 32 rows of 4 096 symbols.  Each
+    row draws from its own generator, so the block size changes no draw.
+    The base traces that a block draws serve all its configs: each config
+    but the last that reads them obfuscates a copy, and the last one
+    obfuscates them in place.  They lie in the reduced alphabet by
+    construction, so they are not checked as Traces.  configs are
+    _fraction_plan's, one cell's after another, so config j draws from
+    purpose 1 + j % len(spec.methods).  pool holds an ingested spec's traces
+    from _load_trace_pool, or None.
 
     A data-independent method (engines._INDEPENDENT) obfuscates a block of
     zeros instead, so a block draws base traces only for the other methods.
@@ -244,7 +256,10 @@ def _fraction_iterations(
              for method, kind in _SUPERSTRING_KIND.items()}
     users = spec.n_users - 1
     purposes = np.arange(1 + len(spec.methods))
-    reads_base = any(config.method not in _INDEPENDENT for config in configs)
+    readers = [j for j, config in enumerate(configs) if config.method not in _INDEPENDENT]
+    block = _ROW_BLOCK
+    if any(config.method in _LOCKSTEP for config in configs):
+        block = max(_ROW_BLOCK, _LOCKSTEP_SYMBOLS // spec.trace_length)
     for first in range(start * users, stop * users, _KEY_BLOCK):
         s = np.arange(first, min(first + _KEY_BLOCK, stop * users))
         paths = np.empty((s.size, purposes.size, 3), dtype=np.int64)
@@ -252,19 +267,22 @@ def _fraction_iterations(
         paths[..., 1] = (1 + s % users)[:, None]
         paths[..., 2] = purposes
         keys = _derive_keys(spec.master_seed, paths.reshape(-1, 3)).reshape(paths.shape[:2] + (2,))
-        for lo in range(0, s.size, _ROW_BLOCK):
-            rows = slice(lo, lo + _ROW_BLOCK)
+        for lo in range(0, s.size, block):
+            rows = slice(lo, lo + block)
             shape = (len(keys[rows]), spec.trace_length)
             # A block's generators are drawn from in full before the thread's
             # pool is re-keyed for the next: its base traces, then each config.
             # No generator is read again unkeyed, so a block fill may leave
             # them stale (engines._obfuscate_rows).
-            if reads_base:
+            if readers:
                 x = _base_symbols(spec, _keyed_generators(keys[rows, 0]), pool)
             for j, config in enumerate(configs):
                 purpose = 1 + j % len(spec.methods)
                 gens = _keyed_generators(keys[rows, purpose])
-                z = np.zeros(shape, np.int64) if config.method in _INDEPENDENT else x.copy()
+                if config.method in _INDEPENDENT:
+                    z = np.zeros(shape, np.int64)
+                else:
+                    z = x if j == readers[-1] else x.copy()
                 k = np.count_nonzero(_obfuscate_rows(z, r, config, gens, settled), axis=1)
                 counts[0, j] += np.count_nonzero(_pattern_found(z, q, gap))
                 counts[1, j] += k.sum()

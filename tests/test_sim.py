@@ -299,6 +299,131 @@ class TestFractionMatchesReference:
         assert_matches_reference(spec, 1)
 
 
+def row_heights(monkeypatch, spec):
+    """The rows of each _obfuscate_rows call of a run, per method, in call order."""
+    def spied(z, r, config, gens, settled=None):
+        heights.setdefault(config.method, []).append(len(z))
+        return obfuscate_rows(z, r, config, gens, settled)
+
+    heights = {}
+    obfuscate_rows = sim._obfuscate_rows
+    monkeypatch.setattr(sim, "_obfuscate_rows", spied)
+    run_fraction(spec)
+    return heights
+
+
+def traced_peak(spec):
+    """The tracemalloc peak of one iteration of spec, after a run at zero
+    noise has grown the thread's generator pool to the spec's blocks."""
+    quiet = replace(spec, p_obf=0.0)
+    _fraction_iterations(quiet, *_fraction_plan(quiet), 0, 1)
+    plan = _fraction_plan(spec)
+    tracemalloc.start()
+    try:
+        _fraction_iterations(spec, *plan, 0, 1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLockstepBlocks:
+    """With lov or plov among a run's configs, a row block holds up to
+    _LOCKSTEP_SYMBOLS positions, and at least _ROW_BLOCK rows; the last
+    config that reads a block's base traces fills them in place.  Records
+    and counters stay bit for bit."""
+
+    @pytest.mark.parametrize("methods", [("lov",), ("iid", "plov")], ids="-".join)
+    @pytest.mark.parametrize("m", (20, 1000, 4096, 8192))
+    def test_a_block_holds_up_to_its_symbols_in_at_least_32_rows(self, monkeypatch, m,
+                                                                 methods):
+        # A key block caps the 6 553 rows of 20-symbol traces.
+        rows = min(max(32, 2**17 // m), _KEY_BLOCK)
+        assert rows == {20: _KEY_BLOCK, 1000: 131, 4096: 32, 8192: 32}[m]
+        spec = fraction_spec(trace_length=m, p_obf=0.05, methods=methods, n_users=rows + 4,
+                             iterations=1)
+        assert row_heights(monkeypatch, spec) == {method: [rows, 3] for method in methods}
+
+    def test_below_a_key_block_the_symbols_set_the_rows(self, monkeypatch):
+        monkeypatch.setattr(sim, "_LOCKSTEP_SYMBOLS", 1 << 10)
+        spec = fraction_spec(trace_length=20, methods=("lov", "sl_sbu"), n_users=55,
+                             iterations=1)
+        assert row_heights(monkeypatch, spec) == {"lov": [51, 3], "sl_sbu": [51, 3]}
+
+    @pytest.mark.parametrize("methods", [("iid", "sl_sbu"), ("sbu", "manp")], ids="-".join)
+    @pytest.mark.parametrize("m", (20, 1000))
+    def test_other_methods_keep_32_row_blocks(self, monkeypatch, m, methods):
+        spec = fraction_spec(trace_length=m, methods=methods, n_users=_ROW_BLOCK + 4,
+                             iterations=1)
+        assert row_heights(monkeypatch, spec) == {method: [32, 3] for method in methods}
+
+    @pytest.mark.parametrize("workers", (1, 3))
+    @pytest.mark.parametrize("methods", [("lov",), ("plov",),
+                                         ("iid", "lov", "manp", "plov", "sl_sbu")],
+                             ids="-".join)
+    def test_across_lockstep_and_key_block_edges(self, monkeypatch, methods, workers):
+        # Blocks of 40 rows of 12 symbols: 42 samples an iteration cross one,
+        # and 25 iterations give 1 050 samples, past the first key block.
+        # Worker processes forked from this one read the patched count.
+        monkeypatch.setattr(sim, "_LOCKSTEP_SYMBOLS", 40 * 12)
+        spec = fraction_spec(trace_length=12, p_obf=0.4, gap=3, methods=methods, n_users=43,
+                             iterations=25, master_seed=8)
+        assert (spec.n_users - 1) * spec.iterations > _KEY_BLOCK
+        assert row_heights(monkeypatch, replace(spec, iterations=1))[methods[0]] == [40, 2]
+        assert_matches_reference(spec, workers)
+
+    SWEEP = dict(alphabet_size=9, order=1, gap=3, trace_length=60, n_users=5, iterations=4,
+                 methods=("plov", "lov", "sl_sbu"), master_seed=19)
+
+    def test_only_a_blocks_last_base_reader_fills_the_base_traces(self, monkeypatch):
+        def drawn(*args):
+            bases.append(base_symbols(*args))
+            return bases[-1]
+
+        def spied(z, r, config, gens, settled=None):
+            filled.append((config.method, config.p_obf, z is bases[-1]))
+            return obfuscate_rows(z, r, config, gens, settled)
+
+        bases, filled = [], []
+        base_symbols, obfuscate_rows = sim._base_symbols, sim._obfuscate_rows
+        monkeypatch.setattr(sim, "_base_symbols", drawn)
+        monkeypatch.setattr(sim, "_obfuscate_rows", spied)
+        sweep(fraction_spec(**self.SWEEP), (0.1, 0.4))
+        assert len(bases) == 1
+        assert filled == [("plov", 0.1, False), ("lov", 0.1, False), ("sl_sbu", 0.1, False),
+                          ("plov", 0.4, False), ("lov", 0.4, True), ("sl_sbu", 0.4, False)]
+
+    @pytest.mark.parametrize("workers", (1, 3))
+    def test_a_sweep_that_fills_in_place_equals_its_cells(self, workers):
+        spec = fraction_spec(**self.SWEEP)
+        grid = (0.1, 0.4)
+        cells = [replace(spec, p_obf=p) for p in grid]
+        for cell in cells:
+            assert_matches_reference(cell, workers)
+        swept, one_by_one = io.StringIO(), io.StringIO()
+        write_csv(sweep(spec, grid, workers=workers).records, swept)
+        write_csv([rec for cell in cells for rec in run_fraction(cell, workers).records],
+                  one_by_one)
+        assert swept.getvalue() == one_by_one.getvalue()
+
+    @pytest.mark.parametrize("method", ("lov", "plov"))
+    def test_memory_does_not_grow_with_the_users(self, method):
+        # 140 samples run as blocks of 131 and 9 rows, 1 100 as eight full
+        # blocks and three short ones across two key blocks.
+        peaks = [traced_peak(fraction_spec(alphabet_size=20, order=2, gap=10, trace_length=1000,
+                                           p_obf=0.05, methods=(method,), n_users=n,
+                                           iterations=1))
+                 for n in (141, 1101)]
+        assert peaks[1] < 1.1 * peaks[0]
+
+    def test_memory_of_a_long_trace_is_that_of_a_32_row_block(self):
+        # At 8 192 symbols a block holds 32 rows, so 64 samples peak as 32 do.
+        peaks = [traced_peak(fraction_spec(alphabet_size=20, order=2, gap=10, trace_length=8192,
+                                           p_obf=0.05, methods=("plov",), n_users=n,
+                                           iterations=1))
+                 for n in (33, 65)]
+        assert peaks[1] < 1.1 * peaks[0]
+
+
 # (l, gap, p) for the data-dependent methods against the one-user loop.
 # manp needs a finite gap.  At p = 0.5 most rows hold the pattern long
 # before their last replacement; at p = 0.05 and l = 3 most never do.

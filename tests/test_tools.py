@@ -1,4 +1,6 @@
 """The repository's tools."""
+import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +24,30 @@ def test_src_lines_gives_code_line_deltas_against_a_base(tmp_path):
     assert rows["gone.py"] == ["0", "0", "0", "0", "0", "-1"]
     assert rows["new.py"] == ["1", "1", "0", "0", "0", "1"]
     assert rows["all"] == ["6", "3", "1", "1", "1", "1"]
+
+
+def test_layers_times_every_case_on_this_tree_and_against_a_revision(tmp_path):
+    # A one-commit copy of the package and the tool, so that --against HEAD
+    # makes its worktree there.
+    root = Path(__file__).resolve().parents[1]
+    shutil.copytree(root / "src" / "seqobf", tmp_path / "src" / "seqobf",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "tools").mkdir()
+    shutil.copy(root / "tools" / "layers.py", tmp_path / "tools")
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t"]
+    for words in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "tree"]):
+        subprocess.run(git + words, check=True, capture_output=True)
+    tool = [sys.executable, str(tmp_path / "tools" / "layers.py"), "--calls", "1", "--m", "40"]
+    alone = json.loads(subprocess.run(tool + ["--processes", "1"], capture_output=True,
+                                      check=True).stdout)
+    assert {"engines._obfuscate_rows[131].lov", "engines._obfuscate_rows[131].plov",
+            "engines.obfuscate.two_stage", "ingest.parse_csv[20 000 rows]"} <= set(alone["us"])
+    assert all(us > 0 for us in alone["us"].values())
+    paired = json.loads(subprocess.run(tool + ["--processes", "2", "--against", "HEAD"],
+                                       capture_output=True, check=True).stdout)
+    assert set(paired["cases"]) == set(alone["us"])
+    for case in paired["cases"].values():
+        assert case["pairs"] == 2 and 0 <= case["better"] <= 2 and case["ratio"] > 0
+    worktrees = subprocess.run(git + ["worktree", "list"], capture_output=True, text=True,
+                               check=True).stdout
+    assert len(worktrees.splitlines()) == 1
