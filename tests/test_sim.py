@@ -357,9 +357,7 @@ class TestLockstepBlocks:
         assert row_heights(monkeypatch, spec) == {method: [32, 3] for method in methods}
 
     @pytest.mark.parametrize("workers", (1, 3))
-    @pytest.mark.parametrize("methods", [("lov",), ("plov",),
-                                         ("iid", "lov", "manp", "plov", "sl_sbu")],
-                             ids="-".join)
+    @pytest.mark.parametrize("methods", [("lov",), ("plov",), SPEC_METHODS], ids="-".join)
     def test_across_lockstep_and_key_block_edges(self, monkeypatch, methods, workers):
         # Blocks of 40 rows of 12 symbols: 42 samples an iteration cross one,
         # and 25 iterations give 1 050 samples, past the first key block.

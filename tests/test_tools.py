@@ -1,4 +1,5 @@
 """The repository's tools."""
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -26,9 +27,10 @@ def test_src_lines_gives_code_line_deltas_against_a_base(tmp_path):
     assert rows["all"] == ["6", "3", "1", "1", "1", "1"]
 
 
-def test_layers_times_every_case_on_this_tree_and_against_a_revision(tmp_path):
+def test_layers_times_every_case_on_this_tree_and_against_a_revision(tmp_path, monkeypatch,
+                                                                     capsys):
     # A one-commit copy of the package and the tool, so that --against HEAD
-    # makes its worktree there.
+    # makes its worktree there; one or two processes a tree keep it short.
     root = Path(__file__).resolve().parents[1]
     shutil.copytree(root / "src" / "seqobf", tmp_path / "src" / "seqobf",
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -37,14 +39,20 @@ def test_layers_times_every_case_on_this_tree_and_against_a_revision(tmp_path):
     git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t"]
     for words in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "tree"]):
         subprocess.run(git + words, check=True, capture_output=True)
-    tool = [sys.executable, str(tmp_path / "tools" / "layers.py"), "--calls", "1", "--m", "40"]
-    alone = json.loads(subprocess.run(tool + ["--processes", "1"], capture_output=True,
-                                      check=True).stdout)
+    spec = importlib.util.spec_from_file_location("layers", tmp_path / "tools" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+
+    def report(processes, *words):
+        monkeypatch.setattr(layers, "PROCESSES", processes)
+        assert layers.main(["layers.py", "--m", "40", *words]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    alone = report(1)
     assert {"engines._obfuscate_rows[131].lov", "engines._obfuscate_rows[131].plov",
-            "engines.obfuscate.two_stage", "ingest.parse_csv[20 000 rows]"} <= set(alone["us"])
+            "engines.obfuscate.two_stage", "ingest.parse_csv[800 rows]"} <= set(alone["us"])
     assert all(us > 0 for us in alone["us"].values())
-    paired = json.loads(subprocess.run(tool + ["--processes", "2", "--against", "HEAD"],
-                                       capture_output=True, check=True).stdout)
+    paired = report(2, "--against", "HEAD")
     assert set(paired["cases"]) == set(alone["us"])
     for case in paired["cases"].values():
         assert case["pairs"] == 2 and 0 <= case["better"] <= 2 and case["ratio"] > 0

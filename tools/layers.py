@@ -1,15 +1,14 @@
 """Time the library's layers in CPU time, in fresh processes.
 
-Usage: python tools/layers.py [--processes N] [--calls N] [--m M] [--against REV]
+Usage: python tools/layers.py [--m M] [--against REV]
 
-Each case runs at the canonical fraction cell (r 20, l 2, gap 10, p 0.1,
-m symbols).  A process calls it once, then times --calls calls in CPU
-time on inputs built untimed, and gives the median in microseconds; a case
-reads the median over --processes processes.  With --against REV they
-alternate with processes on a git worktree of REV, REV first in odd pairs,
-and a case also reads the median ratio of this checkout's time to REV's
-and the pairs in which it took less.  A case that fails reads null, and
-its traceback goes to standard error.
+Cases run at the canonical fraction cell (r 20, l 2, gap 10, p 0.1, m
+symbols, 1 000 by default).  A process calls a case once, then times CALLS
+calls in CPU time on inputs built untimed; a case reads the median over
+PROCESSES processes, in microseconds.  --against REV alternates them with
+processes on a git worktree of REV, REV first in odd pairs, and adds each
+case's median ratio of this checkout's time to REV's and the pairs in which
+it took less.  A failed case reads null; its traceback goes to stderr.
 """
 import argparse
 import json
@@ -24,27 +23,25 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 R, L, GAP, P, SEED = 20, 2, 10, 0.1, 12345
 SINGLE_PASS = ("iid", "sbu", "sl_sbu", "lov", "plov", "manp")
+PROCESSES, CALLS = 10, 20
 
 
 def cases(m: int, workdir: str) -> dict:
     """Case name -> make(), which builds a call's inputs and returns the call."""
     import numpy as np
     from seqobf import bounds, core, detect, engines, ingest
-
     gen = np.random.default_rng(SEED)
     symbols, scanned = gen.integers(0, R, m), gen.integers(0, R, (32, m))
     base = gen.integers(0, R - L, (131, m))
     paths = np.stack([np.arange(198) // 2, 1 + np.arange(198) // 2, np.arange(198) % 2], axis=1)
-    log = Path(workdir) / "events.csv"
+    log, events = Path(workdir) / "events.csv", f"{20 * m:,}".replace(",", " ")
     log.write_text("user_id,timestamp,category\n" + "".join(
-        f"u{u},{t}.0,c{c}\n" for u in range(200)
+        f"u{u},{t}.0,c{c}\n" for u in range(m // 5)
         for t, c in enumerate(gen.integers(0, 40, 100).tolist())))
     q = tuple(range(R - L, R))
-
-    def config(method):
-        if method == "two_stage":
-            return engines.EngineConfig(method, stage_noise=(P, P))
-        return engines.EngineConfig(method, p_obf=P, gap=GAP if method == "manp" else None)
+    configs = {method: engines.EngineConfig(method, p_obf=P, gap=GAP if method == "manp" else None)
+               for method in SINGLE_PASS}
+    configs["two_stage"] = engines.EngineConfig("two_stage", stage_noise=(P, P))
 
     def gens(n):
         return core._keyed_generators(core._derive_keys(SEED, paths[:n]))
@@ -54,11 +51,11 @@ def cases(m: int, workdir: str) -> dict:
 
     def one_trace(method):
         return lambda: (lambda t, c, s: lambda: engines.obfuscate(t, c, s))(
-            trace(), config(method), core.RandomSource(SEED, (7,)))
+            trace(), configs[method], core.RandomSource(SEED, (7,)))
 
     def rows(method, n):
         return lambda: (lambda z, c, g: lambda: engines._obfuscate_rows(z, R, c, g))(
-            base[:n].copy(), config(method), gens(n))
+            base[:n].copy(), configs[method], gens(n))
 
     params = bounds.BoundParams(m, R, L, GAP, P)
     return {
@@ -67,8 +64,7 @@ def cases(m: int, workdir: str) -> dict:
         "core.Trace": lambda: trace,
         "core._raw_values[32x130]": lambda: (lambda g, s, out: lambda: core._raw_values(
             g, s, [(130, R)], out))(gens(32), np.full(32, -1), np.empty((32, 130), np.int64)),
-        **{f"engines.obfuscate.{method}": one_trace(method)
-           for method in SINGLE_PASS + ("two_stage",)},
+        **{f"engines.obfuscate.{method}": one_trace(method) for method in configs},
         **{f"engines._obfuscate_rows[32].{method}": rows(method, 32) for method in SINGLE_PASS},
         **{f"engines._obfuscate_rows[131].{method}": rows(method, 131)
            for method in ("lov", "plov")},
@@ -77,7 +73,7 @@ def cases(m: int, workdir: str) -> dict:
         "detect._pattern_found[32 rows]": lambda: lambda: detect._pattern_found(scanned, q, GAP),
         "bounds.bound_sbu": lambda: lambda: bounds.bound_sbu(params),
         "bounds.bound_slsbu": lambda: lambda: bounds.bound_slsbu(params),
-        "ingest.parse_csv[20 000 rows]": lambda: lambda: ingest.parse_csv(log),
+        f"ingest.parse_csv[{events} rows]": lambda: lambda: ingest.parse_csv(log),
     }
 
 
@@ -87,7 +83,7 @@ def seconds(call) -> float:
     return time.process_time() - t0
 
 
-def child(src: str, m: int, calls: int) -> dict:
+def child(src: str, m: int) -> dict:
     """Median CPU microseconds of one call of each case, on the package at src."""
     sys.path.insert(0, src)
     out = {}
@@ -95,18 +91,16 @@ def child(src: str, m: int, calls: int) -> dict:
         for name, make in cases(m, workdir).items():
             try:
                 make()()
-                times = [seconds(make()) for _ in range(calls)]
+                times = [seconds(make()) for _ in range(CALLS)]
                 out[name] = round(statistics.median(times) * 1e6, 2)
             except Exception:  # the case reads null, and its traceback goes to stderr
-                print(f"{name} failed on {src}:", file=sys.stderr)
-                traceback.print_exc()
+                print(f"{name} failed on {src}:\n{traceback.format_exc()}", file=sys.stderr)
                 out[name] = None
     return out
 
 
-def process(src: Path, args) -> dict:
-    command = [sys.executable, __file__, "--child", str(src), "--m", str(args.m),
-               "--calls", str(args.calls)]
+def process(src: Path, m: int) -> dict:
+    command = [sys.executable, __file__, "--child", str(src), "--m", str(m)]
     return json.loads(subprocess.run(command, stdout=subprocess.PIPE, check=True).stdout)
 
 
@@ -117,44 +111,37 @@ def median(values):
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description="Time the library's layers in CPU time.")
-    parser.add_argument("--processes", type=int, default=5, help="processes per tree")
-    parser.add_argument("--calls", type=int, default=20, help="timed calls per case and process")
     parser.add_argument("--m", type=int, default=1000, help="trace length")
     parser.add_argument("--against", metavar="REV", help="git revision to compare with")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args(argv[1:])
+    here, report = ROOT / "src", {"m": args.m, "processes": PROCESSES, "calls": CALLS}
     if args.child:
-        print(json.dumps(child(args.child, args.m, args.calls)))
-        return 0
-    here = ROOT / "src"
-    report = {"m": args.m, "processes": args.processes, "calls": args.calls}
-    if args.against is None:
-        runs = [process(here, args) for _ in range(args.processes)]
+        report = child(args.child, args.m)
+    elif args.against is None:
+        runs = [process(here, args.m) for _ in range(PROCESSES)]
         report["us"] = {name: median(run[name] for run in runs) for name in runs[0]}
-        print(json.dumps(report, indent=1))
-        return 0
-    git = ["git", "-C", ROOT, "worktree"]
-    with tempfile.TemporaryDirectory() as tmp:
-        tree, pairs = Path(tmp) / "tree", []
-        subprocess.run(git + ["add", "--detach", tree, args.against], check=True,
-                       stdout=subprocess.DEVNULL)
-        try:
-            for i in range(args.processes):
-                sides = ((tree / "src", here), (here, tree / "src"))[i % 2]
-                got = dict(zip(sides, (process(src, args) for src in sides)))
-                pairs.append((got[tree / "src"], got[here]))
-        finally:
-            subprocess.run(git + ["remove", "--force", tree], check=True,
-                           stdout=subprocess.DEVNULL)
-    report["against"], report["cases"] = args.against, {}
-    for name in pairs[0][1]:
-        timed = [(old[name], new[name]) for old, new in pairs
-                 if old.get(name) is not None and new[name] is not None]
-        report["cases"][name] = {
-            "against_us": median(old.get(name) for old, _ in pairs),
-            "us": median(new[name] for _, new in pairs),
-            "ratio": median(new / old for old, new in timed),
-            "better": sum(new < old for old, new in timed), "pairs": len(timed)}
+    else:
+        git = ["git", "-C", ROOT, "worktree"]
+        with tempfile.TemporaryDirectory() as tmp:
+            tree, pairs = Path(tmp) / "tree", []
+            subprocess.run(git + ["add", "--quiet", "--detach", tree, args.against], check=True)
+            try:
+                for i in range(PROCESSES):
+                    sides = ((tree / "src", here), (here, tree / "src"))[i % 2]
+                    got = dict(zip(sides, (process(src, args.m) for src in sides)))
+                    pairs.append((got[tree / "src"], got[here]))
+            finally:
+                subprocess.run(git + ["remove", "--force", tree], check=True)
+        report["against"], report["cases"] = args.against, {}
+        for name in pairs[0][1]:
+            timed = [(old[name], new[name]) for old, new in pairs
+                     if old.get(name) is not None and new[name] is not None]
+            report["cases"][name] = {
+                "against_us": median(old.get(name) for old, _ in pairs),
+                "us": median(new[name] for _, new in pairs),
+                "ratio": median(new / old for old, new in timed),
+                "better": sum(new < old for old, new in timed), "pairs": len(timed)}
     print(json.dumps(report, indent=1))
     return 0
 
